@@ -21,25 +21,23 @@ Two policies matter beyond the raw rules:
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
 from .canonical import (
-    AnalysisError, CanonicalForm, CopyRule, DeadCase, FieldRule,
+    AnalysisError, CopyRule, DeadCase, FieldRule,
     NotCanonical, SCRIPT_FIELD, analyze_canonical, classify_conjuncts,
     flatten_and, inline_lets, normalize_conjunct, reduce_case, scan_refs,
     split_cases,
 )
 from .interp import EvalContext, EvalError, evaluate
-from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size, serialize_script
+from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size
 from .ledger import (
     ChainLog, UnindexedFieldError, UtxoSet, Valid, apply_transaction,
     validate_transaction,
 )
-from .model import (
-    ChainParams, Output, OutputRef, OversizeOutputError, Payload, Transaction,
-    check_output_limits,
-)
+from .model import ChainParams, Output, OutputRef, Payload, Transaction
 
 
 @dataclass(frozen=True)
@@ -96,17 +94,14 @@ class CannotBuild:
 class BuildCase:
     """One branch of a script, compiled to generation rules."""
 
-    guards: tuple       # conjuncts that selected this branch
     input_count: int
-    seed_checks: tuple  # conjuncts decidable from in[0] alone
-    lookups: tuple      # of (input index, tuple of LookupRule)
-    out_rules: tuple    # of (out index, 'fields'|'copy', payload rule data)
-    residual: tuple
+    seed_checks: tuple  # of ScriptRef: conjuncts decidable from in[0] alone
+    lookups: tuple      # of (input index, tuple of (field, ScriptRef))
+    out_rules: tuple    # of (out index, 'fields'|'copy', rule data with ScriptRefs)
 
 
 @dataclass(frozen=True)
 class BuildRules:
-    flat: CanonicalForm
     cases: tuple
 
 
@@ -177,20 +172,15 @@ def _compile_case(guards, body):
     for k in range(1, in_size):
         if k not in per_index:
             raise AnalysisError(f"in[{k}] has no lookup rule")
-        lookups.append((k, tuple(per_index[k])))
+        lookups.append((k, tuple((r.field, ScriptRef(r.expr)) for r in per_index[k])))
     extra = [k for k in per_index if k >= in_size]
     if extra:
         return None
 
     # group output rules; each output is either fully assigned or a copy
     by_out = {}
-    order = []
     for rule in form.out_rules:
-        i = rule.out_index
-        if i not in by_out:
-            by_out[i] = []
-            order.append(i)
-        by_out[i].append(rule)
+        by_out.setdefault(rule.out_index, []).append(rule)
     if sorted(by_out) != list(range(len(by_out))):
         raise AnalysisError("output assignments are not contiguous from out[0]")
     out_rules = []
@@ -206,7 +196,8 @@ def _compile_case(guards, body):
             if copies[0].source >= i:
                 raise AnalysisError(
                     f"out[{i}] copies a later output out[{copies[0].source}]")
-            out_rules.append((i, "copy", copies[0]))
+            overrides = tuple((name, ScriptRef(x)) for name, x in copies[0].overrides)
+            out_rules.append((i, "copy", (copies[0].source, overrides)))
         else:
             seen = set()
             script_rule = None
@@ -222,40 +213,31 @@ def _compile_case(guards, body):
                     payload_rules.append(r)
             if script_rule is None:
                 raise AnalysisError(f"out[{i}] has no script assignment")
-            out_rules.append((i, "fields", (tuple(payload_rules), script_rule)))
+            payload = tuple((r.field, ScriptRef(r.expr)) for r in payload_rules)
+            out_rules.append((i, "fields", (payload, ScriptRef(script_rule.expr))))
 
-    seed_checks = tuple(e for e in norm_guards + list(form.residual)
+    seed_checks = tuple(ScriptRef(e) for e in norm_guards + list(form.residual)
                         if _is_seed_check(e))
     return BuildCase(
-        guards=tuple(norm_guards),
         input_count=in_size,
         seed_checks=seed_checks,
         lookups=tuple(lookups),
         out_rules=tuple(out_rules),
-        residual=form.residual,
     )
 
 
-_RULES_CACHE: dict[bytes, object] = {}
-
-
-def derive_build_rules(script: Expr):
+def derive_build_rules(script: Expr | ScriptRef):
     """Compile a script into branch build rules, or explain why not."""
-    key = serialize_script(script)
-    cached = _RULES_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _derive(script)
-    _RULES_CACHE[key] = result
-    return result
+    return _derive(ScriptRef(script))
 
 
-def _derive(script: Expr):
-    flat = analyze_canonical(script)
+@functools.cache
+def _derive(ref: ScriptRef):
+    flat = analyze_canonical(ref.expr)
     if isinstance(flat, NotCanonical):
         return NotBuildable(flat.reason)
     try:
-        inlined = inline_lets(script)
+        inlined = inline_lets(ref.expr)
         raw_cases = split_cases(inlined)
         cases = []
         for guards, body in raw_cases:
@@ -267,7 +249,7 @@ def _derive(script: Expr):
     if not cases:
         return NotBuildable("no branch admits a transaction")
     cases.sort(key=lambda c: -c.input_count)  # stable: script order on ties
-    return BuildRules(flat=flat, cases=tuple(cases))
+    return BuildRules(cases=tuple(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +268,9 @@ class _CaseFailure(Exception):
 _RULE_BUDGET_FACTOR = 4
 
 
-def _eval_rule(expr, resolved, params):
+def _eval_rule(rule: ScriptRef, resolved, params):
     ctx = EvalContext(self_input=resolved[0], inputs=resolved, outputs=())
-    value, _ = evaluate(expr, ctx,
+    value, _ = evaluate(rule, ctx,
                         _RULE_BUDGET_FACTOR * params.cost_limit_per_input,
                         max_width=params.max_width)
     return value
@@ -310,12 +292,12 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
     resolved = [seed_output]
     for k, rules in case.lookups:
         constraints = []
-        for rule in rules:
+        for field, rule in rules:
             try:
-                value = _eval_rule(rule.expr, resolved, params)
+                value = _eval_rule(rule, resolved, params)
             except EvalError as exc:
                 raise _CaseFailure(ConsistencyCheckFailed(str(exc)))
-            constraints.append((rule.field, value))
+            constraints.append((field, value))
         try:
             found = utxo.lookup(constraints)
         except UnindexedFieldError as exc:
@@ -336,23 +318,23 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
     for i, kind, data in case.out_rules:
         try:
             if kind == "copy":
-                base = outputs[data.source]
+                source, overrides = data
+                base = outputs[source]
                 payload = base.payload
-                for name, expr in data.overrides:
-                    payload = payload.replace(name, _eval_rule(expr, resolved, params))
-                out = Output(base.script, payload)
+                for name, rule in overrides:
+                    payload = payload.replace(name, _eval_rule(rule, resolved, params))
+                out = Output(base.script_ref, payload)
             else:
                 payload_rules, script_rule = data
                 pairs = []
-                for rule in payload_rules:
-                    pairs.append((rule.field, _eval_rule(rule.expr, resolved, params)))
-                ref = _eval_rule(script_rule.expr, resolved, params)
+                for field, rule in payload_rules:
+                    pairs.append((field, _eval_rule(rule, resolved, params)))
+                ref = _eval_rule(script_rule, resolved, params)
                 if not isinstance(ref, ScriptRef):
                     raise _CaseFailure(ConsistencyCheckFailed(
                         f"out[{i}] script rule did not produce a script"))
-                out = Output(ref.expr, Payload(pairs))
-            check_output_limits(out, params)
-        except (EvalError, KeyError, ValueError, OversizeOutputError) as exc:
+                out = Output(ref, Payload(pairs))
+        except (EvalError, KeyError, ValueError) as exc:
             raise _CaseFailure(ConsistencyCheckFailed(str(exc)))
         outputs.append(out)
 
@@ -377,7 +359,7 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
     return tx
 
 
-def build_next(utxo: UtxoSet, script: Expr, seed: OutputRef,
+def build_next(utxo: UtxoSet, script: Expr | ScriptRef, seed: OutputRef,
                params: ChainParams = ChainParams()):
     """Build the transaction spending ``seed`` under ``script``'s rules.
 
@@ -388,7 +370,7 @@ def build_next(utxo: UtxoSet, script: Expr, seed: OutputRef,
     seed_output = utxo.get(seed)
     if seed_output is None:
         raise KeyError(f"seed not in the unspent set: {seed}")
-    if seed_output.script_bytes != serialize_script(script):
+    if seed_output.script_ref is not ScriptRef(script):
         raise ValueError("seed output carries a different script")
 
     rules = derive_build_rules(script)
@@ -428,7 +410,7 @@ def sweep(utxo: UtxoSet, log: ChainLog, params: ChainParams = ChainParams(),
     for seed in utxo.refs():
         if seed not in utxo or seed in retired:
             continue
-        result = build_next(utxo, utxo.resolve(seed).script, seed, params)
+        result = build_next(utxo, utxo.resolve(seed).script_ref, seed, params)
         if isinstance(result, Transaction):
             apply_transaction(result, utxo, log, params)
             built.append(result)

@@ -8,7 +8,8 @@ Chain file: one JSON object per line::
                   "scriptText": informative source text,
                   "payload": {field: {"t": kind, "v": value}, ...}}, ...]}
 
-The base64 script bytes are authoritative and must round-trip exactly;
+The base64 script bytes are authoritative and must be the canonical
+encoding: bytes that do not re-encode to themselves are rejected.
 ``scriptText`` is informative only and ignored on load.  Snapshot files
 map "txId:index" keys to the same output record.
 """
@@ -19,10 +20,9 @@ import base64
 import json
 from dataclasses import dataclass
 
-from .lang import Bits, ScriptFormatError, ScriptRef, deserialize_script, \
-    script_source
+from .lang import Bits, ScriptRef, script_source
 from .ledger import UtxoSet
-from .model import Output, OutputRef, Payload, Transaction
+from .model import ChainParams, Output, OutputRef, Payload, Transaction
 
 
 class ChainFormatError(ValueError):
@@ -55,12 +55,18 @@ def value_from_json(obj):
             return Bits.from_text(raw) if raw else Bits()
         except ValueError as exc:
             raise ChainFormatError(str(exc)) from None
-    if kind == "script" and isinstance(raw, str):
-        try:
-            return ScriptRef(deserialize_script(base64.b64decode(raw)))
-        except (ValueError, ScriptFormatError) as exc:
-            raise ChainFormatError(str(exc)) from None
+    if kind == "script":
+        return _script_from_json(raw)
     raise ChainFormatError(f"malformed value record: {obj!r}")
+
+
+def _script_from_json(raw) -> ScriptRef:
+    if not isinstance(raw, str):
+        raise ChainFormatError(f"script must be a base64 string, got {raw!r}")
+    try:
+        return ScriptRef.from_bytes(base64.b64decode(raw))
+    except ValueError as exc:  # includes ScriptFormatError and bad base64
+        raise ChainFormatError(f"bad script bytes: {exc}") from None
 
 
 def output_to_json(output: Output) -> dict:
@@ -74,10 +80,7 @@ def output_to_json(output: Output) -> dict:
 def output_from_json(obj) -> Output:
     if not isinstance(obj, dict) or "script" not in obj or "payload" not in obj:
         raise ChainFormatError(f"malformed output record: {obj!r}")
-    try:
-        script = deserialize_script(base64.b64decode(obj["script"]))
-    except (ValueError, ScriptFormatError) as exc:
-        raise ChainFormatError(f"bad script bytes: {exc}") from None
+    script = _script_from_json(obj["script"])
     payload_obj = obj["payload"]
     if not isinstance(payload_obj, dict):
         raise ChainFormatError("payload must be an object")
@@ -101,9 +104,9 @@ def _hex_id(text) -> bytes:
     return raw
 
 
-def transaction_to_json(tx: Transaction, digest_name: str = "sha256") -> dict:
+def transaction_to_json(tx: Transaction) -> dict:
     return {
-        "txId": tx.tx_id(digest_name).hex(),
+        "txId": tx.tx_id().hex(),
         "isGenesis": tx.is_genesis,
         "inputs": [{"txId": ref.tx_id.hex(), "index": ref.index}
                    for ref in tx.inputs],
@@ -146,11 +149,10 @@ def transaction_from_json(obj) -> ChainRecord:
     return ChainRecord(stored_id=stored_id, tx=tx)
 
 
-def dump_chain(transactions, path, digest_name: str = "sha256") -> None:
+def dump_chain(transactions, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for tx in transactions:
-            fh.write(json.dumps(transaction_to_json(tx, digest_name),
-                                separators=(",", ":")))
+            fh.write(json.dumps(transaction_to_json(tx), separators=(",", ":")))
             fh.write("\n")
 
 
@@ -182,7 +184,7 @@ def dump_utxo_snapshot(utxo: UtxoSet, path) -> None:
         fh.write("\n")
 
 
-def load_utxo_snapshot(path, indexed_fields=("x", "n", "mid")) -> UtxoSet:
+def load_utxo_snapshot(path, indexed_fields=ChainParams.indexed_fields) -> UtxoSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             snapshot = json.load(fh)

@@ -25,7 +25,7 @@ from .chainio import ChainFormatError, dump_chain, load_chain
 from .interp import WidthExceeded
 from .lang import Bits, script_source
 from .ledger import ChainLog, FirstFailure, UtxoSet, apply_transaction, verify_chain
-from .model import ChainParams
+from .model import ChainParams, OversizeOutputError
 from .parser import ParseError, parse
 from .render import render_chain
 from .rule110 import GridRow, genesis_grid, genesis_layer
@@ -36,13 +36,10 @@ EXIT_USAGE = 2
 
 
 def _default_max_width() -> int:
-    raw = os.environ.get("RULE110_MAX_WIDTH")
-    if raw is None:
-        return 256
     try:
-        return int(raw)
+        return int(os.environ.get("RULE110_MAX_WIDTH", ChainParams.max_width))
     except ValueError:
-        return 256
+        return ChainParams.max_width
 
 
 def _params(args) -> ChainParams:
@@ -56,9 +53,9 @@ def _params(args) -> ChainParams:
 def _add_limit_flags(sub):
     sub.add_argument("--max-width", type=int, default=_default_max_width(),
                      help="bit-string width cap (default %(default)s)")
-    sub.add_argument("--cost-limit", type=int, default=10_000,
+    sub.add_argument("--cost-limit", type=int, default=ChainParams.cost_limit_per_input,
                      help="evaluation budget per input script (default %(default)s)")
-    sub.add_argument("--block-budget", type=int, default=1_000_000,
+    sub.add_argument("--block-budget", type=int, default=ChainParams.block_budget,
                      help="total cost budget per block (default %(default)s)")
 
 
@@ -82,7 +79,7 @@ def cmd_run(args) -> int:
             genesis = genesis_layer(bits, params)
         else:
             genesis = genesis_grid(GridRow.from_bits(bits), params)
-    except WidthExceeded as exc:
+    except (WidthExceeded, OversizeOutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -102,7 +99,7 @@ def cmd_run(args) -> int:
             return EXIT_DOMAIN
 
     transactions = list(log.transactions())
-    dump_chain(transactions, args.chain, params.digest_name)
+    dump_chain(transactions, args.chain)
     total_cost = sum(block.cost_used for block in log.blocks)
     print(f"transactions: {len(transactions)}")
     print(f"blocks: {len(log.blocks)}")
@@ -190,10 +187,10 @@ def _print_cases(rules: BuildRules) -> None:
         print(f"case {num}: {case.input_count} input(s), "
               f"{len(case.out_rules)} output(s)")
         for check in case.seed_checks:
-            print(f"  seed: {script_source(check)}")
+            print(f"  seed: {script_source(check.expr)}")
         for k, per_input in case.lookups:
-            keys = ", ".join(f"{r.field} = {script_source(r.expr)}"
-                             for r in per_input)
+            keys = ", ".join(f"{field} = {script_source(rule.expr)}"
+                             for field, rule in per_input)
             print(f"  in[{k}] <- lookup({keys})")
 
 
@@ -263,6 +260,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    for name in ("max_width", "cost_limit", "block_budget"):
+        if getattr(args, name) < 1:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args)
 
 

@@ -15,6 +15,7 @@ compiled scripts are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .lang import (
@@ -22,9 +23,7 @@ from .lang import (
     Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf, ScriptRef,
     Size, SyntheticOutput, Var,
 )
-from .model import Output, Payload
-
-DEFAULT_MAX_WIDTH = 256
+from .model import ChainParams, Output, Payload
 
 
 class EvalError(Exception):
@@ -201,7 +200,7 @@ def _compile(e: Expr):
             if not isinstance(target, Output):
                 raise EvalTypeError(
                     f".script needs an output, got {_kind(target)}")
-            return ScriptRef(target.script)
+            return target.script_ref
         return run
 
     if isinstance(e, Index):
@@ -386,8 +385,7 @@ def _compile(e: Expr):
                 except KeyError:
                     raise MissingField(
                         f"override of missing field {name!r}") from None
-            return (a.payload == payload
-                    and a.script_bytes == b.script_bytes)
+            return a.payload == payload and a.script_ref is b.script_ref
         return run
 
     if isinstance(e, ListConcat):
@@ -420,7 +418,7 @@ def _compile(e: Expr):
                 raise EvalTypeError(
                     f"output script must be a script, got {_kind(ref)}")
             try:
-                return Output(ref.expr, Payload(pairs))
+                return Output(ref, Payload(pairs))
             except ValueError as exc:
                 raise EvalTypeError(str(exc)) from None
         return run
@@ -428,26 +426,23 @@ def _compile(e: Expr):
     raise TypeError(f"not a script expression: {type(e).__name__}")
 
 
-def compiled(script: Expr):
-    fn = getattr(script, "_compiled", None)
-    if fn is None:
-        fn = _compile(script)
-        try:
-            object.__setattr__(script, "_compiled", fn)
-        except AttributeError:
-            pass
-    return fn
+@functools.cache
+def compiled(script: ScriptRef):
+    """The evaluator for a script, compiled once per interned ref."""
+    return _compile(script.expr)
 
 
-def evaluate(script: Expr, ctx: EvalContext, limit: int,
-             max_width: int = DEFAULT_MAX_WIDTH):
+def evaluate(script: Expr | ScriptRef, ctx: EvalContext, limit: int,
+             max_width: int = ChainParams.max_width):
     """Run a script in a context under a cost limit.
 
     Returns ``(value, CostReceipt)``; raises an ``EvalError`` subclass on
-    any runtime failure, including running out of budget.
+    any runtime failure, including running out of budget.  An expression
+    is serialized to find its ``ScriptRef``, so pass the ref where one is
+    at hand.
     """
     if limit <= 0:
         raise ValueError("cost limit must be positive")
     rt = _Runtime(ctx, limit, max_width)
-    value = compiled(script)(rt)
+    value = compiled(ScriptRef(script))(rt)
     return value, CostReceipt(total_cost=rt.spent, limit=limit)

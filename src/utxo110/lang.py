@@ -87,33 +87,53 @@ class Bits:
 
 
 class ScriptRef:
-    """Opaque handle to a script; compares by canonical bytes."""
+    """The one object per canonical script byte string, so equality is identity.
 
-    __slots__ = ("expr", "_bytes")
+    ``ScriptRef(expr)`` and ``ScriptRef.from_bytes(data)`` return the
+    object interned for those bytes, creating it on first use.
+    """
 
-    def __init__(self, expr):
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "_bytes", None)
+    __slots__ = ("expr", "canonical")
 
-    @property
-    def canonical(self) -> bytes:
-        if self._bytes is None:
-            object.__setattr__(self, "_bytes", serialize_script(self.expr))
-        return self._bytes
+    def __new__(cls, expr):
+        if isinstance(expr, ScriptRef):
+            return expr
+        data = serialize_script(expr)
+        ref = _INTERNED.get(data)
+        if ref is None:
+            ref = _intern(expr, data)
+        return ref
 
-    def __eq__(self, other):
-        if not isinstance(other, ScriptRef):
-            return NotImplemented
-        return self.canonical == other.canonical
-
-    def __hash__(self):
-        return hash(("ScriptRef", self.canonical))
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ScriptRef":
+        """Decodes only on a table miss; rejects bytes that do not re-encode
+        to themselves, so each script has exactly one accepted encoding."""
+        data = bytes(data)
+        ref = _INTERNED.get(data)
+        if ref is None:
+            expr = deserialize_script(data)
+            if serialize_script(expr) != data:
+                raise ScriptFormatError("script bytes are not in canonical form")
+            ref = _intern(expr, data)
+        return ref
 
     def __setattr__(self, name, value):
         raise AttributeError("ScriptRef is immutable")
 
     def __repr__(self):
         return f"ScriptRef({len(self.canonical)} bytes)"
+
+
+# canonical bytes -> the ScriptRef for them
+_INTERNED: dict[bytes, ScriptRef] = {}
+
+
+def _intern(expr, data: bytes) -> ScriptRef:
+    ref = object.__new__(ScriptRef)
+    object.__setattr__(ref, "expr", expr)
+    object.__setattr__(ref, "canonical", data)
+    # setdefault keeps one object per byte string even if two threads race
+    return _INTERNED.setdefault(data, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +329,7 @@ def _enc_value(v) -> bytes:
     if isinstance(v, Bits):
         return b"\x22" + _u32(len(v)) + v.packed()
     if isinstance(v, ScriptRef):
-        body = _encode(v.expr)
+        body = v.canonical[1:]  # nested scripts omit the version byte
         return b"\x23" + _u32(len(body)) + body
     raise TypeError(f"cannot serialize value of type {type(v).__name__}")
 
@@ -365,15 +385,7 @@ def _encode(e: Expr) -> bytes:
 
 def serialize_script(expr: Expr) -> bytes:
     """Canonical bytes for a script. Byte equality is script equality."""
-    cached = getattr(expr, "_canon", None)
-    if cached is not None:
-        return cached
-    data = bytes([FORMAT_VERSION]) + _encode(expr)
-    try:
-        object.__setattr__(expr, "_canon", data)
-    except AttributeError:
-        pass
-    return data
+    return bytes([FORMAT_VERSION]) + _encode(expr)
 
 
 class _Reader:
@@ -419,11 +431,7 @@ def _dec_value(r: _Reader):
         return Bits.from_packed(raw, nbits)
     if tag == 0x23:
         n = r.u32()
-        sub = _Reader(r.take(n))
-        expr = _decode(sub)
-        if sub.pos != len(sub.data):
-            raise ScriptFormatError("trailing bytes in nested script")
-        return ScriptRef(expr)
+        return ScriptRef.from_bytes(bytes([FORMAT_VERSION]) + r.take(n))
     raise ScriptFormatError(f"unknown value tag 0x{tag:02x}")
 
 

@@ -2,8 +2,10 @@
 
 Validation runs every input's guarding script against the spending
 transaction under a per-input cost limit; a transaction is valid only if
-every script returns true.  Genesis transactions are valid by
-definition and may appear only before the first regular transaction.
+every script returns true, its outputs are within the size limits, its
+cost fits in one block and none of its outputs already exists.  Genesis
+transactions are checked for the last rule only and may appear only
+before the first regular transaction.
 
 The chain log groups applied transactions into blocks greedily by cost
 budget.  Blocks are a budgeting device only; the grouping is a pure
@@ -16,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .interp import CostLimitExceeded, EvalContext, EvalError, evaluate
-from .model import ChainParams, Output, OutputRef, Transaction, _kind_tag
+from .model import (
+    ChainParams, Output, OutputRef, OversizeOutputError, Transaction, _kind_tag,
+    check_output_limits,
+)
 
 
 class UnindexedFieldError(KeyError):
@@ -26,7 +31,7 @@ class UnindexedFieldError(KeyError):
 class UtxoSet:
     """Unspent outputs with a secondary index over configured payload fields."""
 
-    def __init__(self, indexed_fields=("x", "n", "mid")):
+    def __init__(self, indexed_fields=ChainParams.indexed_fields):
         self.indexed_fields = tuple(indexed_fields)
         self._primary: dict[OutputRef, Output] = {}
         self._index: dict[tuple, set] = {}
@@ -133,6 +138,23 @@ class DuplicateInput:
 
 
 @dataclass(frozen=True)
+class OversizeOutput:
+    output_index: int
+    detail: str
+
+    def __str__(self):
+        return f"output {self.output_index} is too large: {self.detail}"
+
+
+@dataclass(frozen=True)
+class OutputExists:
+    ref: OutputRef
+
+    def __str__(self):
+        return f"output {self.ref} already exists"
+
+
+@dataclass(frozen=True)
 class ScriptFalse:
     input_index: int
 
@@ -184,9 +206,7 @@ class MisplacedGenesis:
 
 def validate_transaction(tx: Transaction, utxo: UtxoSet,
                          params: ChainParams = ChainParams()):
-    """Run every input script; Valid(total cost) or Invalid(reason)."""
-    if tx.is_genesis:
-        return Valid(0)
+    """Check every ledger rule: Valid(total cost) or Invalid(reason)."""
     seen = set()
     resolved = []
     for ref in tx.inputs:
@@ -197,11 +217,21 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
         if output is None:
             return Invalid(MissingInput(ref))
         resolved.append(output)
+    for index in range(len(tx.outputs)):
+        if tx.ref(index) in utxo:
+            return Invalid(OutputExists(tx.ref(index)))
+    if tx.is_genesis:
+        return Valid(0)
+    for i, output in enumerate(tx.outputs):
+        try:
+            check_output_limits(output, params)
+        except OversizeOutputError as exc:
+            return Invalid(OversizeOutput(i, str(exc)))
     total = 0
     for i, output in enumerate(resolved):
         ctx = EvalContext(self_input=output, inputs=resolved, outputs=tx.outputs)
         try:
-            value, receipt = evaluate(output.script, ctx,
+            value, receipt = evaluate(output.script_ref, ctx,
                                       params.cost_limit_per_input,
                                       max_width=params.max_width)
         except CostLimitExceeded:
@@ -213,6 +243,8 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
                 return Invalid(ScriptFalse(i))
             return Invalid(ScriptError(i, f"script returned {type(value).__name__}"))
         total += receipt.total_cost
+    if total > params.block_budget:
+        return Invalid(BudgetExceeded(total, params.block_budget))
     return Valid(total)
 
 
@@ -263,14 +295,10 @@ def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
     result = validate_transaction(tx, utxo, params)
     if isinstance(result, Invalid):
         raise TransactionRejected(result.reason)
-    if result.total_cost > params.block_budget:
-        raise TransactionRejected(
-            BudgetExceeded(result.total_cost, params.block_budget))
-    tx_id = tx.tx_id(params.digest_name)
     for ref in tx.inputs:
         utxo.spend(ref)
     for index, output in enumerate(tx.outputs):
-        utxo.add(OutputRef(tx_id, index), output)
+        utxo.add(tx.ref(index), output)
     log.append(tx, result.total_cost)
     return result
 
@@ -304,7 +332,7 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
     total = 0
     for i, tx in enumerate(transactions):
         if stored_ids is not None:
-            computed = tx.tx_id(params.digest_name)
+            computed = tx.tx_id()
             if stored_ids[i] != computed:
                 return FirstFailure(i, TxIdMismatch(stored_ids[i], computed))
         if tx.is_genesis:

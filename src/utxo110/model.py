@@ -1,8 +1,8 @@
 """Ledger data model: payloads, outputs, transactions, parameters.
 
 Transactions are treated as immutable once constructed; the transaction
-id is the digest of the canonical transaction bytes and is cached on
-first use.
+id is the SHA-256 digest of the canonical transaction bytes and is
+cached on first use.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ import re
 import struct
 from dataclasses import dataclass
 
-from .lang import (
-    Bits, Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value, _dec_value,
-    _Reader, serialize_script,
-)
+from .lang import Bits, Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value
 
 _FIELD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -96,29 +93,30 @@ class Payload:
 
 
 class Output:
-    """Guarding script plus payload; the spendable unit."""
+    """Guarding script, held as its ``ScriptRef``, plus payload; the spendable unit."""
 
-    __slots__ = ("script", "payload", "_script_bytes")
+    __slots__ = ("script_ref", "payload")
 
-    def __init__(self, script: Expr, payload: Payload):
-        object.__setattr__(self, "script", script)
+    def __init__(self, script: Expr | ScriptRef, payload: Payload):
+        object.__setattr__(self, "script_ref", ScriptRef(script))
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_script_bytes", None)
+
+    @property
+    def script(self) -> Expr:
+        return self.script_ref.expr
 
     @property
     def script_bytes(self) -> bytes:
-        if self._script_bytes is None:
-            object.__setattr__(self, "_script_bytes", serialize_script(self.script))
-        return self._script_bytes
+        return self.script_ref.canonical
 
     def content_key(self):
         """Hashable identity of this output's content (script + payload)."""
-        return (self.script_bytes, self.payload._key())
+        return (self.script_ref, self.payload._key())
 
     def __eq__(self, other):
         if not isinstance(other, Output):
             return NotImplemented
-        return self.script_bytes == other.script_bytes and self.payload == other.payload
+        return self.script_ref is other.script_ref and self.payload == other.payload
 
     def __hash__(self):
         return hash(self.content_key())
@@ -156,21 +154,16 @@ class Transaction:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "is_genesis", bool(is_genesis))
-        object.__setattr__(self, "_tx_id", {})
+        object.__setattr__(self, "_tx_id", None)
 
-    def tx_id(self, digest_name: str = "sha256") -> bytes:
-        cached = self._tx_id.get(digest_name)
-        if cached is None:
-            h = hashlib.new(digest_name)
-            h.update(transaction_bytes(self))
-            cached = h.digest()[:32]
-            if len(cached) < 32:
-                cached = cached.ljust(32, b"\x00")
-            self._tx_id[digest_name] = cached
-        return cached
+    def tx_id(self) -> bytes:
+        if self._tx_id is None:
+            object.__setattr__(self, "_tx_id",
+                               hashlib.sha256(transaction_bytes(self)).digest())
+        return self._tx_id
 
-    def ref(self, index: int, digest_name: str = "sha256") -> OutputRef:
-        return OutputRef(self.tx_id(digest_name), index)
+    def ref(self, index: int) -> OutputRef:
+        return OutputRef(self.tx_id(), index)
 
     def __eq__(self, other):
         if not isinstance(other, Transaction):
@@ -219,15 +212,6 @@ def transaction_bytes(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-def decode_payload_value(data: bytes):
-    """Decode a single canonical value encoding (used by snapshot files)."""
-    r = _Reader(data)
-    value = _dec_value(r)
-    if r.pos != len(data):
-        raise ValueError("trailing bytes after value")
-    return value
-
-
 @dataclass(frozen=True)
 class ChainParams:
     """Tunable limits shared by the interpreter, ledger and builder."""
@@ -238,7 +222,6 @@ class ChainParams:
     max_script_bytes: int = 16_384
     max_payload_bytes: int = 1_024
     indexed_fields: tuple = ("x", "n", "mid")
-    digest_name: str = "sha256"
 
 
 class OversizeOutputError(ValueError):

@@ -15,10 +15,11 @@ oracles for the chain; they share nothing with the script VM.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .interp import WidthExceeded
-from .lang import Bits, Expr
+from .lang import Bits, Expr, ScriptRef
 from .model import ChainParams, Output, Payload, Transaction, check_output_limits
 from .parser import parse
 
@@ -160,22 +161,15 @@ let rv = realIn[2].val in
 & copyEq(out[2], out[0], mid <- false)
 """
 
-_layer_script = None
-_bit_script = None
 
-
+@functools.cache
 def build_layer_script() -> Expr:
-    global _layer_script
-    if _layer_script is None:
-        _layer_script = parse(LAYER_SCRIPT_SOURCE)
-    return _layer_script
+    return parse(LAYER_SCRIPT_SOURCE)
 
 
+@functools.cache
 def build_bit_script() -> Expr:
-    global _bit_script
-    if _bit_script is None:
-        _bit_script = parse(BIT_SCRIPT_SOURCE)
-    return _bit_script
+    return parse(BIT_SCRIPT_SOURCE)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +187,7 @@ def genesis_layer(layer, params: ChainParams = ChainParams()) -> Transaction:
 
 
 def cell_output(val: int, x: int, n: int, mid: bool,
-                script: Expr | None = None) -> Output:
+                script: Expr | ScriptRef | None = None) -> Output:
     payload = Payload(((VAL_FIELD, bool(val)), (X_FIELD, x),
                        (N_FIELD, n), (MID_FIELD, bool(mid))))
     return Output(script if script is not None else build_bit_script(), payload)
@@ -209,7 +203,7 @@ def genesis_grid(row: GridRow, params: ChainParams = ChainParams()) -> Transacti
     if len(row.bits) > params.max_width:
         raise WidthExceeded(
             f"row width {len(row.bits)} exceeds {params.max_width}")
-    script = build_bit_script()
+    script = ScriptRef(build_bit_script())
     outputs = []
     for x, val in row.cells():
         outputs.append(cell_output(val, x, row.n, False, script))

@@ -1,9 +1,14 @@
 import pytest
 
 from utxo110.builder import sweep
+from utxo110.lang import Bits, Lit
 from utxo110.ledger import ChainLog, UtxoSet, apply_transaction
-from utxo110.model import ChainParams
-from utxo110.rule110 import GridRow, genesis_grid, genesis_layer
+from utxo110.model import ChainParams, Output, Payload, Transaction
+from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
+
+# Canonical-looking script bytes that decode but re-encode differently:
+# an int with a leading zero byte, and a Bits value with a padding bit set.
+NON_CANONICAL_SCRIPTS = ("010121000000020001", "0101220000000181")
 
 
 @pytest.fixture
@@ -39,3 +44,18 @@ def drive_grid(bits, rows, params=ChainParams(), per_row=None):
         if per_row is not None:
             per_row(row, built, utxo)
     return list(log.transactions()), utxo
+
+
+def step_transaction(genesis, params=ChainParams()):
+    """Hand-built layer step spending the genesis state."""
+    src = genesis.outputs[0].payload.get("layer")
+    nxt = evolve_cyclic(src, 1)[0]
+    out = Output(genesis.outputs[0].script, Payload((("layer", nxt),)))
+    return Transaction(inputs=(genesis.ref(0),), outputs=(out,))
+
+
+def step_with_oversize_output(genesis):
+    """A valid layer step plus an extra output with a 5,000-byte payload."""
+    good = step_transaction(genesis)
+    blob = Output(Lit(True), Payload((("blob", Bits([1] * 40_000)),)))
+    return Transaction(inputs=good.inputs, outputs=good.outputs + (blob,))

@@ -35,11 +35,11 @@ class TestDeriveRules:
         assert [c.input_count for c in rules.cases] == [3, 2, 2, 1, 1, 1]
         normal = rules.cases[0]
         assert [k for k, _ in normal.lookups] == [1, 2]
-        in1 = {r.field: r.expr for r in dict(normal.lookups)[1]}
+        in1 = {field: ref.expr for field, ref in dict(normal.lookups)[1]}
         assert in1["x"] == parse("in[0].x + 1")
         assert in1["n"] == parse("in[0].n")
         assert in1["mid"] == parse("true")
-        in2 = {r.field: r.expr for r in dict(normal.lookups)[2]}
+        in2 = {field: ref.expr for field, ref in dict(normal.lookups)[2]}
         assert in2["x"] == parse("in[1].x + 1")
         assert in2["mid"] == parse("false")
 

@@ -3,14 +3,16 @@ import json
 
 import pytest
 
-from conftest import drive_grid, drive_layer
+from conftest import NON_CANONICAL_SCRIPTS, drive_grid, drive_layer
+from utxo110 import lang
 from utxo110.chainio import (
     ChainFormatError, dump_chain, dump_utxo_snapshot, load_chain,
     load_utxo_snapshot, value_from_json, value_to_json,
 )
-from utxo110.lang import Bits, ScriptRef
+from utxo110.lang import Bits, ScriptRef, serialize_script
 from utxo110.model import transaction_bytes
 from utxo110.parser import parse
+from utxo110.rule110 import build_bit_script
 
 
 class TestValues:
@@ -85,6 +87,44 @@ class TestChainFiles:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(ChainFormatError):
             load_chain(path)
+
+    def test_script_that_is_not_a_string(self, tmp_path, params):
+        txs, _ = drive_layer(Bits.from_text("01"), 0, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        obj = json.loads(path.read_text())
+        obj["outputs"][0]["script"] = 5
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ChainFormatError, match="base64 string"):
+            load_chain(path)
+
+    @pytest.mark.parametrize("script_hex", NON_CANONICAL_SCRIPTS)
+    def test_non_canonical_script_bytes(self, tmp_path, params, script_hex):
+        txs, _ = drive_layer(Bits.from_text("01"), 0, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        obj = json.loads(path.read_text())
+        obj["outputs"][0]["script"] = base64.b64encode(
+            bytes.fromhex(script_hex)).decode()
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ChainFormatError, match="canonical"):
+            load_chain(path)
+
+    def test_load_decodes_a_shared_script_once(self, tmp_path, params, monkeypatch):
+        txs, _ = drive_grid([1], 6, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        monkeypatch.setattr(lang, "_INTERNED", {})  # as in a fresh process
+        decoded = []
+        decode = lang.deserialize_script
+        monkeypatch.setattr(lang, "deserialize_script",
+                            lambda data: decoded.append(data) or decode(data))
+        records = load_chain(path)
+        bit = serialize_script(build_bit_script())
+        assert decoded == [bit]
+        outputs = [out for r in records for out in r.tx.outputs]
+        assert len(outputs) > 6
+        assert all(out.script_ref is outputs[0].script_ref for out in outputs)
 
 
 class TestSnapshots:

@@ -1,14 +1,16 @@
+import base64
 import json
 from pathlib import Path
 
 import pytest
 
-from utxo110.chainio import load_chain
+from conftest import NON_CANONICAL_SCRIPTS, step_with_oversize_output
+from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
 from utxo110.lang import Bits
 from utxo110.render import pad_rows, rows_to_ascii
 from utxo110.rule110 import (
-    GridRow, LAYER_SCRIPT_SOURCE, BIT_SCRIPT_SOURCE, evolve_grid,
+    GridRow, LAYER_SCRIPT_SOURCE, BIT_SCRIPT_SOURCE, evolve_grid, genesis_layer,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -56,6 +58,36 @@ class TestRun:
         from utxo110.cli import _default_max_width
         assert _default_max_width() == 4
 
+    def test_block_budget_below_one_step_cost(self, tmp_path, capsys):
+        assert run_cli("run", "--mode", "layer", "--initial", "0110",
+                       "--steps", "1", "--chain", tmp_path / "c",
+                       "--block-budget", "5") == 1
+        assert "no transaction could be built" in capsys.readouterr().err
+
+    def test_genesis_payload_over_limit(self, tmp_path, capsys):
+        assert run_cli("run", "--mode", "layer", "--initial", "1" * 8_200,
+                       "--steps", "0", "--chain", tmp_path / "c",
+                       "--max-width", "8200") == 2
+        assert "payload is" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--cost-limit"),
+    ("run", "--block-budget"),
+    ("run", "--cost-limit"),
+    ("run", "--max-width"),
+])
+def test_limit_below_one_is_usage_error(tmp_path, capsys, command, flag):
+    chain = tmp_path / "chain.jsonl"
+    assert run_cli("run", "--mode", "layer", "--initial", "0110",
+                   "--steps", "1", "--chain", chain) == 0
+    capsys.readouterr()
+    args = ["--chain", chain, flag, "0"]
+    if command == "run":
+        args = ["--mode", "layer", "--initial", "0110", "--steps", "1"] + args
+    assert run_cli(command, *args) == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_round_trip(self, tmp_path):
@@ -88,6 +120,35 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("verify", "--chain", tmp_path / "nope.jsonl") == 2
+
+    def test_repeated_first_line(self, tmp_path, capsys):
+        chain = tmp_path / "chain.jsonl"
+        run_cli("run", "--mode", "layer", "--initial", "0110",
+                "--steps", "2", "--chain", chain)
+        lines = chain.read_text().splitlines()
+        chain.write_text("\n".join([lines[0]] + lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--chain", chain) == 1
+        assert "transaction 1" in capsys.readouterr().out
+
+    def test_oversize_extra_output(self, tmp_path, capsys):
+        chain = tmp_path / "chain.jsonl"
+        genesis = genesis_layer(Bits.from_text("0011"))
+        dump_chain([genesis, step_with_oversize_output(genesis)], chain)
+        assert run_cli("verify", "--chain", chain) == 1
+        assert "transaction 1: output 1 is too large" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("script_hex", NON_CANONICAL_SCRIPTS)
+    def test_non_canonical_script_bytes(self, tmp_path, capsys, script_hex):
+        chain = tmp_path / "chain.jsonl"
+        run_cli("run", "--mode", "layer", "--initial", "01",
+                "--steps", "0", "--chain", chain)
+        obj = json.loads(chain.read_text())
+        obj["outputs"][0]["script"] = base64.b64encode(
+            bytes.fromhex(script_hex)).decode()
+        chain.write_text(json.dumps(obj) + "\n")
+        assert run_cli("verify", "--chain", chain) == 2
+        assert "not in canonical form" in capsys.readouterr().err
 
 
 class TestRender:

@@ -7,6 +7,7 @@ from utxo110.lang import (
     Size, SyntheticOutput, deserialize_script, script_source,
     serialize_script, static_cost,
 )
+from conftest import NON_CANONICAL_SCRIPTS
 from utxo110.parser import parse
 from utxo110.rule110 import build_bit_script, build_layer_script
 
@@ -171,3 +172,46 @@ class TestSourcePrinter:
     def test_builtin_scripts_round_trip(self):
         for script in (build_layer_script(), build_bit_script()):
             assert parse(script_source(script)) == script
+
+
+def _mutate(t):
+    data, pos, byte = t
+    data = bytearray(data)
+    data[pos % len(data)] = byte
+    return bytes(data)
+
+
+class TestScriptRef:
+    @settings(max_examples=200, deadline=None)
+    @given(_exprs)
+    def test_one_object_per_canonical_bytes(self, expr):
+        ref = ScriptRef(expr)
+        assert ScriptRef.from_bytes(serialize_script(expr)) is ref
+        assert ScriptRef(ref) is ref
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.tuples(_exprs.map(serialize_script), st.integers(0), st.integers(0, 255))
+          .map(_mutate),
+    ))
+    def test_bytes_are_rejected_or_round_trip(self, data):
+        try:
+            ref = ScriptRef.from_bytes(data)
+        except ScriptFormatError:
+            return
+        assert ref.canonical == data
+        assert serialize_script(ref.expr) == data
+
+    def test_separately_parsed_scripts_share_one_ref(self):
+        a = ScriptRef(parse("self.layer = out[0].layer"))
+        b = ScriptRef(parse("  self.layer   =\n out[ 0 ].layer  # c"))
+        assert a is b
+        assert ScriptRef(parse("1 = 1")) is not a
+
+    @pytest.mark.parametrize("script_hex", NON_CANONICAL_SCRIPTS)
+    def test_non_canonical_bytes_rejected(self, script_hex):
+        data = bytes.fromhex(script_hex)
+        deserialize_script(data)  # the bare decoder accepts them
+        with pytest.raises(ScriptFormatError, match="canonical"):
+            ScriptRef.from_bytes(data)

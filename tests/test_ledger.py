@@ -1,25 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import drive_grid, drive_layer
+from conftest import drive_grid, drive_layer, step_transaction, \
+    step_with_oversize_output
 from utxo110.lang import Bits, Lit, serialize_script
 from utxo110.ledger import (
     ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
-    MisplacedGenesis, MissingInput, ScriptError, ScriptFalse,
-    TransactionRejected, TxIdMismatch, UnindexedFieldError, UtxoSet, Valid,
-    VerifyOk, apply_transaction, validate_transaction, verify_chain,
+    MisplacedGenesis, MissingInput, OutputExists, OversizeOutput, ScriptError,
+    ScriptFalse, TransactionRejected, TxIdMismatch, UnindexedFieldError,
+    UtxoSet, Valid, VerifyOk, apply_transaction, validate_transaction, verify_chain,
 )
 from utxo110.model import ChainParams, Output, OutputRef, Payload, Transaction
 from utxo110.parser import parse
 from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
-
-
-def step_transaction(genesis, params=ChainParams()):
-    """Hand-built layer step spending the genesis state."""
-    src = genesis.outputs[0].payload.get("layer")
-    nxt = evolve_cyclic(src, 1)[0]
-    out = Output(genesis.outputs[0].script, Payload((("layer", nxt),)))
-    return Transaction(inputs=(genesis.ref(0),), outputs=(out,))
 
 
 class TestValidate:
@@ -105,6 +98,15 @@ class TestValidate:
                               outputs=good.outputs + (surplus,))
         assert isinstance(validate_transaction(widened, utxo, params), Valid)
 
+    def test_oversize_output_invalid_whoever_built_it(self, params):
+        genesis = genesis_layer(Bits.from_text("0011"), params)
+        utxo = UtxoSet(params.indexed_fields)
+        apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
+        result = validate_transaction(step_with_oversize_output(genesis), utxo, params)
+        assert isinstance(result, Invalid)
+        assert isinstance(result.reason, OversizeOutput)
+        assert result.reason.output_index == 1
+
 
 class TestApply:
     def test_utxo_delta(self, params):
@@ -137,6 +139,19 @@ class TestApply:
         with pytest.raises(TransactionRejected):
             apply_transaction(bad, utxo, log, params)
         assert len(utxo) == 1 and len(log) == 1
+
+    def test_output_collision_rejected_before_spending(self, params):
+        genesis = genesis_layer(Bits.from_text("0011"), params)
+        utxo = UtxoSet(params.indexed_fields)
+        log = ChainLog(params.block_budget)
+        apply_transaction(genesis, utxo, log, params)
+        tx = step_transaction(genesis)
+        utxo.add(tx.ref(0), tx.outputs[0])  # an inconsistent starting state
+        before = utxo.items()
+        with pytest.raises(TransactionRejected) as err:
+            apply_transaction(tx, utxo, log, params)
+        assert err.value.reason == OutputExists(tx.ref(0))
+        assert utxo.items() == before and len(log) == 1
 
     def test_grid_interior_spends_three_makes_three(self, params):
         txs, _ = drive_grid([1, 0, 1, 1], 2, params)
@@ -254,6 +269,17 @@ class TestVerify:
         tampered[3] = edited
         result = verify_chain(tampered, params)
         assert isinstance(result, FirstFailure)
+
+    def test_repeated_first_transaction_is_first_failure(self, params):
+        txs, _ = drive_layer(Bits.from_text("01"), 1, params)
+        result = verify_chain([txs[0]] + list(txs), params)
+        assert result == FirstFailure(1, OutputExists(txs[0].ref(0)))
+
+    def test_oversize_output_fails_replay(self, params):
+        genesis = genesis_layer(Bits.from_text("0011"), params)
+        result = verify_chain([genesis, step_with_oversize_output(genesis)], params)
+        assert isinstance(result, FirstFailure) and result.tx_index == 1
+        assert isinstance(result.reason, OversizeOutput)
 
     def test_misplaced_genesis(self, params):
         txs, _ = drive_layer(Bits.from_text("01"), 1, params)
