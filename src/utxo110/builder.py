@@ -359,9 +359,8 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
     return tx
 
 
-def build_next(utxo: UtxoSet, script: Expr | ScriptRef, seed: OutputRef,
-               params: ChainParams = ChainParams()):
-    """Build the transaction spending ``seed`` under ``script``'s rules.
+def build_next(utxo: UtxoSet, seed: OutputRef, params: ChainParams = ChainParams()):
+    """Build the transaction spending ``seed`` under its script's rules.
 
     Returns a validated Transaction or CannotBuild.  Branches are tried
     in decreasing input count, so a seed takes the most specific role
@@ -370,10 +369,8 @@ def build_next(utxo: UtxoSet, script: Expr | ScriptRef, seed: OutputRef,
     seed_output = utxo.get(seed)
     if seed_output is None:
         raise KeyError(f"seed not in the unspent set: {seed}")
-    if seed_output.script_ref is not ScriptRef(script):
-        raise ValueError("seed output carries a different script")
 
-    rules = derive_build_rules(script)
+    rules = derive_build_rules(seed_output.script_ref)
     if isinstance(rules, NotBuildable):
         return CannotBuild(rules)
 
@@ -410,7 +407,7 @@ def sweep(utxo: UtxoSet, log: ChainLog, params: ChainParams = ChainParams(),
     for seed in utxo.refs():
         if seed not in utxo or seed in retired:
             continue
-        result = build_next(utxo, utxo.resolve(seed).script_ref, seed, params)
+        result = build_next(utxo, seed, params)
         if isinstance(result, Transaction):
             apply_transaction(result, utxo, log, params)
             built.append(result)

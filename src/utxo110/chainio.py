@@ -5,13 +5,14 @@ Chain file: one JSON object per line::
     {"txId": hex, "isGenesis": bool,
      "inputs":  [{"txId": hex, "index": int}, ...],
      "outputs": [{"script": base64 canonical bytes,
-                  "scriptText": informative source text,
                   "payload": {field: {"t": kind, "v": value}, ...}}, ...]}
 
-The base64 script bytes are authoritative and must be the canonical
-encoding: bytes that do not re-encode to themselves are rejected.
-``scriptText`` is informative only and ignored on load.  Snapshot files
-map "txId:index" keys to the same output record.
+The base64 script bytes are the script: they must be its canonical
+encoding, and bytes that do not re-encode to themselves are rejected.
+Unknown keys are ignored on load, so files from earlier versions, whose
+output records also held the script's printed source, still load with
+the same tx ids.  Snapshot files map "txId:index" keys to the same
+output record.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import base64
 import json
 from dataclasses import dataclass
 
-from .lang import Bits, ScriptRef, script_source
+from .lang import Bits, ScriptRef
 from .ledger import UtxoSet
 from .model import ChainParams, Output, OutputRef, Payload, Transaction
 
@@ -72,7 +73,6 @@ def _script_from_json(raw) -> ScriptRef:
 def output_to_json(output: Output) -> dict:
     return {
         "script": base64.b64encode(output.script_bytes).decode("ascii"),
-        "scriptText": script_source(output.script),
         "payload": {name: value_to_json(v) for name, v in output.payload.items()},
     }
 

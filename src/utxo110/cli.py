@@ -8,14 +8,12 @@ Subcommands::
     analyze  print the canonical form and generation rules of a script
 
 Exit codes: 0 success, 1 domain failure (invalid chain, stuck builder),
-2 usage or parse failure.  The default width cap honours the
-RULE110_MAX_WIDTH environment variable.  All output is deterministic.
+2 usage or parse failure.  All output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .builder import BuildRules, NotBuildable, derive_build_rules, sweep
@@ -35,13 +33,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _default_max_width() -> int:
-    try:
-        return int(os.environ.get("RULE110_MAX_WIDTH", ChainParams.max_width))
-    except ValueError:
-        return ChainParams.max_width
-
-
 def _params(args) -> ChainParams:
     return ChainParams(
         max_width=args.max_width,
@@ -51,7 +42,7 @@ def _params(args) -> ChainParams:
 
 
 def _add_limit_flags(sub):
-    sub.add_argument("--max-width", type=int, default=_default_max_width(),
+    sub.add_argument("--max-width", type=int, default=ChainParams.max_width,
                      help="bit-string width cap (default %(default)s)")
     sub.add_argument("--cost-limit", type=int, default=ChainParams.cost_limit_per_input,
                      help="evaluation budget per input script (default %(default)s)")
@@ -252,7 +243,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     analyze = subs.add_parser("analyze", help="canonical form of a script file")
     analyze.add_argument("--script", required=True, help="script source file")
-    _add_limit_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     return top
@@ -261,7 +251,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     for name in ("max_width", "cost_limit", "block_budget"):
-        if getattr(args, name) < 1:
+        if getattr(args, name, 1) < 1:  # analyze has no limit flags
             flag = "--" + name.replace("_", "-")
             print(f"error: {flag} must be at least 1", file=sys.stderr)
             return EXIT_USAGE

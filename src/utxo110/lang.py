@@ -19,6 +19,12 @@ from dataclasses import dataclass, fields
 
 FORMAT_VERSION = 1
 
+# Deepest node nesting a script may have, counted on through nested
+# script literals: the root is at depth 1.  The decoder and the parser
+# reject deeper scripts, which bounds the recursion of every tree walk
+# after them.  The grid validator is 24 deep.
+MAX_DEPTH = 64
+
 # Field names that collide with postfix syntax and are therefore banned
 # in payloads.
 RESERVED_FIELD_NAMES = frozenset({"size", "script"})
@@ -105,16 +111,22 @@ class ScriptRef:
         return ref
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ScriptRef":
+    def from_bytes(cls, data: bytes, depth: int = 0) -> "ScriptRef":
         """Decodes only on a table miss; rejects bytes that do not re-encode
-        to themselves, so each script has exactly one accepted encoding."""
+        to themselves, so each script has exactly one accepted encoding.
+
+        ``depth`` is the depth of the literal node holding ``data`` inside
+        another script.  Such bytes are decoded even on a hit, so whether
+        they fit under MAX_DEPTH never depends on what the table holds.
+        """
         data = bytes(data)
         ref = _INTERNED.get(data)
-        if ref is None:
-            expr = deserialize_script(data)
-            if serialize_script(expr) != data:
-                raise ScriptFormatError("script bytes are not in canonical form")
-            ref = _intern(expr, data)
+        if ref is None or depth:
+            expr = deserialize_script(data, depth)
+            if ref is None:
+                if serialize_script(expr) != data:
+                    raise ScriptFormatError("script bytes are not in canonical form")
+                ref = _intern(expr, data)
         return ref
 
     def __setattr__(self, name, value):
@@ -389,9 +401,10 @@ def serialize_script(expr: Expr) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, depth: int):
         self.data = data
         self.pos = 0
+        self.depth = depth  # nodes open around the next one to decode
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -431,7 +444,7 @@ def _dec_value(r: _Reader):
         return Bits.from_packed(raw, nbits)
     if tag == 0x23:
         n = r.u32()
-        return ScriptRef.from_bytes(bytes([FORMAT_VERSION]) + r.take(n))
+        return ScriptRef.from_bytes(bytes([FORMAT_VERSION]) + r.take(n), r.depth)
     raise ScriptFormatError(f"unknown value tag 0x{tag:02x}")
 
 
@@ -443,6 +456,15 @@ def _dec_enum(r: _Reader, table):
 
 
 def _decode(r: _Reader) -> Expr:
+    if r.depth >= MAX_DEPTH:
+        raise ScriptFormatError(f"script nests deeper than {MAX_DEPTH} nodes")
+    r.depth += 1
+    node = _decode_node(r)
+    r.depth -= 1
+    return node
+
+
+def _decode_node(r: _Reader) -> Expr:
     tag = r.u8()
     if tag == 0x01:
         return Lit(_dec_value(r))
@@ -501,8 +523,9 @@ def _decode(r: _Reader) -> Expr:
     raise ScriptFormatError(f"unknown node tag 0x{tag:02x}")
 
 
-def deserialize_script(data: bytes) -> Expr:
-    r = _Reader(data)
+def deserialize_script(data: bytes, depth: int = 0) -> Expr:
+    """Decode canonical bytes; ``depth`` as in ``ScriptRef.from_bytes``."""
+    r = _Reader(data, depth)
     version = r.u8()
     if version != FORMAT_VERSION:
         raise ScriptFormatError(f"unsupported format version {version}")

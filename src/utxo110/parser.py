@@ -27,7 +27,8 @@ for the empty bit string), and ``#`` starts a comment to end of line.  In
 required; the remaining keys become payload fields in written order.
 
 Identifiers must be bound by an enclosing ``let`` or ``map``; anything
-else is rejected at parse time.
+else is rejected at parse time, and so is a script whose expressions,
+unary operators or nodes nest deeper than ``lang.MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from __future__ import annotations
 import re
 
 from .lang import (
-    Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess, If, Index,
-    Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf, Size,
-    SyntheticOutput, Var,
+    MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess,
+    If, Index, Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf, Size,
+    SyntheticOutput, Var, children,
 )
 
 
@@ -62,6 +63,9 @@ _KEYWORDS = {
     "self", "in", "out", "true", "false", "mod", "pow", "map", "let",
     "if", "then", "elif", "else", "copyEq", "output",
 }
+
+# Binding strength of the boolean operators, loosest first.
+_BOOL_PREC = {"|": 1, "^": 2, "&": 3}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -120,6 +124,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.scope = []  # stack of bound names
+        self.depth = 0   # open expressions and unary operators
 
     @property
     def cur(self):
@@ -148,24 +153,25 @@ class _Parser:
 
     # -- precedence ladder ------------------------------------------------
 
+    def deeper(self):
+        """Count one more level of nesting; bounds the parser's recursion."""
+        if self.depth >= MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+
     def expr(self):
-        return self.or_expr()
+        self.deeper()
+        node = self.bool_expr(1)
+        self.depth -= 1
+        return node
 
-    def _binop_chain(self, sub, ops):
-        left = sub()
-        while self.cur.kind in ops:
+    def bool_expr(self, min_prec):
+        # precedence climbing: one call covers all three boolean levels
+        left = self.cmp_expr()
+        while _BOOL_PREC.get(self.cur.kind, 0) >= min_prec:
             op = self.accept(self.cur.kind).kind
-            left = BoolOp(op, left, sub())
+            left = BoolOp(op, left, self.bool_expr(_BOOL_PREC[op] + 1))
         return left
-
-    def or_expr(self):
-        return self._binop_chain(self.xor_expr, ("|",))
-
-    def xor_expr(self):
-        return self._binop_chain(self.and_expr, ("^",))
-
-    def and_expr(self):
-        return self._binop_chain(self.cmp_expr, ("&",))
 
     def cmp_expr(self):
         left = self.concat_expr()
@@ -205,16 +211,18 @@ class _Parser:
         return left
 
     def unary_expr(self):
-        if self.accept("!"):
-            return Not(self.unary_expr())
-        if self.at("-"):
-            tok = self.accept("-")
-            operand = self.unary_expr()
-            if isinstance(operand, Lit) and isinstance(operand.value, int) \
-                    and not isinstance(operand.value, bool):
-                return Lit(-operand.value)
-            return Arith("-", Lit(0), operand)
-        return self.postfix_expr()
+        if self.cur.kind not in ("!", "-"):
+            return self.postfix_expr()
+        op = self.accept(self.cur.kind).kind
+        self.deeper()
+        operand = self.unary_expr()
+        self.depth -= 1
+        if op == "!":
+            return Not(operand)
+        if isinstance(operand, Lit) and isinstance(operand.value, int) \
+                and not isinstance(operand.value, bool):
+            return Lit(-operand.value)
+        return Arith("-", Lit(0), operand)
 
     def postfix_expr(self):
         node = self.atom()
@@ -356,10 +364,23 @@ class _Parser:
         return SyntheticOutput(tuple(fields), script)
 
 
+def _node_depth(expr: Expr) -> int:
+    """Nodes on the longest root-to-leaf path, found without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in children(node))
+    return deepest
+
+
 def parse(source: str) -> Expr:
     """Parse DSL text into a script AST."""
     parser = _Parser(_tokenize(source))
     node = parser.expr()
     if not parser.at("eof"):
         parser.error(f"unexpected {parser.cur.text!r} after expression")
+    # operator and postfix chains grow the tree without nesting the parser
+    if _node_depth(node) > MAX_DEPTH:
+        parser.error(f"script nests deeper than {MAX_DEPTH} nodes", parser.tokens[0])
     return node

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 from .interp import WidthExceeded
 from .lang import Bits, Expr, ScriptRef
@@ -97,69 +98,10 @@ def evolve_grid(initial: GridRow, steps: int) -> list:
 # ---------------------------------------------------------------------------
 # Validator scripts
 
-# Checks that out[0] carries the cyclic update of the spender's layer and
-# reproduces the guarding script byte for byte.
-LAYER_SCRIPT_SOURCE = """\
-let w = self.layer.size in
-(out[0].layer = map(w, i ->
-    let l = self.layer[(i - 1) mod w] in
-    let c = self.layer[i] in
-    let r = self.layer[(i + 1) mod w] in
-    ((l & c & r) ^ (c & r) ^ c ^ r)))
-& (out[0].script = self.script)
-"""
-
-# Single-cell validator.  The spent inputs are the (left, mid, right)
-# copies of the three neighbor cells; boundary transactions synthesize
-# the zero-background cells they cannot spend.  Branches, by trigger:
-#   1. only cell of a one-cell row, mid copy      -> new left column
-#   2. only cell of a one-cell row, left copy     -> new column 0
-#   3. leftmost cell spent alone                  -> new left column
-#   4. leftmost cell's mid copy plus its right    -> second column
-#   5. column -1 copy plus the mid copy of col 0  -> column 0
-#   6. anything else: three real neighbor copies  -> interior column
-# Branches 1-2 exist because a one-cell row at column 0 offers no second
-# input to spend; both neighbors are synthesized around the carried value
-# and the mid flag of the single input decides which column it fuels.
-BIT_SCRIPT_SOURCE = """\
-let realIn =
-  if (in.size = 1) & (in[0].x = 0) & (in[0].n = 0) & in[0].mid then
-    output(val <- false, x <- -2, n <- 0, mid <- false, script <- in[0].script)
-    ++ output(val <- false, x <- -1, n <- 0, mid <- true, script <- in[0].script)
-    ++ output(val <- in[0].val, x <- 0, n <- 0, mid <- false, script <- in[0].script)
-  elif (in.size = 1) & (in[0].x = 0) & (in[0].n = 0) & !in[0].mid then
-    output(val <- false, x <- -1, n <- 0, mid <- false, script <- in[0].script)
-    ++ output(val <- in[0].val, x <- 0, n <- 0, mid <- true, script <- in[0].script)
-    ++ output(val <- false, x <- 1, n <- 0, mid <- false, script <- in[0].script)
-  elif (in[0].x = in[0].n) & (in.size = 1) then
-    output(val <- false, x <- in[0].n - 2, n <- in[0].n, mid <- false, script <- in[0].script)
-    ++ output(val <- false, x <- in[0].n - 1, n <- in[0].n, mid <- true, script <- in[0].script)
-    ++ in
-  elif (in[0].x = in[0].n) & (in.size = 2) & in[0].mid then
-    output(val <- false, x <- in[0].n - 1, n <- in[0].n, mid <- false, script <- in[0].script)
-    ++ in
-  elif (in[0].x = -1) & (in.size = 2) & !in[0].mid then
-    in ++ output(val <- false, x <- 1, n <- in[0].n, mid <- false, script <- in[0].script)
-  else in
-in
-let lv = realIn[0].val in
-let cv = realIn[1].val in
-let rv = realIn[2].val in
-  (out[0].val = ((lv & cv & rv) ^ (cv & rv) ^ cv ^ rv))
-& (realIn[1].x = realIn[0].x + 1)
-& (realIn[2].x = realIn[1].x + 1)
-& (realIn[1].n = realIn[0].n)
-& (realIn[2].n = realIn[0].n)
-& (realIn[1].mid & !(realIn[0].mid | realIn[2].mid))
-& (out[0].x = realIn[1].x)
-& (out[0].n = realIn[0].n - 1)
-& (realIn.size = 3)
-& (out.size = 3)
-& !out[0].mid
-& (out[0].script = in[0].script)
-& copyEq(out[1], out[0], mid <- true)
-& copyEq(out[2], out[0], mid <- false)
-"""
+# One source file per validator; its comments explain what it checks.
+_HERE = Path(__file__).parent
+LAYER_SCRIPT_SOURCE = (_HERE / "layer_step.script").read_text(encoding="utf-8")
+BIT_SCRIPT_SOURCE = (_HERE / "grid_bit.script").read_text(encoding="utf-8")
 
 
 @functools.cache

@@ -215,7 +215,7 @@ def _interior_all_ones_fixture():
     utxo = UtxoSet(PARAMS.indexed_fields)
     apply_transaction(genesis, utxo, ChainLog(PARAMS.block_budget), PARAMS)
     (seed,) = [r for r in utxo.lookup([("x", -3), ("mid", False)])][:1]
-    tx = build_next(utxo, build_bit_script(), seed, PARAMS)
+    tx = build_next(utxo, seed, PARAMS)
     assert isinstance(tx, Transaction)
     vals = [utxo.resolve(ref).payload.get("val") for ref in tx.inputs]
     assert vals == [True, True, True]

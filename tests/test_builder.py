@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from conftest import drive_grid, drive_layer
 from utxo110.builder import (
     BuildRules, CannotBuild, ConsistencyCheckFailed, LookupMiss, NoProgress,
@@ -64,7 +62,7 @@ class TestBuildNext:
         genesis = genesis_layer(Bits.from_text("01101"), params)
         utxo = UtxoSet(params.indexed_fields)
         apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
-        built = build_next(utxo, build_layer_script(), genesis.ref(0), params)
+        built = build_next(utxo, genesis.ref(0), params)
         assert isinstance(built, Transaction)
 
         nxt = evolve_cyclic(Bits.from_text("01101"), 1)[0]
@@ -80,7 +78,7 @@ class TestBuildNext:
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # seed: a left-neighbor copy of the cell at x = -3 (mid false)
         seeds = utxo.lookup([("x", -3), ("mid", False)])
-        built = build_next(utxo, build_bit_script(), seeds[0], params)
+        built = build_next(utxo, seeds[0], params)
         assert isinstance(built, Transaction)
         assert built.inputs[0] == seeds[0]  # the seed is always in[0]
         assert len(built.inputs) == 3 and len(built.outputs) == 3
@@ -95,16 +93,9 @@ class TestBuildNext:
         (mid_ref,) = utxo.lookup([("x", -2), ("mid", True)])
         utxo.spend(mid_ref)
         seeds = utxo.lookup([("x", -3), ("mid", False)])
-        result = build_next(utxo, build_bit_script(), seeds[0], params)
+        result = build_next(utxo, seeds[0], params)
         assert isinstance(result, CannotBuild)
         assert isinstance(result.reason, LookupMiss)
-
-    def test_seed_with_wrong_script_rejected(self, params):
-        genesis = genesis_layer(Bits.from_text("01"), params)
-        utxo = UtxoSet(params.indexed_fields)
-        apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
-        with pytest.raises(ValueError):
-            build_next(utxo, build_bit_script(), genesis.ref(0), params)
 
     def test_misrole_seed_fails_consistency(self, params):
         gen = genesis_grid(GridRow.from_bits([1, 1]), params)
@@ -112,7 +103,7 @@ class TestBuildNext:
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # the mid copy of column 0 in a width-2 row seeds nothing
         (seed,) = utxo.lookup([("x", 0), ("mid", True)])
-        result = build_next(utxo, build_bit_script(), seed, params)
+        result = build_next(utxo, seed, params)
         assert isinstance(result, CannotBuild)
 
     def test_unindexed_lookup_key_not_buildable(self, params):
@@ -123,7 +114,7 @@ class TestBuildNext:
         (seed,) = [r for r, out in utxo.items()
                    if out.payload.get("x") == -1
                    and out.payload.get("mid") is False][:1]
-        result = build_next(utxo, build_bit_script(), seed, params)
+        result = build_next(utxo, seed, params)
         assert isinstance(result, CannotBuild)
         assert isinstance(result.reason, NotBuildable)
         assert "indexed" in result.reason.reason
@@ -133,7 +124,7 @@ class TestBuildNext:
         genesis = genesis_layer(Bits.from_text("01"), ChainParams())
         utxo = UtxoSet()
         apply_transaction(genesis, utxo, ChainLog(small.block_budget), ChainParams())
-        result = build_next(utxo, build_layer_script(), genesis.ref(0), small)
+        result = build_next(utxo, genesis.ref(0), small)
         assert isinstance(result, CannotBuild)
         assert isinstance(result.reason, ConsistencyCheckFailed)
 
@@ -213,9 +204,9 @@ class TestSweep:
         apply_transaction(gen, utxo, log, params)
         fr = utxo.lookup([("mid", False)])
         assert len(fr) == 2
-        first = build_next(utxo, build_bit_script(), fr[0], params)
+        first = build_next(utxo, fr[0], params)
         apply_transaction(first, utxo, log, params)
-        second = build_next(utxo, build_bit_script(), fr[1], params)
+        second = build_next(utxo, fr[1], params)
         assert isinstance(second, CannotBuild)
         assert isinstance(second.reason, NoProgress)
 
@@ -238,7 +229,7 @@ class TestOrderIndependence:
                 for seed in order:
                     if seed not in utxo or seed in retired:
                         continue
-                    result = build_next(utxo, utxo.resolve(seed).script, seed, params)
+                    result = build_next(utxo, seed, params)
                     if isinstance(result, Transaction):
                         apply_transaction(result, utxo, log, params)
                     elif isinstance(result.reason, NoProgress):

@@ -9,7 +9,8 @@ from utxo110.chainio import (
     ChainFormatError, dump_chain, dump_utxo_snapshot, load_chain,
     load_utxo_snapshot, value_from_json, value_to_json,
 )
-from utxo110.lang import Bits, ScriptRef, serialize_script
+from utxo110.lang import Bits, ScriptRef, script_source, serialize_script
+from utxo110.ledger import VerifyOk, verify_chain
 from utxo110.model import transaction_bytes
 from utxo110.parser import parse
 from utxo110.rule110 import build_bit_script
@@ -69,6 +70,40 @@ class TestChainFiles:
         records = load_chain(path)
         assert records[0].stored_id == records[0].tx.tx_id()
 
+    def test_output_records_hold_only_script_and_payload(self, tmp_path, params):
+        txs, utxo = drive_grid([1, 0, 1], 3, params)
+        dump_chain(txs, tmp_path / "chain.jsonl")
+        dump_utxo_snapshot(utxo, tmp_path / "utxo.json")
+        lines = (tmp_path / "chain.jsonl").read_text().splitlines()
+        records = [out for line in lines for out in json.loads(line)["outputs"]]
+        records += json.loads((tmp_path / "utxo.json").read_text()).values()
+        assert len(records) > len(txs)
+        assert all(list(out) == ["script", "payload"] for out in records)
+
+    def test_chain_with_script_text_loads_and_verifies(self, tmp_path, params):
+        """Files written with the old informative ``scriptText`` key still
+        load to the same tx ids and verify to the same total cost."""
+        txs, _ = drive_grid([0, 1, 1], 4, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        old_lines = []
+        for tx, line in zip(txs, path.read_text().splitlines()):
+            obj = json.loads(line)
+            obj["outputs"] = [{"script": rec["script"],
+                               "scriptText": script_source(out.script),
+                               "payload": rec["payload"]}
+                              for out, rec in zip(tx.outputs, obj["outputs"])]
+            old_lines.append(json.dumps(obj, separators=(",", ":")))
+        path.write_text("\n".join(old_lines) + "\n")
+        records = load_chain(path)
+        assert [r.stored_id for r in records] == [t.tx_id() for t in txs]
+        assert [r.tx.tx_id() for r in records] == [t.tx_id() for t in txs]
+        again = verify_chain([r.tx for r in records], params,
+                             stored_ids=[r.stored_id for r in records])
+        expected = verify_chain(txs, params)
+        assert isinstance(again, VerifyOk)
+        assert again.total_cost == expected.total_cost > 0
+
     def test_truncated_line(self, tmp_path, params):
         txs, _ = drive_layer(Bits.from_text("01"), 1, params)
         path = tmp_path / "chain.jsonl"
@@ -118,7 +153,8 @@ class TestChainFiles:
         decoded = []
         decode = lang.deserialize_script
         monkeypatch.setattr(lang, "deserialize_script",
-                            lambda data: decoded.append(data) or decode(data))
+                            lambda data, depth=0: decoded.append(data)
+                            or decode(data, depth))
         records = load_chain(path)
         bit = serialize_script(build_bit_script())
         assert decoded == [bit]

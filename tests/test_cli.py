@@ -1,19 +1,23 @@
 import base64
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import NON_CANONICAL_SCRIPTS, step_with_oversize_output
+from utxo110 import rule110
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
-from utxo110.lang import Bits
+from utxo110.lang import MAX_DEPTH, Bits, Lit, Not, serialize_script
+from utxo110.model import Output, Payload, Transaction
 from utxo110.render import pad_rows, rows_to_ascii
 from utxo110.rule110 import (
     GridRow, LAYER_SCRIPT_SOURCE, BIT_SCRIPT_SOURCE, evolve_grid, genesis_layer,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+PACKAGE = Path(rule110.__file__).resolve().parent
 
 
 def run_cli(*argv):
@@ -52,11 +56,6 @@ class TestRun:
         assert run_cli("run", "--mode", "layer", "--initial", "0" * 20,
                        "--steps", "1", "--chain", tmp_path / "c",
                        "--max-width", "8") == 2
-
-    def test_env_overrides_default_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RULE110_MAX_WIDTH", "4")
-        from utxo110.cli import _default_max_width
-        assert _default_max_width() == 4
 
     def test_block_budget_below_one_step_cost(self, tmp_path, capsys):
         assert run_cli("run", "--mode", "layer", "--initial", "0110",
@@ -253,13 +252,67 @@ class TestAnalyze:
         path.write_text("out[0].")
         assert run_cli("analyze", "--script", path) == 2
 
-    def test_samples_match_builtins(self):
-        from utxo110.parser import parse
-        from utxo110.rule110 import build_bit_script, build_layer_script
-        layer = (SAMPLES / "layer_step.script").read_text()
-        bit = (SAMPLES / "grid_bit.script").read_text()
-        assert parse(layer) == build_layer_script()
-        assert parse(bit) == build_bit_script()
+    def test_package_bit_script_prints_as_before(self, capsys):
+        # pinned digest of the analysis: moving the source text or editing
+        # its comments must not change it
+        assert run_cli("analyze", "--script", PACKAGE / "grid_bit.script") == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == "5fb7f13ab6342b5073acde6bfc36ff7363b8c7203ac4421716002274993bb60c"
+
+    def test_limit_flags_not_accepted(self):
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--script", str(PACKAGE / "layer_step.script"),
+                  "--max-width", "8"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("source", [
+        "(" * 80 + "1 = 1" + ")" * 80,
+        "!" * 5_000 + "true",
+        " & ".join(["true"] * 5_000),
+    ])
+    def test_deep_nesting_is_usage_error(self, tmp_path, capsys, source):
+        path = tmp_path / "deep.script"
+        path.write_text(source)
+        assert run_cli("analyze", "--script", path) == 2
+        assert "nests deeper than" in capsys.readouterr().err
+
+
+def _not_chain(nots: int):
+    """``nots`` negations of false: true for odd counts, nots + 1 nodes deep."""
+    expr = Lit(False)
+    for _ in range(nots):
+        expr = Not(expr)
+    return expr
+
+
+class TestNestingLimit:
+    def write_spend(self, path, script):
+        genesis = Transaction(inputs=(), outputs=(Output(script, Payload(v=1)),),
+                              is_genesis=True)
+        spend = Transaction(inputs=(genesis.ref(0),),
+                            outputs=(Output(script, Payload(v=2)),))
+        dump_chain([genesis, spend], path)
+
+    def test_script_at_limit_verifies(self, tmp_path, capsys):
+        chain = tmp_path / "chain.jsonl"
+        self.write_spend(chain, _not_chain(MAX_DEPTH - 1))
+        assert run_cli("verify", "--chain", chain) == 0
+        assert "ok: 2 transactions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5_000])
+    def test_deeper_script_exits_two(self, tmp_path, capsys, depth):
+        chain = tmp_path / "chain.jsonl"
+        self.write_spend(chain, _not_chain(1))
+        # written by hand: the encoder itself recurses once per node
+        deep = bytes([1]) + b"\x0c" * (depth - 1) + serialize_script(Lit(False))[1:]
+        lines = chain.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["outputs"][0]["script"] = base64.b64encode(deep).decode()
+        lines[0] = json.dumps(record)
+        chain.write_text("\n".join(lines) + "\n")
+        assert run_cli("verify", "--chain", chain) == 2
+        assert "nests deeper than" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two():

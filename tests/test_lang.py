@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from utxo110.lang import (
-    Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, Index, If,
+    MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, Index, If,
     Lit, Not, PowMod, ScriptFormatError, ScriptOf, ScriptRef,
     Size, SyntheticOutput, deserialize_script, script_source,
     serialize_script, static_cost,
@@ -215,3 +215,40 @@ class TestScriptRef:
         deserialize_script(data)  # the bare decoder accepts them
         with pytest.raises(ScriptFormatError, match="canonical"):
             ScriptRef.from_bytes(data)
+
+
+def _nested(depth, leaf=Lit(True)):
+    """``leaf`` under enough negations to make a script ``depth`` nodes deep."""
+    expr = leaf
+    for _ in range(depth - 1):
+        expr = Not(expr)
+    return expr
+
+
+class TestDepthLimit:
+    def test_node_nesting(self):
+        data = serialize_script(_nested(MAX_DEPTH))
+        assert ScriptRef.from_bytes(data).canonical == data
+        with pytest.raises(ScriptFormatError, match="deeper"):
+            deserialize_script(serialize_script(_nested(MAX_DEPTH + 1)))
+
+    @pytest.mark.parametrize("extra, ok", [(0, True), (1, False)])
+    def test_count_carries_into_script_literals(self, extra, ok):
+        # a chain of literals, each holding the next script, ending in a leaf
+        script = Lit(True)
+        for _ in range(MAX_DEPTH - 1 + extra):
+            script = Lit(ScriptRef(script))
+        data = serialize_script(script)
+        if ok:
+            assert ScriptRef.from_bytes(data).canonical == data
+        else:
+            with pytest.raises(ScriptFormatError, match="deeper"):
+                ScriptRef.from_bytes(data)
+
+    def test_interned_literal_still_counts(self):
+        inner = ScriptRef(_nested(MAX_DEPTH // 2))
+        assert ScriptRef.from_bytes(inner.canonical) is inner
+        fits = _nested(MAX_DEPTH // 2, Lit(inner))
+        assert ScriptRef.from_bytes(serialize_script(fits)).expr == fits
+        with pytest.raises(ScriptFormatError, match="deeper"):
+            ScriptRef.from_bytes(serialize_script(Not(fits)))

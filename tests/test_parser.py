@@ -1,7 +1,8 @@
 import pytest
 
 from utxo110.lang import (
-    Arith, BoolOp, Cmp, CtxRef, Index, Let, Lit, Not, PowMod, ScriptOf, Var,
+    MAX_DEPTH, Arith, BoolOp, Cmp, CtxRef, Index, Let, Lit, Not, PowMod,
+    ScriptOf, Var,
 )
 from utxo110.parser import ArityError, ParseError, UnknownNameError, parse
 
@@ -129,3 +130,18 @@ def test_let_value_may_be_context_list():
 def test_rejects_trailing_tokens():
     with pytest.raises(ParseError):
         parse("1 = 1 extra")
+
+
+@pytest.mark.parametrize("nested", [
+    lambda n: "(" * (n - 1) + "1" + ")" * (n - 1),  # each expression counts
+    lambda n: "!" * (n - 1) + "true",               # each unary operator counts
+    lambda n: "-" * (n - 1) + "1",
+    lambda n: " & ".join(["true"] * n),             # nodes of a chain count
+    lambda n: "in" + "[0]" * (n - 1),
+])
+def test_nesting_limit(nested):
+    parse(nested(MAX_DEPTH))
+    with pytest.raises(ParseError, match="nests deeper than"):
+        parse(nested(MAX_DEPTH + 1))
+    with pytest.raises(ParseError, match="nests deeper than"):
+        parse(nested(5_000))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from utxo110.interp import EvalContext, WidthExceeded, evaluate
@@ -154,3 +156,17 @@ class TestGenesis:
         assert len(tx.outputs) == 9
         script_bytes = {out.script_bytes for out in tx.outputs}
         assert script_bytes == {serialize_script(build_bit_script())}
+
+
+def test_validator_bytes_unchanged():
+    # sha256 of each validator's canonical bytes, which every tx id of a
+    # chain depends on: comments and layout of the .script files may
+    # change, the parsed script may not
+    digests = {
+        build_layer_script:
+            "f37e4cbdb5f874db025850c59917666317af793f137e8769768aa91eadc02259",
+        build_bit_script:
+            "c7a6cee0ce38268c3871f2df1c575d6a8156da0ce3eaf2e613d8a745a792c01d",
+    }
+    for build, digest in digests.items():
+        assert hashlib.sha256(serialize_script(build())).hexdigest() == digest
