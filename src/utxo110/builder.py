@@ -34,8 +34,7 @@ from .canonical import (
 from .interp import EvalContext, EvalError, evaluate
 from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size
 from .ledger import (
-    ChainLog, UnindexedFieldError, UtxoSet, Valid, apply_transaction,
-    validate_transaction,
+    ChainLog, UtxoSet, Valid, apply_transaction, validate_transaction,
 )
 from .model import ChainParams, Output, OutputRef, Payload, Transaction
 
@@ -298,12 +297,7 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
             except EvalError as exc:
                 raise _CaseFailure(ConsistencyCheckFailed(str(exc)))
             constraints.append((field, value))
-        try:
-            found = utxo.lookup(constraints)
-        except UnindexedFieldError as exc:
-            raise _CaseFailure(NotBuildable(
-                f"lookup key field {exc.args[0]!r} is not indexed"))
-        matches = [r for r in found if r not in resolved_refs]
+        matches = [r for r in utxo.lookup(constraints) if r not in resolved_refs]
         if not matches:
             raise _CaseFailure(LookupMiss(k, tuple(constraints)))
         if len(matches) > 1:

@@ -233,6 +233,15 @@ def normalize_conjunct(e: Expr) -> list:
     return [e]
 
 
+def _slot_index(e: Expr, kind: str):
+    """i when e is out[i] or in[i] (per ``kind``) with a literal index i >= 0."""
+    if isinstance(e, Index) and isinstance(e.obj, CtxRef) and e.obj.kind == kind \
+            and isinstance(e.index, Lit) and isinstance(e.index.value, int) \
+            and not isinstance(e.index.value, bool) and e.index.value >= 0:
+        return e.index.value
+    return None
+
+
 def _out_slot(e: Expr):
     """(index, field) when e is out[i].field, out[i].script -> (i, 'script')."""
     if isinstance(e, FieldAccess):
@@ -241,35 +250,16 @@ def _out_slot(e: Expr):
         target, field = e.obj, SCRIPT_FIELD
     else:
         return None
-    if isinstance(target, Index) and isinstance(target.obj, CtxRef) \
-            and target.obj.kind == "out" and isinstance(target.index, Lit) \
-            and isinstance(target.index.value, int) \
-            and not isinstance(target.index.value, bool) \
-            and target.index.value >= 0:
-        return target.index.value, field
-    return None
+    index = _slot_index(target, "out")
+    return None if index is None else (index, field)
 
 
 def _in_slot(e: Expr):
     """(index, field) when e is in[k].field with a literal index."""
     if not isinstance(e, FieldAccess):
         return None
-    target = e.obj
-    if isinstance(target, Index) and isinstance(target.obj, CtxRef) \
-            and target.obj.kind == "in" and isinstance(target.index, Lit) \
-            and isinstance(target.index.value, int) \
-            and not isinstance(target.index.value, bool) \
-            and target.index.value >= 0:
-        return target.index.value, e.field
-    return None
-
-
-def _out_index_of(e: Expr):
-    if isinstance(e, Index) and isinstance(e.obj, CtxRef) and e.obj.kind == "out" \
-            and isinstance(e.index, Lit) and isinstance(e.index.value, int) \
-            and not isinstance(e.index.value, bool) and e.index.value >= 0:
-        return e.index.value
-    return None
+    index = _slot_index(e.obj, "in")
+    return None if index is None else (index, e.field)
 
 
 def _is_out_size(e: Expr) -> bool:
@@ -320,8 +310,8 @@ def _classify_one(conj: Expr):
             + script_source(conj))
 
     if isinstance(conj, CopyEq):
-        ti = _out_index_of(conj.target)
-        si = _out_index_of(conj.source)
+        ti = _slot_index(conj.target, "out")
+        si = _slot_index(conj.source, "out")
         if ti is None or si is None:
             return NotCanonical(
                 "copyEq over outputs must use literal indices: "

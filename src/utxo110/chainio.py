@@ -19,15 +19,20 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import dataclass
 
 from .lang import Bits, ScriptRef
 from .ledger import UtxoSet
-from .model import ChainParams, Output, OutputRef, Payload, Transaction
+from .model import Output, OutputRef, Payload, Transaction
 
 
 class ChainFormatError(ValueError):
     """Chain or snapshot file cannot be parsed."""
+
+
+MAX_INDEX = 2**32 - 1  # output indices are u32 in the tx-id preimage
+_INDEX_RE = re.compile(r"[0-9]{1,10}")
 
 
 def value_to_json(value):
@@ -138,7 +143,8 @@ def transaction_from_json(obj) -> ChainRecord:
         if not isinstance(entry, dict) or "txId" not in entry or "index" not in entry:
             raise ChainFormatError(f"malformed input record: {entry!r}")
         index = entry["index"]
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        if not isinstance(index, int) or isinstance(index, bool) \
+                or not 0 <= index <= MAX_INDEX:
             raise ChainFormatError(f"bad input index: {index!r}")
         inputs.append(OutputRef(_hex_id(entry["txId"]), index))
     outputs = [output_from_json(o) for o in outputs_obj]
@@ -160,18 +166,21 @@ def load_chain(path) -> list:
     """Parse a chain file into ChainRecords; raises ChainFormatError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ChainFormatError(f"line {lineno}: {exc}") from None
-            try:
-                records.append(transaction_from_json(obj))
-            except ChainFormatError as exc:
-                raise ChainFormatError(f"line {lineno}: {exc}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ChainFormatError(f"line {lineno}: {exc}") from None
+                try:
+                    records.append(transaction_from_json(obj))
+                except ChainFormatError as exc:
+                    raise ChainFormatError(f"line {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ChainFormatError(f"not UTF-8 text: {exc}") from None
     return records
 
 
@@ -184,19 +193,21 @@ def dump_utxo_snapshot(utxo: UtxoSet, path) -> None:
         fh.write("\n")
 
 
-def load_utxo_snapshot(path, indexed_fields=ChainParams.indexed_fields) -> UtxoSet:
+def load_utxo_snapshot(path) -> UtxoSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             snapshot = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # incl. bad UTF-8
             raise ChainFormatError(str(exc)) from None
     if not isinstance(snapshot, dict):
         raise ChainFormatError("snapshot must be an object")
-    utxo = UtxoSet(indexed_fields)
+    utxo = UtxoSet()
     for key, obj in snapshot.items():
         tx_hex, _, index_text = key.partition(":")
-        if not index_text.isdigit():
+        if not (_INDEX_RE.fullmatch(index_text) and int(index_text) <= MAX_INDEX):
             raise ChainFormatError(f"bad snapshot key: {key!r}")
         ref = OutputRef(_hex_id(tx_hex), int(index_text))
+        if ref in utxo:
+            raise ChainFormatError(f"duplicate snapshot key: {key!r}")
         utxo.add(ref, output_from_json(obj))
     return utxo

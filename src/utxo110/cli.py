@@ -7,13 +7,15 @@ Subcommands::
     render   draw a verified chain as ASCII or PBM
     analyze  print the canonical form and generation rules of a script
 
-Exit codes: 0 success, 1 domain failure (invalid chain, stuck builder),
-2 usage or parse failure.  All output is deterministic.
+Exit codes: 0 success, 1 domain failure (invalid chain, stuck builder,
+stdout closed by its reader), 2 usage, parse or file failure.  All output
+is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .builder import BuildRules, NotBuildable, derive_build_rules, sweep
@@ -74,7 +76,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    utxo = UtxoSet(params.indexed_fields)
+    utxo = UtxoSet()
     log = ChainLog(params.block_budget)
     apply_transaction(genesis, utxo, log, params)
     retired: set = set()
@@ -90,25 +92,38 @@ def cmd_run(args) -> int:
             return EXIT_DOMAIN
 
     transactions = list(log.transactions())
-    dump_chain(transactions, args.chain)
+    try:
+        dump_chain(transactions, args.chain)
+    except OSError as exc:
+        print(f"error: cannot write chain: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     total_cost = sum(block.cost_used for block in log.blocks)
     print(f"transactions: {len(transactions)}")
     print(f"blocks: {len(log.blocks)}")
     print(f"total cost: {total_cost}")
     print(f"utxo size: {len(utxo)}")
     if args.render is not None:
-        text = render_chain(transactions, args.format)
-        with open(args.render, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write_render(args.render, render_chain(transactions, args.format)):
+            return EXIT_USAGE
         print(f"render written to {args.render}")
     return EXIT_OK
+
+
+def _write_render(path, text) -> bool:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write render: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_records(path):
     try:
         return load_chain(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read chain: {exc}", file=sys.stderr)
         return None
     except ChainFormatError as exc:
         print(f"error: cannot parse chain: {exc}", file=sys.stderr)
@@ -146,9 +161,8 @@ def cmd_render(args) -> int:
         return EXIT_DOMAIN
     if args.render is None:
         sys.stdout.write(text)
-    else:
-        with open(args.render, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    elif not _write_render(args.render, text):
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -189,8 +203,8 @@ def cmd_analyze(args) -> int:
     try:
         with open(args.script, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read script: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         script = parse(source)
@@ -255,7 +269,16 @@ def main(argv=None) -> int:
             flag = "--" + name.replace("_", "-")
             print(f"error: {flag} must be at least 1", file=sys.stderr)
             return EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

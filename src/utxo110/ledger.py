@@ -24,15 +24,10 @@ from .model import (
 )
 
 
-class UnindexedFieldError(KeyError):
-    """Lookup constraint on a field that is not in the indexed set."""
-
-
 class UtxoSet:
-    """Unspent outputs with a secondary index over configured payload fields."""
+    """Unspent outputs with a secondary index over every payload field."""
 
-    def __init__(self, indexed_fields=ChainParams.indexed_fields):
-        self.indexed_fields = tuple(indexed_fields)
+    def __init__(self):
         self._primary: dict[OutputRef, Output] = {}
         self._index: dict[tuple, set] = {}
 
@@ -56,10 +51,8 @@ class UtxoSet:
         return [(ref, self._primary[ref]) for ref in self.refs()]
 
     def _index_keys(self, output: Output):
-        for name in self.indexed_fields:
-            if name in output.payload:
-                value = output.payload.get(name)
-                yield (name, _kind_tag(value), value)
+        for name, value in output.payload.items():
+            yield (name, _kind_tag(value), value)
 
     def add(self, ref: OutputRef, output: Output) -> None:
         if ref in self._primary:
@@ -87,11 +80,8 @@ class UtxoSet:
         constraints = list(constraints)
         if not constraints:
             return self.refs()
-        buckets = []
-        for name, value in constraints:
-            if name not in self.indexed_fields:
-                raise UnindexedFieldError(name)
-            buckets.append(self._index.get((name, _kind_tag(value), value), set()))
+        buckets = [self._index.get((name, _kind_tag(value), value), set())
+                   for name, value in constraints]
         buckets.sort(key=len)
         result = set(buckets[0])
         for b in buckets[1:]:
@@ -99,7 +89,7 @@ class UtxoSet:
         return sorted(result)
 
     def copy(self) -> "UtxoSet":
-        clone = UtxoSet(self.indexed_fields)
+        clone = UtxoSet()
         clone._primary = dict(self._primary)
         clone._index = {k: set(v) for k, v in self._index.items()}
         return clone
@@ -319,14 +309,13 @@ class FirstFailure:
 
 
 def verify_chain(transactions, params: ChainParams = ChainParams(),
-                 genesis_utxo: UtxoSet | None = None, stored_ids=None):
+                 stored_ids=None):
     """Replay a transaction sequence from scratch.
 
     ``stored_ids`` (when given) are checked against recomputed ids, so a
     tampered payload is caught at the transaction that carries it.
     """
-    utxo = genesis_utxo.copy() if genesis_utxo is not None \
-        else UtxoSet(params.indexed_fields)
+    utxo = UtxoSet()
     log = ChainLog(params.block_budget)
     seen_regular = False
     total = 0

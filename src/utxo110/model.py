@@ -221,7 +221,6 @@ class ChainParams:
     block_budget: int = 1_000_000
     max_script_bytes: int = 16_384
     max_payload_bytes: int = 1_024
-    indexed_fields: tuple = ("x", "n", "mid")
 
 
 class OversizeOutputError(ValueError):

@@ -18,7 +18,7 @@ def params():
 
 def drive_layer(bits, steps, params=ChainParams()):
     """Genesis plus ``steps`` sweeps in layer mode; (transactions, utxo)."""
-    utxo = UtxoSet(params.indexed_fields)
+    utxo = UtxoSet()
     log = ChainLog(params.block_budget)
     apply_transaction(genesis_layer(bits, params), utxo, log, params)
     for _ in range(steps):
@@ -33,7 +33,7 @@ def drive_grid(bits, rows, params=ChainParams(), per_row=None):
     ``per_row`` (when given) receives (row_number, built, utxo) after
     every sweep.
     """
-    utxo = UtxoSet(params.indexed_fields)
+    utxo = UtxoSet()
     log = ChainLog(params.block_budget)
     apply_transaction(genesis_grid(GridRow.from_bits(bits), params),
                       utxo, log, params)

@@ -138,7 +138,7 @@ def _grid_kind(tx, resolved):
 
 def _per_input_costs(txs):
     """Replay a grid chain, recording (row, kind, per-input costs)."""
-    utxo = UtxoSet(PARAMS.indexed_fields)
+    utxo = UtxoSet()
     log = ChainLog(PARAMS.block_budget)
     rows = []
     for tx in txs:
@@ -184,7 +184,7 @@ def test_criterion_5_bounded_validation():
         costs = []
         for w in widths:
             genesis = genesis_layer(Bits([1] + [0] * (w - 1)), PARAMS)
-            utxo = UtxoSet(PARAMS.indexed_fields)
+            utxo = UtxoSet()
             log = ChainLog(PARAMS.block_budget)
             apply_transaction(genesis, utxo, log, PARAMS)
             (step,) = sweep(utxo, log, PARAMS)
@@ -212,7 +212,7 @@ def _interior_all_ones_fixture():
     mutation in the tamper suite.
     """
     genesis = genesis_grid(GridRow.from_bits([0, 1, 1, 1, 0]), PARAMS)
-    utxo = UtxoSet(PARAMS.indexed_fields)
+    utxo = UtxoSet()
     apply_transaction(genesis, utxo, ChainLog(PARAMS.block_budget), PARAMS)
     (seed,) = [r for r in utxo.lookup([("x", -3), ("mid", False)])][:1]
     tx = build_next(utxo, seed, PARAMS)

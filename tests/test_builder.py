@@ -60,7 +60,7 @@ class TestDeriveRules:
 class TestBuildNext:
     def test_layer_step_matches_hand_built(self, params):
         genesis = genesis_layer(Bits.from_text("01101"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
         built = build_next(utxo, genesis.ref(0), params)
         assert isinstance(built, Transaction)
@@ -74,7 +74,7 @@ class TestBuildNext:
 
     def test_grid_interior_from_two_row_fixture(self, params):
         gen = genesis_grid(GridRow.from_bits([0, 1, 1, 1, 0]), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # seed: a left-neighbor copy of the cell at x = -3 (mid false)
         seeds = utxo.lookup([("x", -3), ("mid", False)])
@@ -87,7 +87,7 @@ class TestBuildNext:
 
     def test_lookup_miss_when_neighbor_spent(self, params):
         gen = genesis_grid(GridRow.from_bits([0, 1, 1, 1, 0]), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # remove the unique mid copy the interior case must look up
         (mid_ref,) = utxo.lookup([("x", -2), ("mid", True)])
@@ -99,25 +99,12 @@ class TestBuildNext:
 
     def test_misrole_seed_fails_consistency(self, params):
         gen = genesis_grid(GridRow.from_bits([1, 1]), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # the mid copy of column 0 in a width-2 row seeds nothing
         (seed,) = utxo.lookup([("x", 0), ("mid", True)])
         result = build_next(utxo, seed, params)
         assert isinstance(result, CannotBuild)
-
-    def test_unindexed_lookup_key_not_buildable(self, params):
-        gen = genesis_grid(GridRow.from_bits([1, 1, 1]), params)
-        utxo = UtxoSet(indexed_fields=())
-        apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
-        # a middle-cell left copy can only be built through lookups
-        (seed,) = [r for r, out in utxo.items()
-                   if out.payload.get("x") == -1
-                   and out.payload.get("mid") is False][:1]
-        result = build_next(utxo, seed, params)
-        assert isinstance(result, CannotBuild)
-        assert isinstance(result.reason, NotBuildable)
-        assert "indexed" in result.reason.reason
 
     def test_script_size_cap_blocks_building(self):
         small = ChainParams(max_script_bytes=64)
@@ -132,7 +119,7 @@ class TestBuildNext:
 class TestSweep:
     def test_layer_one_transaction_per_sweep(self, params):
         genesis = genesis_layer(Bits.from_text("1011"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(genesis, utxo, log, params)
         for _ in range(5):
@@ -140,15 +127,14 @@ class TestSweep:
 
     def test_grid_full_row_builds_width_plus_one(self, params):
         gen = genesis_grid(GridRow.from_bits([1, 0, 1]), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(gen, utxo, log, params)
         built = sweep(utxo, log, params)
         assert len(built) == 4
 
     def test_empty_utxo(self, params):
-        assert sweep(UtxoSet(params.indexed_fields),
-                     ChainLog(params.block_budget), params) == []
+        assert sweep(UtxoSet(), ChainLog(params.block_budget), params) == []
 
     def test_every_swept_transaction_validates(self, params):
         from utxo110.ledger import VerifyOk, verify_chain
@@ -164,7 +150,7 @@ class TestSweep:
 
     def test_width_one_retires_redundant_copy(self, params):
         gen = genesis_grid(GridRow.from_bits([1]), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(gen, utxo, log, params)
         retired = set()
@@ -199,7 +185,7 @@ class TestSweep:
 
     def test_no_progress_reported_for_duplicate_seed(self, params):
         gen = genesis_grid(GridRow.from_bits([1]), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(gen, utxo, log, params)
         fr = utxo.lookup([("mid", False)])
@@ -219,7 +205,7 @@ class TestOrderIndependence:
             bits = [rng.randint(0, 1) for _ in range(width)]
             reference = None
             for perm in range(4):
-                utxo = UtxoSet(params.indexed_fields)
+                utxo = UtxoSet()
                 log = ChainLog(params.block_budget)
                 apply_transaction(genesis_grid(GridRow.from_bits(bits), params),
                                   utxo, log, params)

@@ -145,6 +145,42 @@ class TestChainFiles:
         with pytest.raises(ChainFormatError, match="canonical"):
             load_chain(path)
 
+    @pytest.mark.parametrize("index, ok", [
+        (2**32 - 1, True), (2**32, False), (2**64, False), (-1, False),
+    ])
+    def test_input_index_is_a_u32(self, tmp_path, params, index, ok):
+        txs, _ = drive_layer(Bits.from_text("01"), 1, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["inputs"][0]["index"] = index
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        if ok:
+            (_, record) = load_chain(path)
+            assert record.tx.inputs[0].index == index
+            assert record.tx.tx_id() != record.stored_id  # the u32 maximum hashes
+        else:
+            with pytest.raises(ChainFormatError, match="line 2: bad input index"):
+                load_chain(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "chain.jsonl"
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(ChainFormatError, match="not UTF-8"):
+            load_chain(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"index": ' + "9" * 5_000 + "}",  # past int()'s 4,300-digit limit
+        "[" * 100_000,  # past the JSON decoder's recursion limit
+    ], ids=["long-int", "deep-array"])
+    def test_json_past_decoder_limits(self, tmp_path, line):
+        path = tmp_path / "chain.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ChainFormatError, match="line 1"):
+            load_chain(path)
+
     def test_load_decodes_a_shared_script_once(self, tmp_path, params, monkeypatch):
         txs, _ = drive_grid([1], 6, params)
         path = tmp_path / "chain.jsonl"
@@ -168,14 +204,51 @@ class TestSnapshots:
         _, utxo = drive_grid([1, 1], 3, params)
         path = tmp_path / "utxo.json"
         dump_utxo_snapshot(utxo, path)
-        again = load_utxo_snapshot(path, params.indexed_fields)
+        again = load_utxo_snapshot(path)
         assert dict(again.items()) == dict(utxo.items())
-        # the reloaded index answers the same queries
-        probe = [("mid", True)]
-        assert again.lookup(probe) == utxo.lookup(probe)
+        # the reloaded index answers the same queries, on every field
+        for probe in ([("mid", True)], [("val", True)], [("x", 0), ("val", False)]):
+            assert again.lookup(probe) == utxo.lookup(probe)
 
     def test_bad_key(self, tmp_path):
         path = tmp_path / "utxo.json"
         path.write_text('{"nonsense": {}}')
+        with pytest.raises(ChainFormatError):
+            load_utxo_snapshot(path)
+
+    def _snapshot(self, tmp_path, params):
+        _, utxo = drive_grid([1, 1], 1, params)
+        path = tmp_path / "utxo.json"
+        dump_utxo_snapshot(utxo, path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("index, ok", [
+        ("4294967295", True), ("4294967296", False), ("9" * 5_000, False),
+        ("\u00b2", False), ("", False),
+    ], ids=["u32-max", "2^32", "long-int", "superscript-2", "empty"])
+    def test_key_index_is_a_u32(self, tmp_path, params, index, ok):
+        path, snapshot = self._snapshot(tmp_path, params)
+        key, record = next(iter(snapshot.items()))
+        tx_hex = key.partition(":")[0]
+        path.write_text(json.dumps({f"{tx_hex}:{index}": record}))
+        if ok:
+            assert len(load_utxo_snapshot(path)) == 1
+        else:
+            with pytest.raises(ChainFormatError, match="bad snapshot key"):
+                load_utxo_snapshot(path)
+
+    def test_two_keys_for_one_reference(self, tmp_path, params):
+        path, snapshot = self._snapshot(tmp_path, params)
+        key, record = next(iter(snapshot.items()))
+        path.write_text(json.dumps({key: record, key.upper(): record}))
+        with pytest.raises(ChainFormatError, match="duplicate snapshot key"):
+            load_utxo_snapshot(path)
+
+    @pytest.mark.parametrize("data", [
+        b'{"\xff": {}}', b'{"a": ' + b"9" * 5_000 + b"}", b"[" * 100_000,
+    ], ids=["not-utf8", "long-int", "deep-array"])
+    def test_undecodable_file(self, tmp_path, data):
+        path = tmp_path / "utxo.json"
+        path.write_bytes(data)
         with pytest.raises(ChainFormatError):
             load_utxo_snapshot(path)

@@ -1,6 +1,9 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,18 @@ class TestRun:
         assert run_cli("run", "--mode", "layer", "--initial", "0" * 20,
                        "--steps", "1", "--chain", tmp_path / "c",
                        "--max-width", "8") == 2
+
+    def test_unwritable_chain_file_is_usage_error(self, tmp_path, capsys):
+        chain = tmp_path / "no" / "such" / "dir" / "c.jsonl"
+        assert run_cli("run", "--mode", "grid", "--initial", "1",
+                       "--steps", "1", "--chain", chain) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write chain:")
+
+    def test_unwritable_render_file_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("run", "--mode", "grid", "--initial", "1",
+                       "--chain", tmp_path / "chain.jsonl",
+                       "--render", tmp_path / "no" / "rows.txt") == 2
+        assert capsys.readouterr().err.startswith("error: cannot write render:")
 
     def test_block_budget_below_one_step_cost(self, tmp_path, capsys):
         assert run_cli("run", "--mode", "layer", "--initial", "0110",
@@ -119,6 +134,16 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("verify", "--chain", tmp_path / "nope.jsonl") == 2
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("verify", "--chain", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read chain:")
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        chain = tmp_path / "bad.jsonl"
+        chain.write_bytes(b"\xff\n")
+        assert run_cli("verify", "--chain", chain) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_repeated_first_line(self, tmp_path, capsys):
         chain = tmp_path / "chain.jsonl"
@@ -213,6 +238,14 @@ class TestRender:
         chain.write_text("\n".join(lines) + "\n")
         assert run_cli("render", "--chain", chain) == 1
 
+    def test_unwritable_render_file_is_usage_error(self, tmp_path, capsys):
+        chain = tmp_path / "chain.jsonl"
+        run_cli("run", "--mode", "grid", "--initial", "1", "--chain", chain)
+        capsys.readouterr()
+        assert run_cli("render", "--chain", chain,
+                       "--render", tmp_path / "no" / "rows.txt") == 2
+        assert capsys.readouterr().err.startswith("error: cannot write render:")
+
     def test_run_with_render_flag(self, tmp_path):
         chain = tmp_path / "chain.jsonl"
         render = tmp_path / "rows.txt"
@@ -246,6 +279,16 @@ class TestAnalyze:
         assert run_cli("analyze", "--script", SAMPLES / "discrete_log.script") == 0
         out = capsys.readouterr().out
         assert "not canonical" in out
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\n")
+        assert run_cli("analyze", "--script", path) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read script:")
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("analyze", "--script", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read script:")
 
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "broken.script"
@@ -313,6 +356,50 @@ class TestNestingLimit:
         chain.write_text("\n".join(lines) + "\n")
         assert run_cli("verify", "--chain", chain) == 2
         assert "nests deeper than" in capsys.readouterr().err
+
+
+def _balanced_and(terms):
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return f"({_balanced_and(terms[:half])} & {_balanced_and(terms[half:])})"
+
+
+def _analyze_process(script, stdout):
+    # stdout block-buffered, as it is by default for a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rule110.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "utxo110", "analyze", "--script", str(script)],
+        stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _exits_one_without_traceback(proc):
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in proc.stderr.read()
+    proc.stderr.close()
+
+
+def test_stdout_closed_after_one_line(tmp_path):
+    # about 118 KB of analysis, more than a pipe and the stdout buffer hold,
+    # so the writer is still writing when the reader closes
+    path = tmp_path / "wide.script"
+    path.write_text(_balanced_and(
+        [f"out[0].f{i} = {10**99 + i}" for i in range(1000)]))
+    proc = _analyze_process(path, subprocess.PIPE)
+    assert proc.stdout.readline() == b"canonical form\n"
+    proc.stdout.close()
+    _exits_one_without_traceback(proc)
+
+
+def test_stdout_closed_before_any_output():
+    # the whole analysis fits in the stdout buffer, so only the final
+    # flush meets the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _analyze_process(PACKAGE / "layer_step.script", write_end)
+    os.close(write_end)
+    _exits_one_without_traceback(proc)
 
 
 def test_usage_error_exits_two():

@@ -7,8 +7,7 @@ from utxo110.lang import Bits, Lit, serialize_script
 from utxo110.ledger import (
     ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
     MisplacedGenesis, MissingInput, OutputExists, OversizeOutput, ScriptError,
-    ScriptFalse, TransactionRejected, TxIdMismatch, UnindexedFieldError,
-    UtxoSet, Valid, VerifyOk, apply_transaction, validate_transaction, verify_chain,
+    ScriptFalse, TransactionRejected, TxIdMismatch, UtxoSet, Valid, VerifyOk, apply_transaction, validate_transaction, verify_chain,
 )
 from utxo110.model import ChainParams, Output, OutputRef, Payload, Transaction
 from utxo110.parser import parse
@@ -18,7 +17,7 @@ from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
 class TestValidate:
     def test_valid_layer_step(self, params):
         genesis = genesis_layer(Bits.from_text("01101"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(genesis, utxo, log, params)
         result = validate_transaction(step_transaction(genesis), utxo, params)
@@ -27,7 +26,7 @@ class TestValidate:
 
     def test_tampered_payload_is_script_false(self, params):
         genesis = genesis_layer(Bits.from_text("01101"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
         good = step_transaction(genesis)
         bits = list(good.outputs[0].payload.get("layer"))
@@ -40,7 +39,7 @@ class TestValidate:
         assert result == Invalid(ScriptFalse(0))
 
     def test_missing_input(self, params):
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         ref = OutputRef(b"\x00" * 32, 0)
         tx = Transaction(inputs=(ref,),
                          outputs=(Output(Lit(True), Payload()),))
@@ -48,7 +47,7 @@ class TestValidate:
 
     def test_duplicate_input(self, params):
         genesis = genesis_layer(Bits.from_text("01"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
         ref = genesis.ref(0)
         tx = Transaction(inputs=(ref, ref), outputs=genesis.outputs)
@@ -57,7 +56,7 @@ class TestValidate:
     def test_cost_limit_maps_to_cost_exceeded(self):
         params = ChainParams(cost_limit_per_input=10)
         genesis = genesis_layer(Bits.from_text("01101010"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
         result = validate_transaction(step_transaction(genesis), utxo, params)
         assert result == Invalid(CostExceeded(0))
@@ -65,7 +64,7 @@ class TestValidate:
     def test_eval_error_maps_to_script_error(self, params):
         out = Output(parse("in[5].x = 1"), Payload())
         gen = Transaction(inputs=(), outputs=(out,), is_genesis=True)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         tx = Transaction(inputs=(gen.ref(0),),
                          outputs=(Output(Lit(True), Payload()),))
@@ -76,7 +75,7 @@ class TestValidate:
     def test_non_bool_result_is_script_error(self, params):
         out = Output(parse("1 + 1"), Payload())
         gen = Transaction(inputs=(), outputs=(out,), is_genesis=True)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         tx = Transaction(inputs=(gen.ref(0),),
                          outputs=(Output(Lit(True), Payload()),))
@@ -90,7 +89,7 @@ class TestValidate:
     def test_extra_outputs_ignored_in_layer_mode(self, params):
         # only out[0] is constrained; surplus outputs do not invalidate
         genesis = genesis_layer(Bits.from_text("0011"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
         good = step_transaction(genesis)
         surplus = Output(Lit(True), Payload((("x", 7),)))
@@ -100,7 +99,7 @@ class TestValidate:
 
     def test_oversize_output_invalid_whoever_built_it(self, params):
         genesis = genesis_layer(Bits.from_text("0011"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
         result = validate_transaction(step_with_oversize_output(genesis), utxo, params)
         assert isinstance(result, Invalid)
@@ -111,7 +110,7 @@ class TestValidate:
 class TestApply:
     def test_utxo_delta(self, params):
         genesis = genesis_layer(Bits.from_text("0011"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(genesis, utxo, log, params)
         assert len(utxo) == 1
@@ -120,7 +119,7 @@ class TestApply:
 
     def test_double_apply_rejected(self, params):
         genesis = genesis_layer(Bits.from_text("0011"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(genesis, utxo, log, params)
         tx = step_transaction(genesis)
@@ -131,7 +130,7 @@ class TestApply:
 
     def test_rejection_leaves_state_unchanged(self, params):
         genesis = genesis_layer(Bits.from_text("0011"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(genesis, utxo, log, params)
         bad = Transaction(inputs=(OutputRef(b"\x11" * 32, 0),),
@@ -142,7 +141,7 @@ class TestApply:
 
     def test_output_collision_rejected_before_spending(self, params):
         genesis = genesis_layer(Bits.from_text("0011"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(genesis, utxo, log, params)
         tx = step_transaction(genesis)
@@ -162,7 +161,7 @@ class TestApply:
 
 class TestLookup:
     def _row_utxo(self, params):
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         gen = genesis_grid(GridRow.from_bits([1, 0, 1]), params)
         apply_transaction(gen, utxo, log, params)
@@ -182,13 +181,8 @@ class TestLookup:
         _, utxo = self._row_utxo(params)
         assert utxo.lookup([]) == utxo.refs()
 
-    def test_unindexed_field(self, params):
-        _, utxo = self._row_utxo(params)
-        with pytest.raises(UnindexedFieldError):
-            utxo.lookup([("val", True)])
-
     def test_bool_and_int_keys_are_distinct(self, params):
-        utxo = UtxoSet(indexed_fields=("x",))
+        utxo = UtxoSet()
         a = Output(Lit(True), Payload((("x", 1),)))
         b = Output(Lit(True), Payload((("x", True),)))
         utxo.add(OutputRef(b"\x01" * 32, 0), a)
@@ -197,21 +191,27 @@ class TestLookup:
         assert utxo.lookup([("x", True)]) == [OutputRef(b"\x02" * 32, 0)]
 
 
-_payloads = st.lists(
-    st.tuples(st.sampled_from(["x", "n", "mid", "val"]),
-              st.one_of(st.integers(-3, 3), st.booleans())),
-    max_size=4, unique_by=lambda kv: kv[0])
+_pairs = st.tuples(st.sampled_from(["x", "n", "mid", "val"]),
+                   st.one_of(st.integers(-3, 3), st.booleans()))
+_payloads = st.lists(_pairs, max_size=4, unique_by=lambda kv: kv[0])
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(_payloads, max_size=8),
-       st.lists(st.tuples(st.sampled_from(["x", "n", "mid"]),
-                          st.one_of(st.integers(-3, 3), st.booleans())),
-                max_size=2))
-def test_index_matches_linear_scan(payloads, constraints):
-    utxo = UtxoSet(indexed_fields=("x", "n", "mid"))
+@given(st.lists(_payloads, min_size=1, max_size=8),
+       st.sets(st.integers(0, 7), max_size=3), st.data())
+def test_index_matches_linear_scan(payloads, spent, data):
+    utxo = UtxoSet()
     for i, pairs in enumerate(payloads):
         utxo.add(OutputRef(bytes([i]) * 32, 0), Output(Lit(True), Payload(pairs)))
+    for i in spent & set(range(len(payloads))):
+        utxo.spend(OutputRef(bytes([i]) * 32, 0))
+    # constraints on any field: some of one payload's pairs, so that most
+    # lookups match, plus at most one arbitrary pair
+    carried = data.draw(st.sampled_from(payloads))
+    constraints = data.draw(st.lists(st.sampled_from(carried), unique=True)) \
+        if carried else []
+    constraints += data.draw(st.lists(
+        _pairs | st.tuples(st.just("other"), st.integers(-3, 3)), max_size=1))
     got = utxo.lookup(constraints)
     expected = []
     for ref, out in utxo.items():
@@ -291,7 +291,7 @@ class TestVerify:
         params = ChainParams(block_budget=400)
         txs, _ = drive_layer(Bits.from_text("0110"), 6, params)
         log = ChainLog(params.block_budget)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         for tx in txs:
             apply_transaction(tx, utxo, log, params)
         assert len(log.blocks) > 1
@@ -300,7 +300,7 @@ class TestVerify:
     def test_transaction_over_block_budget_rejected(self):
         params = ChainParams(block_budget=10)
         genesis = genesis_layer(Bits.from_text("01101"), params)
-        utxo = UtxoSet(params.indexed_fields)
+        utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(genesis, utxo, log, params)
         with pytest.raises(TransactionRejected):
