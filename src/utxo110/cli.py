@@ -76,19 +76,24 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    created = _create_outputs({"chain": args.chain, "render": args.render})
+    if created is None:
+        return EXIT_USAGE
     utxo = UtxoSet()
     log = ChainLog(params.block_budget)
     apply_transaction(genesis, utxo, log, params)
     retired: set = set()
     for step in range(args.steps):
         built = sweep(utxo, log, params, retired)
+        error = None
         if not built:
-            print(f"error: no transaction could be built at step {step + 1}",
-                  file=sys.stderr)
-            return EXIT_DOMAIN
-        if args.mode == "layer" and len(built) != 1:
-            print(f"error: layer step {step + 1} built {len(built)} transactions",
-                  file=sys.stderr)
+            error = f"no transaction could be built at step {step + 1}"
+        elif args.mode == "layer" and len(built) != 1:
+            error = f"layer step {step + 1} built {len(built)} transactions"
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            for path in created:
+                os.remove(path)
             return EXIT_DOMAIN
 
     transactions = list(log.transactions())
@@ -107,6 +112,29 @@ def cmd_run(args) -> int:
             return EXIT_USAGE
         print(f"render written to {args.render}")
     return EXIT_OK
+
+
+def _create_outputs(paths: dict):
+    """Open each output path for appending, which creates a missing file
+    and leaves an existing one as it is, so that a path that cannot be
+    written fails before any sweep runs.  Returns the paths created, or
+    None (having removed them again) if one cannot be opened."""
+    created = []
+    for what, path in paths.items():
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+            for done in created:
+                os.remove(done)
+            return None
+        if not existed:
+            created.append(path)
+    return created
 
 
 def _write_render(path, text) -> bool:

@@ -1,16 +1,22 @@
 """Cost-metered evaluator for guarding scripts.
 
-Scripts are compiled once into a tree of closures and then run against
-an ``EvalContext``.  Every node visit charges its weight against the
-caller-supplied limit, so evaluation time is bounded a priori:
+Each script is generated into Python source once per ``ScriptRef`` and
+compiled with ``exec``, the way stdlib ``dataclasses`` builds methods;
+the resulting function then runs against an ``EvalContext``.  Every node
+visit charges its weight against the caller-supplied limit, so
+evaluation time is bounded a priori:
 
-* plain nodes cost 1,
-* ``pow .. mod`` costs 1 plus the bit length of the exponent,
+* plain nodes cost 1, charged before their children run,
+* ``pow .. mod`` costs 1 plus the bit length of the exponent, charged
+  after its operands and before the power is taken,
 * ``map`` runs its body once per index, each run metered normally.
 
 Boolean operators are strict (both operands always evaluated); only
-``if`` is lazy.  Evaluation is deterministic and side-effect free, so
-compiled scripts are safe to share across threads.
+``if`` is lazy.  Costs, receipts and errors are those of a node-by-node
+walk of the tree: the generated code adds up charges that no failing
+operation separates, which changes no outcome.  Evaluation is
+deterministic and side-effect free, so compiled scripts are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -81,23 +87,6 @@ class EvalContext:
         raise AttributeError("EvalContext is immutable")
 
 
-class _Runtime:
-    __slots__ = ("ctx", "env", "spent", "limit", "max_width")
-
-    def __init__(self, ctx, limit, max_width):
-        self.ctx = ctx
-        self.env = {}
-        self.spent = 0
-        self.limit = limit
-        self.max_width = max_width
-
-    def charge(self, amount):
-        self.spent += amount
-        if self.spent > self.limit:
-            raise CostLimitExceeded(
-                f"cost limit {self.limit} exceeded")
-
-
 def _as_bool(v, what):
     if isinstance(v, bool):
         return v
@@ -143,293 +132,505 @@ def _payload_value(v, what):
     return v
 
 
-def _compile(e: Expr):
-    if isinstance(e, Lit):
-        value = e.value
 
-        def run(rt):
-            rt.charge(1)
-            return value
-        return run
 
-    if isinstance(e, Var):
-        name = e.name
+# ---------------------------------------------------------------------------
+# Failure paths of the generated code.  The fast path of each node is
+# inlined; these run only when it does not apply, and raise what the
+# node raises.
 
-        def run(rt):
-            rt.charge(1)
-            try:
-                return rt.env[name]
-            except KeyError:
-                raise UnboundVariable(f"unbound variable {name!r}") from None
-        return run
+def _over(limit):
+    raise CostLimitExceeded(f"cost limit {limit} exceeded")
 
-    if isinstance(e, CtxRef):
-        kind = e.kind
 
-        def run(rt):
-            rt.charge(1)
-            if kind == "self":
-                return rt.ctx.self_input
-            if kind == "in":
-                return rt.ctx.inputs
-            return rt.ctx.outputs
-        return run
+def _unbound(name):
+    raise UnboundVariable(f"unbound variable {name!r}")
 
-    if isinstance(e, FieldAccess):
-        obj = _compile(e.obj)
-        name = e.field
 
-        def run(rt):
-            rt.charge(1)
-            target = obj(rt)
-            if not isinstance(target, Output):
-                raise EvalTypeError(
-                    f"field access needs an output, got {_kind(target)}")
-            try:
-                return target.payload.get(name)
-            except KeyError:
-                raise MissingField(f"payload has no field {name!r}") from None
-        return run
+def _field(target, name):
+    if not isinstance(target, Output):
+        raise EvalTypeError(
+            f"field access needs an output, got {_kind(target)}")
+    try:
+        return target.payload.get(name)
+    except KeyError:
+        raise MissingField(f"payload has no field {name!r}") from None
 
-    if isinstance(e, ScriptOf):
-        obj = _compile(e.obj)
 
-        def run(rt):
-            rt.charge(1)
-            target = obj(rt)
-            if not isinstance(target, Output):
-                raise EvalTypeError(
-                    f".script needs an output, got {_kind(target)}")
-            return target.script_ref
-        return run
+def _script_of(target):
+    if not isinstance(target, Output):
+        raise EvalTypeError(f".script needs an output, got {_kind(target)}")
+    return target.script_ref
 
-    if isinstance(e, Index):
-        obj = _compile(e.obj)
-        index = _compile(e.index)
 
-        def run(rt):
-            rt.charge(1)
-            target = obj(rt)
-            i = _as_int(index(rt), "index")
-            if isinstance(target, Bits):
-                if not 0 <= i < len(target):
-                    raise IndexOutOfBounds(f"bit index {i} out of range")
-                return bool(target[i])
-            if isinstance(target, tuple):
-                if not 0 <= i < len(target):
-                    raise IndexOutOfBounds(f"list index {i} out of range")
-                return target[i]
-            raise EvalTypeError(f"cannot index into {_kind(target)}")
-        return run
+def _index(target, i):
+    if isinstance(target, Bits):
+        if not 0 <= i < len(target):
+            raise IndexOutOfBounds(f"bit index {i} out of range")
+        return bool(target[i])
+    if isinstance(target, tuple):
+        if not 0 <= i < len(target):
+            raise IndexOutOfBounds(f"list index {i} out of range")
+        return target[i]
+    raise EvalTypeError(f"cannot index into {_kind(target)}")
 
-    if isinstance(e, Size):
-        obj = _compile(e.obj)
 
-        def run(rt):
-            rt.charge(1)
-            target = obj(rt)
-            if isinstance(target, (Bits, tuple)):
-                return len(target)
-            raise EvalTypeError(f"{_kind(target)} has no size")
-        return run
+def _size(target):
+    if isinstance(target, (Bits, tuple)):
+        return len(target)
+    raise EvalTypeError(f"{_kind(target)} has no size")
 
-    if isinstance(e, Arith):
-        left = _compile(e.left)
-        right = _compile(e.right)
-        op = e.op
 
-        def run(rt):
-            rt.charge(1)
-            a = _as_int(left(rt), "arithmetic operand")
-            b = _as_int(right(rt), "arithmetic operand")
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if b <= 0:
-                raise ArithmeticDomainError("modulus must be positive")
-            return a % b
-        return run
+def _modulus():
+    raise ArithmeticDomainError("modulus must be positive")
 
-    if isinstance(e, PowMod):
-        base = _compile(e.base)
-        exponent = _compile(e.exponent)
-        modulus = _compile(e.modulus)
 
-        def run(rt):
-            b = _as_int(base(rt), "pow base")
-            x = _as_int(exponent(rt), "pow exponent")
-            m = _as_int(modulus(rt), "pow modulus")
-            if x < 0:
-                raise ArithmeticDomainError("exponent must be nonnegative")
-            if m <= 0:
-                raise ArithmeticDomainError("modulus must be positive")
-            rt.charge(1 + x.bit_length())
-            return pow(b, x, m)
-        return run
+def _pow_domain(exponent):
+    if exponent < 0:
+        raise ArithmeticDomainError("exponent must be nonnegative")
+    _modulus()
 
-    if isinstance(e, Cmp):
-        left = _compile(e.left)
-        right = _compile(e.right)
-        op = e.op
 
-        def run(rt):
-            rt.charge(1)
-            a = left(rt)
-            b = right(rt)
-            if op == "=":
-                return _values_equal(a, b)
-            return _as_int(a, "comparison operand") < _as_int(b, "comparison operand")
-        return run
+def _compare(a, b):
+    return _as_int(a, "comparison operand") < _as_int(b, "comparison operand")
 
-    if isinstance(e, BoolOp):
-        left = _compile(e.left)
-        right = _compile(e.right)
-        op = e.op
 
-        def run(rt):
-            rt.charge(1)
-            a = _as_bool(left(rt), "boolean operand")
-            b = _as_bool(right(rt), "boolean operand")
-            if op == "&":
-                return a and b
-            if op == "|":
-                return a or b
-            return a != b
-        return run
+def _map_length(n, max_width):
+    if n < 0:
+        raise EvalTypeError("map length must be nonnegative")
+    raise WidthExceeded(f"map length {n} exceeds width cap {max_width}")
 
-    if isinstance(e, Not):
-        operand = _compile(e.operand)
 
-        def run(rt):
-            rt.charge(1)
-            return not _as_bool(operand(rt), "'!' operand")
-        return run
+def _copy_eq_operands(a, b):
+    if not isinstance(a, Output) or not isinstance(b, Output):
+        raise EvalTypeError("copyEq compares outputs")
 
-    if isinstance(e, MapIndices):
-        length = _compile(e.length)
-        body = _compile(e.body)
-        var = e.var
 
-        def run(rt):
-            rt.charge(1)
-            n = _as_int(length(rt), "map length")
-            if n < 0:
-                raise EvalTypeError("map length must be nonnegative")
-            if n > rt.max_width:
-                raise WidthExceeded(
-                    f"map length {n} exceeds width cap {rt.max_width}")
-            env = rt.env
-            had = var in env
-            saved = env.get(var)
-            bits = []
-            try:
-                for i in range(n):
-                    env[var] = i
-                    bits.append(1 if _as_bool(body(rt), "map body") else 0)
-            finally:
-                if had:
-                    env[var] = saved
-                else:
-                    env.pop(var, None)
-            return Bits(bits)
-        return run
+def _replace(payload, name, value):
+    try:
+        return payload.replace(name, value)
+    except KeyError:
+        raise MissingField(f"override of missing field {name!r}") from None
 
-    if isinstance(e, Let):
-        value = _compile(e.value)
-        body = _compile(e.body)
-        name = e.name
 
-        def run(rt):
-            rt.charge(1)
-            v = value(rt)
-            env = rt.env
-            had = name in env
-            saved = env.get(name)
-            env[name] = v
-            try:
-                return body(rt)
-            finally:
-                if had:
-                    env[name] = saved
-                else:
-                    env.pop(name, None)
-        return run
+def _outputs(v):
+    if isinstance(v, Output):
+        return (v,)
+    if isinstance(v, tuple):
+        return v
+    raise EvalTypeError(f"'++' needs outputs, got {_kind(v)}")
 
-    if isinstance(e, If):
-        cond = _compile(e.cond)
-        then = _compile(e.then)
-        orelse = _compile(e.orelse)
 
-        def run(rt):
-            rt.charge(1)
-            return then(rt) if _as_bool(cond(rt), "if condition") else orelse(rt)
-        return run
+def _output(ref, names, values):
+    if not isinstance(ref, ScriptRef):
+        raise EvalTypeError(f"output script must be a script, got {_kind(ref)}")
+    try:
+        return Output(ref, Payload(zip(names, values)))
+    except ValueError as exc:
+        raise EvalTypeError(str(exc)) from None
 
-    if isinstance(e, CopyEq):
-        target = _compile(e.target)
-        source = _compile(e.source)
-        overrides = tuple((name, _compile(x)) for name, x in e.overrides)
 
-        def run(rt):
-            rt.charge(1)
-            a = target(rt)
-            b = source(rt)
-            if not isinstance(a, Output) or not isinstance(b, Output):
-                raise EvalTypeError("copyEq compares outputs")
-            payload = b.payload
-            for name, x in overrides:
-                v = _payload_value(x(rt), f"override {name!r}")
-                try:
-                    payload = payload.replace(name, v)
-                except KeyError:
-                    raise MissingField(
-                        f"override of missing field {name!r}") from None
-            return a.payload == payload and a.script_ref is b.script_ref
-        return run
+# The names generated code may use besides its own and the builtins.
+_RUNTIME = {f.__name__: f for f in (
+    _over, _unbound, _field, _script_of, _index, _size, _modulus,
+    _pow_domain, _compare, _map_length, _copy_eq_operands, _replace,
+    _outputs, _output, _as_bool, _as_int, _payload_value, _values_equal)}
+_RUNTIME.update(Bits=Bits, Output=Output)
 
-    if isinstance(e, ListConcat):
-        left = _compile(e.left)
-        right = _compile(e.right)
+# The context slots, bound once per call to a name the generator owns.
+_CTX = {"self": ("S", "self_input", "output"),
+        "in": ("I", "inputs", "output list"),
+        "out": ("O", "outputs", "output list")}
+_SCALARS = ("bool", "int", "bits", "scriptref")
 
-        def coerce(v):
-            if isinstance(v, Output):
-                return (v,)
-            if isinstance(v, tuple):
-                return v
-            raise EvalTypeError(f"'++' needs outputs, got {_kind(v)}")
 
-        def run(rt):
-            rt.charge(1)
-            return coerce(left(rt)) + coerce(right(rt))
-        return run
+class _Function:
+    """Lines of one generated function, with the cost not yet charged."""
 
-    if isinstance(e, SyntheticOutput):
-        fields = tuple((name, _compile(x)) for name, x in e.fields)
-        script = _compile(e.script)
+    def __init__(self, name, params):
+        self.name = name
+        self.params = list(params)
+        self.defined = set(params)
+        self.free = []  # locals of enclosing functions, passed in as params
+        self.lines = []
+        self.indent = 1
+        self.pending = 0
+        # What the code so far has established on every path to the next
+        # line: the temporary holding each operation's result, and the
+        # kind each checked value passed as.  Both are pure facts, so
+        # reusing them skips a repeat that could not fail.
+        self.values = {}
+        self.kinds = {}
 
-        def run(rt):
-            rt.charge(1)
-            pairs = []
-            for name, x in fields:
-                pairs.append((name, _payload_value(x(rt), f"field {name!r}")))
-            ref = script(rt)
-            if not isinstance(ref, ScriptRef):
-                raise EvalTypeError(
-                    f"output script must be a script, got {_kind(ref)}")
-            try:
-                return Output(ref, Payload(pairs))
-            except ValueError as exc:
-                raise EvalTypeError(str(exc)) from None
-        return run
+    def line(self, text):
+        self.lines.append(" " * self.indent + text)
 
-    raise TypeError(f"not a script expression: {type(e).__name__}")
+    def flush(self):
+        """Charge the pending cost.  Charges with no failing operation
+        between them add up to one check that fails exactly when one of
+        theirs would, with the same error."""
+        if self.pending:
+            self.line(f"if (s := s + {self.pending}) > L: _over(L)")
+            self.pending = 0
+
+    def op(self, text):
+        """A line that may raise: the cost charged before it goes first."""
+        self.flush()
+        self.line(text)
+
+    def source(self):
+        head = f"def {self.name}({', '.join(self.params + self.free)}):"
+        return "\n".join([head] + self.lines)
+
+
+class _Generator:
+    """Python source for one script.
+
+    Each node becomes a few flat statements that leave its value in a
+    temporary.  ``expr`` returns ``(name, kind)``, with ``kind`` the
+    value's ``_kind`` string when it is known statically and None when it
+    is not; it returns None instead when the node always raises, so that
+    no code follows it.  Script text never enters the source: values and
+    names are namespace constants, and every identifier comes from
+    ``fresh``.
+    """
+
+    def __init__(self):
+        self.namespace = dict(_RUNTIME)
+        self.constants = {}
+        self.count = 0
+        self.functions = []
+        self.fn = None
+        self.ctx_used = set()
+
+    def fresh(self, prefix):
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def constant(self, value):
+        key = (type(value), value)
+        name = self.constants.get(key)
+        if name is None:
+            name = self.constants[key] = self.fresh("k")
+            self.namespace[name] = value
+        return name
+
+    def temp(self):
+        name = self.fresh("t")
+        self.fn.defined.add(name)
+        return name
+
+    def use(self, name):
+        fn = self.fn
+        if name not in self.namespace and name not in fn.defined \
+                and name not in fn.free:
+            fn.free.append(name)
+        return name
+
+    def assign(self, text, may_raise=True):
+        fn = self.fn
+        t = fn.values.get(text)
+        if t is None:
+            t = fn.values[text] = self.temp()
+            (fn.op if may_raise else fn.line)(f"{t} = {text}")
+        return t
+
+    def check(self, value, kind, expected, what):
+        """Emit ``_as_int``/``_as_bool``'s check; False if it always fails."""
+        fn = self.fn
+        if kind == expected or fn.kinds.get(value) == expected:
+            return True
+        if kind is not None:
+            fn.op(f"_as_{expected}({value}, {what!r})")
+            return False
+        fn.op(f"if type({value}) is not {expected}: "
+              f"_as_{expected}({value}, {what!r})")
+        fn.kinds[value] = expected
+        return True
+
+    def operands(self, scope, *items):
+        """Generate ``(expr, kind, what)`` items in order, each checked to be
+        of that kind (unless None) before the next is generated."""
+        out = []
+        for x, expected, what in items:
+            value = self.expr(x, scope)
+            if value is None or expected and not self.check(*value, expected, what):
+                return None
+            out.append(value)
+        return out
+
+    def payload_value(self, value, kind, what):
+        if kind not in _SCALARS:
+            self.fn.op(f"_payload_value({value}, {self.constant(what)})")
+
+    def generate(self, expr):
+        top = self.fn = _Function("f", ["ctx", "L", "W"])
+        top.defined.update(name for name, _, _ in _CTX.values())
+        result = self.expr(expr, {})
+        if result is not None:
+            top.flush()
+            top.line(f"return {result[0]}, s")
+        used = [f" {name} = ctx.{slot}" for name, slot, _ in _CTX.values()
+                if name in self.ctx_used]
+        top.lines[:0] = used + [" s = 0"]
+        self.functions.append(top)
+        return "\n".join(fn.source() for fn in self.functions)
+
+    def expr(self, e, scope):
+        result = self.node(e, scope)
+        if result is not None and result[1] is None:
+            return result[0], self.fn.kinds.get(result[0])
+        return result
+
+    def node(self, e, scope):
+        method = self.NODES.get(type(e))
+        if method is None:
+            raise TypeError(f"not a script expression: {type(e).__name__}")
+        if method is not _Generator.pow_mod:
+            self.fn.pending += 1  # every other node is charged before its children
+        return method(self, e, scope)
+
+    def lit(self, e, scope):
+        return self.constant(e.value), _kind(e.value)
+
+    def var(self, e, scope):
+        if e.name in scope:
+            name, kind = scope[e.name]
+            return self.use(name), kind
+        self.fn.op(f"_unbound({self.constant(e.name)})")
+        return None
+
+    def ctx_ref(self, e, scope):
+        name, _, kind = _CTX[e.kind]
+        self.ctx_used.add(name)
+        return self.use(name), kind
+
+    def let(self, e, scope):
+        value = self.expr(e.value, scope)
+        return value and self.expr(e.body, {**scope, e.name: value})
+
+    def field_access(self, e, scope):
+        operand = self.expr(e.obj, scope)
+        if operand is None:
+            return None
+        a, kind = operand
+        k = self.constant(e.field)
+        guard = "" if kind == "output" else f"type({a}) is Output and "
+        # the payload's own dict, read without a method call
+        return self.assign(f"{a}.payload._map[{k}] if {guard}{k} in "
+                           f"{a}.payload._map else _field({a}, {k})"), None
+
+    def script_of(self, e, scope):
+        operand = self.expr(e.obj, scope)
+        if operand is None:
+            return None
+        a, kind = operand
+        if kind == "output":
+            return self.assign(f"{a}.script_ref", False), "scriptref"
+        return self.assign(f"{a}.script_ref if type({a}) is Output "
+                           f"else _script_of({a})"), "scriptref"
+
+    def size(self, e, scope):
+        operand = self.expr(e.obj, scope)
+        if operand is None:
+            return None
+        a, kind = operand
+        if kind in ("bits", "output list"):
+            return self.assign(f"len({a})", False), "int"
+        return self.assign(f"len({a}) if type({a}) is Bits or type({a}) "
+                           f"is tuple else _size({a})"), "int"
+
+    def not_(self, e, scope):
+        operand = self.operands(scope, (e.operand, "bool", "'!' operand"))
+        return operand and (self.assign(f"not {operand[0][0]}", False), "bool")
+
+    def index(self, e, scope):
+        operands = self.operands(scope, (e.obj, None, None),
+                                 (e.index, "int", "index"))
+        if operands is None:
+            return None
+        (a, kind), (i, _) = operands
+        if kind == "output list":
+            return self.assign(f"{a}[{i}] if 0 <= {i} < len({a}) "
+                               f"else _index({a}, {i})"), "output"
+        guard = "" if kind == "bits" else f"type({a}) is Bits and "
+        return self.assign(f"{a}._bits[{i}] == 1 if {guard}0 <= {i} < "
+                           f"len({a}._bits) else _index({a}, {i})"), \
+            "bool" if kind == "bits" else None
+
+    def arith(self, e, scope):
+        what = "arithmetic operand"
+        operands = self.operands(scope, (e.left, "int", what), (e.right, "int", what))
+        if operands is None:
+            return None
+        (a, _), (b, _) = operands
+        if e.op == "mod":
+            return self.assign(f"{a} % {b} if {b} > 0 else _modulus()"), "int"
+        return self.assign(f"{a} {'+' if e.op == '+' else '-'} {b}", False), "int"
+
+    def cmp(self, e, scope):
+        operands = self.operands(scope, (e.left, None, None), (e.right, None, None))
+        if operands is None:
+            return None
+        (a, ka), (b, kb) = operands
+        if e.op == "<":
+            if ka == kb == "int":
+                return self.assign(f"{a} < {b}", False), "bool"
+            return self.assign(f"{a} < {b} if type({a}) is int and type({b}) "
+                               f"is int else _compare({a}, {b})"), "bool"
+        if ka == kb and ka in _SCALARS + ("output",):
+            return self.assign(f"{a} == {b}", False), "bool"
+        return self.assign(f"{a} == {b} if type({a}) is type({b}) and type({a}) "
+                           f"is not tuple else _values_equal({a}, {b})"), "bool"
+
+    def bool_op(self, e, scope):
+        what = "boolean operand"
+        operands = self.operands(scope, (e.left, "bool", what), (e.right, "bool", what))
+        if operands is None:
+            return None
+        (a, _), (b, _) = operands
+        op = {"&": "and", "|": "or", "^": "!="}[e.op]
+        return self.assign(f"{a} {op} {b}", False), "bool"
+
+    def pow_mod(self, e, scope):
+        # the one node charged after its operands, by the exponent's size
+        operands = self.operands(scope, (e.base, "int", "pow base"),
+                                 (e.exponent, "int", "pow exponent"),
+                                 (e.modulus, "int", "pow modulus"))
+        if operands is None:
+            return None
+        (b, _), (x, _), (m, _) = operands
+        self.fn.op(f"if {x} < 0 or {m} <= 0: _pow_domain({x})")
+        self.fn.line(f"if (s := s + 1 + {x}.bit_length()) > L: _over(L)")
+        return self.assign(f"pow({b}, {x}, {m})", False), "int"
+
+    def if_(self, e, scope):
+        fn = self.fn
+        cond = self.operands(scope, (e.cond, "bool", "if condition"))
+        if cond is None:
+            return None
+        result = self.fresh("t")
+        kinds = []
+        pending, values, known = fn.pending, fn.values, fn.kinds
+        for keyword, branch in ((f"if {cond[0][0]}:", e.then), ("else:", e.orelse)):
+            fn.line(keyword)
+            fn.indent += 1
+            # what one branch establishes does not hold after the 'if', and
+            # the cost still pending is charged on whichever branch runs
+            fn.pending, fn.values, fn.kinds = pending, dict(values), dict(known)
+            value = self.expr(branch, scope)
+            if value is not None:
+                fn.flush()
+                fn.line(f"{result} = {value[0]}")
+                kinds.append(value[1])
+            fn.indent -= 1
+        fn.pending, fn.values, fn.kinds = 0, values, known
+        if not kinds:
+            return None
+        fn.defined.add(result)
+        return result, kinds[0] if len(set(kinds)) == 1 else None
+
+    def map_indices(self, e, scope):
+        fn = self.fn
+        length = self.operands(scope, (e.length, "int", "map length"))
+        if length is None:
+            return None
+        n = length[0][0]
+        fn.op(f"if not 0 <= {n} <= {self.use('W')}: _map_length({n}, W)")
+        # the body is a function of its own, so that nested maps never
+        # nest blocks in the source
+        body = self.fn = _Function(self.fresh("m"), ["n", "s", "L"])
+        var = self.temp()
+        body.line("b = []")
+        body.line(f"for {var} in range(n):")
+        body.indent += 1
+        value = self.operands({**scope, e.var: (var, "int")},
+                              (e.body, "bool", "map body"))
+        if value is not None:
+            body.flush()
+            body.line(f"b.append({value[0][0]})")
+        body.indent -= 1
+        body.line("return Bits(b), s")
+        self.functions.append(body)
+        self.fn = fn
+        for name in body.free:
+            self.use(name)
+        result = self.temp()
+        fn.line(f"{result}, s = {body.name}({', '.join([n, 's', 'L'] + body.free)})")
+        return result, "bits"
+
+    def copy_eq(self, e, scope):
+        operands = self.operands(scope, (e.target, None, None), (e.source, None, None))
+        if operands is None:
+            return None
+        (a, ka), (b, kb) = operands
+        if not ka == kb == "output":
+            self.fn.op(f"if type({a}) is not Output or type({b}) is not Output: "
+                       f"_copy_eq_operands({a}, {b})")
+        payload = f"{b}.payload"
+        for name, x in e.overrides:
+            value = self.expr(x, scope)
+            if value is None:
+                return None
+            self.payload_value(*value, f"override {name!r}")
+            payload = self.assign(
+                f"_replace({payload}, {self.constant(name)}, {value[0]})")
+        return self.assign(f"{a}.payload == {payload} and "
+                           f"{a}.script_ref is {b}.script_ref", False), "bool"
+
+    def list_concat(self, e, scope):
+        parts = []
+        for x in (e.left, e.right):
+            value = self.expr(x, scope)
+            if value is None:
+                return None
+            v, kind = value
+            if kind == "output":
+                v = self.assign(f"({v},)", False)
+            elif kind != "output list":
+                v = self.assign(f"{v} if type({v}) is tuple else ({v},) "
+                                f"if type({v}) is Output else _outputs({v})")
+            parts.append(v)
+        return self.assign(f"{parts[0]} + {parts[1]}"), "output list"
+
+    def synthetic_output(self, e, scope):
+        values = []
+        for name, x in e.fields:
+            value = self.expr(x, scope)
+            if value is None:
+                return None
+            self.payload_value(*value, f"field {name!r}")
+            values.append(value[0])
+        ref = self.expr(e.script, scope)
+        if ref is None:
+            return None
+        names = self.constant(tuple(name for name, _ in e.fields))
+        return self.assign(f"_output({ref[0]}, {names}, "
+                           f"({''.join(v + ', ' for v in values)}))"), "output"
+
+    NODES = {
+        Lit: lit, Var: var, CtxRef: ctx_ref, Let: let,
+        FieldAccess: field_access, ScriptOf: script_of, Size: size, Not: not_,
+        Index: index, Arith: arith, PowMod: pow_mod, Cmp: cmp, BoolOp: bool_op,
+        If: if_, MapIndices: map_indices, CopyEq: copy_eq,
+        ListConcat: list_concat, SyntheticOutput: synthetic_output,
+    }
+
+
+def _generate(expr: Expr):
+    """``(source, namespace)`` of the function evaluating ``expr``: it takes
+    ``(ctx, limit, max_width)`` and returns ``(value, cost)``."""
+    gen = _Generator()
+    return gen.generate(expr), gen.namespace
 
 
 @functools.cache
 def compiled(script: ScriptRef):
-    """The evaluator for a script, compiled once per interned ref."""
-    return _compile(script.expr)
+    """The evaluator for a script: its Python source, generated and
+    compiled once per interned ref."""
+    source, namespace = _generate(script.expr)
+    exec(compile(source, "<script>", "exec"), namespace)
+    return namespace["f"]
 
 
 def evaluate(script: Expr | ScriptRef, ctx: EvalContext, limit: int,
@@ -437,12 +638,12 @@ def evaluate(script: Expr | ScriptRef, ctx: EvalContext, limit: int,
     """Run a script in a context under a cost limit.
 
     Returns ``(value, CostReceipt)``; raises an ``EvalError`` subclass on
-    any runtime failure, including running out of budget.  An expression
-    is serialized to find its ``ScriptRef``, so pass the ref where one is
-    at hand.
+    any runtime failure, including running out of budget.  The script's
+    generated function is compiled on its first evaluation in a process
+    and reused after that.  An expression is serialized to find its
+    ``ScriptRef``, so pass the ref where one is at hand.
     """
     if limit <= 0:
         raise ValueError("cost limit must be positive")
-    rt = _Runtime(ctx, limit, max_width)
-    value = compiled(ScriptRef(script))(rt)
-    return value, CostReceipt(total_cost=rt.spent, limit=limit)
+    value, spent = compiled(ScriptRef(script))(ctx, limit, max_width)
+    return value, CostReceipt(total_cost=spent, limit=limit)

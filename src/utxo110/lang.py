@@ -583,7 +583,9 @@ def _src(e: Expr, parent_prec: int) -> str:
         return f"{_src(e.obj, _PREC_POSTFIX)}[{_src(e.index, 0)}]"
     if isinstance(e, Arith):
         if e.op == "mod":
-            return wrap(f"{_src(e.left, _PREC_MOD)} mod {_src(e.right, _PREC_UNARY)}", _PREC_MOD)
+            # 'a pow b mod c mod d' does not parse: a pow on the left is bracketed
+            left = _src(e.left, _PREC_UNARY if isinstance(e.left, PowMod) else _PREC_MOD)
+            return wrap(f"{left} mod {_src(e.right, _PREC_UNARY)}", _PREC_MOD)
         return wrap(f"{_src(e.left, _PREC_ADD)} {e.op} {_src(e.right, _PREC_MOD)}", _PREC_ADD)
     if isinstance(e, PowMod):
         text = (f"{_src(e.base, _PREC_UNARY)} pow {_src(e.exponent, _PREC_UNARY)}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .lang import Bits, Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value
 
-_FIELD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_FIELD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _kind_tag(value) -> str:
@@ -43,7 +43,7 @@ class Payload:
         items = list(pairs) + list(kwargs.items())
         seen = set()
         for name, value in items:
-            if not _FIELD_NAME_RE.match(name) or name in RESERVED_FIELD_NAMES:
+            if not _FIELD_NAME_RE.fullmatch(name) or name in RESERVED_FIELD_NAMES:
                 raise ValueError(f"invalid payload field name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate payload field {name!r}")

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import NON_CANONICAL_SCRIPTS, drive_grid, drive_layer
 from utxo110 import lang
+from utxo110.cli import main
 from utxo110.chainio import (
     ChainFormatError, dump_chain, dump_utxo_snapshot, load_chain,
     load_utxo_snapshot, value_from_json, value_to_json,
@@ -113,6 +114,19 @@ class TestChainFiles:
         with pytest.raises(ChainFormatError):
             load_chain(path)
 
+    @pytest.mark.parametrize("name", ["x\n", "x\r", "1x", "x-y", ""])
+    def test_field_name_no_script_can_read(self, tmp_path, params, name, capsys):
+        txs, _ = drive_layer(Bits.from_text("01"), 0, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        obj = json.loads(path.read_text())
+        obj["outputs"][0]["payload"][name] = {"t": "int", "v": 1}
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ChainFormatError, match="invalid payload field name"):
+            load_chain(path)
+        assert main(["verify", "--chain", str(path)]) == 2
+        assert "invalid payload field name" in capsys.readouterr().err
+
     def test_bad_script_bytes(self, tmp_path, params):
         txs, _ = drive_layer(Bits.from_text("01"), 0, params)
         path = tmp_path / "chain.jsonl"
@@ -209,6 +223,14 @@ class TestSnapshots:
         # the reloaded index answers the same queries, on every field
         for probe in ([("mid", True)], [("val", True)], [("x", 0), ("val", False)]):
             assert again.lookup(probe) == utxo.lookup(probe)
+
+    def test_field_name_no_script_can_read(self, tmp_path, params):
+        path, snapshot = self._snapshot(tmp_path, params)
+        key, record = next(iter(snapshot.items()))
+        record["payload"]["val\n"] = {"t": "bool", "v": True}
+        path.write_text(json.dumps({key: record}))
+        with pytest.raises(ChainFormatError, match="invalid payload field name"):
+            load_utxo_snapshot(path)
 
     def test_bad_key(self, tmp_path):
         path = tmp_path / "utxo.json"

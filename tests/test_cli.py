@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import NON_CANONICAL_SCRIPTS, step_with_oversize_output
-from utxo110 import rule110
+from utxo110 import cli, rule110
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
 from utxo110.lang import MAX_DEPTH, Bits, Lit, Not, serialize_script
@@ -71,6 +71,28 @@ class TestRun:
                        "--chain", tmp_path / "chain.jsonl",
                        "--render", tmp_path / "no" / "rows.txt") == 2
         assert capsys.readouterr().err.startswith("error: cannot write render:")
+
+    @pytest.mark.parametrize("bad", ["chain", "render"])
+    def test_output_paths_checked_before_any_sweep(self, tmp_path, monkeypatch,
+                                                   capsys, bad):
+        def sweep(*args):
+            raise AssertionError("swept before checking the output paths")
+        monkeypatch.setattr(cli, "sweep", sweep)
+        paths = {"chain": tmp_path / "chain.jsonl", "render": tmp_path / "rows.txt"}
+        paths[bad] = tmp_path / "no" / "such" / "file"
+        assert run_cli("run", "--mode", "grid", "--initial", "1", "--steps", "1",
+                       "--chain", paths["chain"], "--render", paths["render"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}:")
+        assert list(tmp_path.iterdir()) == []  # nothing created is left behind
+
+    def test_failed_run_leaves_output_files_as_they_were(self, tmp_path):
+        chain, render = tmp_path / "chain.jsonl", tmp_path / "rows.txt"
+        chain.write_text("kept\n")
+        assert run_cli("run", "--mode", "layer", "--initial", "0110",
+                       "--steps", "1", "--chain", chain, "--render", render,
+                       "--block-budget", "5") == 1
+        assert chain.read_text() == "kept\n"
+        assert not render.exists()
 
     def test_block_budget_below_one_step_cost(self, tmp_path, capsys):
         assert run_cli("run", "--mode", "layer", "--initial", "0110",

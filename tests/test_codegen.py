@@ -1,0 +1,376 @@
+"""The generated evaluator against the closure-tree oracle.
+
+Every case runs a script through ``interp.evaluate`` and through
+``closure_oracle.evaluate`` and requires the same outcome: an identical
+value and ``CostReceipt``, or the same exception type and message.
+"""
+
+import functools
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+import closure_oracle
+from conftest import drive_grid, drive_layer
+from test_lang import _extend, _leaf
+from utxo110 import interp
+from utxo110.interp import EvalContext
+from utxo110.lang import (
+    MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, If,
+    Index, Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf,
+    ScriptRef, Size, SyntheticOutput, Var, serialize_script, static_cost,
+)
+from utxo110.model import Output, Payload
+from utxo110.parser import parse
+
+FIELDS = ["val", "x", "n", "mid", "layer", "field_1"]
+ENOUGH = 10**6
+
+
+def outcome(evaluate, script, ctx, limit, max_width=8):
+    try:
+        value, receipt = evaluate(script, ctx, limit, max_width)
+    except Exception as exc:  # every exception is part of the outcome
+        return "raised", type(exc), str(exc)
+    return "value", type(value), value, receipt
+
+
+def assert_same(script, ctx, limit=ENOUGH, max_width=8):
+    got = outcome(interp.evaluate, script, ctx, limit, max_width)
+    want = outcome(closure_oracle.evaluate, script, ctx, limit, max_width)
+    assert got == want
+    return got
+
+
+# Random contexts: one to three inputs, up to three outputs.  Each field
+# mostly holds one kind of value (x and n ints, val and mid bools, layer
+# bits) and is mostly present, so that typed scripts often succeed.
+_bits = st.lists(st.integers(0, 1), max_size=6).map(Bits)
+_any_value = st.one_of(st.booleans(), st.integers(-3, 8), _bits,
+                       st.just(ScriptRef(Lit(True))))
+_field_values = {"x": st.integers(-3, 8), "n": st.integers(-3, 8),
+                 "val": st.booleans(), "mid": st.booleans(), "layer": _bits,
+                 "field_1": _any_value}
+
+
+@st.composite
+def _payloads(draw):
+    pairs = []
+    for name in draw(st.permutations(FIELDS)):
+        if draw(st.integers(0, 4)):
+            usual = _field_values[name]
+            pairs.append((name, draw(st.one_of(usual, usual, usual, _any_value))))
+    return Payload(pairs)
+
+
+_outputs = st.builds(Output, st.sampled_from([Lit(True), Lit(1)]), _payloads())
+
+
+@st.composite
+def _contexts(draw):
+    inputs = draw(st.lists(_outputs, min_size=1, max_size=3))
+    me = draw(st.sampled_from(inputs))
+    return EvalContext(me, inputs, draw(st.lists(_outputs, max_size=3)))
+
+
+# test_lang's closed expressions plus binders, variables and '++'; the
+# variable names are drawn independently of the binders around them, so
+# some are in scope and some are not.
+_vars = st.sampled_from(["a", "b", "i"])
+
+
+def _extend_binders(expr):
+    return st.one_of(
+        _extend(expr),
+        st.tuples(_vars, expr, expr).map(lambda t: Let(*t)),
+        st.tuples(expr, _vars, expr).map(lambda t: MapIndices(*t)),
+        st.tuples(expr, expr).map(lambda t: ListConcat(*t)),
+    )
+
+
+_untyped = st.recursive(
+    st.one_of(_leaf, st.integers(-2, 6).map(Lit), _vars.map(Var)),
+    _extend_binders, max_leaves=25)
+
+
+@functools.cache
+def _typed(kind, depth):
+    """Scripts that mostly evaluate to ``kind``: each node's operands are
+    drawn at the kinds it needs, with variables that may be unbound."""
+    leaves = {
+        "int": st.one_of(st.integers(-2, 6).map(Lit), st.integers(0, 3).map(Lit),
+                         _vars.map(Var)),
+        "bool": st.booleans().map(Lit),
+        "bits": _bits.map(Lit),
+        "output": st.just(CtxRef("self")),
+        "list": st.sampled_from([CtxRef("in"), CtxRef("out")]),
+    }[kind]
+    if depth == 0:
+        return leaves
+    sub = functools.partial(_typed, depth=depth - 1)
+    out = sub("output")
+
+    def field(*names):
+        return st.tuples(out, st.sampled_from(names)).map(lambda t: FieldAccess(*t))
+
+    branches = {
+        "int": [
+            st.tuples(st.sampled_from(["+", "-", "mod"]), sub("int"), sub("int"))
+              .map(lambda t: Arith(*t)),
+            st.tuples(sub("int"), sub("int"), sub("int")).map(lambda t: PowMod(*t)),
+            st.one_of(sub("bits"), sub("list")).map(Size),
+            field("x", "n", "field_1"),
+        ],
+        "bool": [
+            st.tuples(st.sampled_from(["=", "<"]), sub("int"), sub("int"))
+              .map(lambda t: Cmp(*t)),
+            st.tuples(sub("bits"), sub("bits")).map(lambda t: Cmp("=", *t)),
+            st.tuples(out, out).map(lambda t: Cmp("=", *t)),
+            st.tuples(st.sampled_from(["&", "|", "^"]), sub("bool"), sub("bool"))
+              .map(lambda t: BoolOp(*t)),
+            sub("bool").map(Not),
+            st.tuples(sub("bits"), sub("int")).map(lambda t: Index(*t)),
+            field("val", "mid", "field_1"),
+            st.tuples(out, out, st.lists(st.tuples(st.sampled_from(["val", "x"]),
+                                                   sub("int")), max_size=2))
+              .map(lambda t: CopyEq(t[0], t[1], tuple(t[2]))),
+        ],
+        "bits": [
+            st.tuples(sub("int"), _vars, sub("bool")).map(lambda t: MapIndices(*t)),
+            field("layer"),
+        ],
+        "output": [
+            st.tuples(sub("list"), sub("int")).map(lambda t: Index(*t)),
+            st.tuples(sub("int"), sub("bool"), out).map(
+                lambda t: SyntheticOutput((("x", t[0]), ("val", t[1])), ScriptOf(t[2]))),
+        ],
+        "list": [
+            st.tuples(st.one_of(sub("list"), out), st.one_of(sub("list"), out))
+              .map(lambda t: ListConcat(*t)),
+        ],
+    }[kind]
+    binders = [
+        st.tuples(_vars, sub("int"), sub(kind)).map(lambda t: Let(*t)),
+        st.tuples(sub("bool"), sub(kind), sub(kind)).map(lambda t: If(*t)),
+    ]
+    return st.one_of(leaves, *branches, *binders)
+
+
+_scripts = st.one_of(_untyped, *(_typed(kind, 4) for kind in
+                                 ("bool", "int", "bits", "output", "list")))
+
+DIFF = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestDifferential:
+    @DIFF
+    @given(script=_scripts, ctx=_contexts(), max_width=st.integers(0, 8),
+           data=st.data())
+    def test_same_outcome_as_closure_tree(self, script, ctx, max_width, data):
+        full = assert_same(script, ctx, ENOUGH, max_width)
+        # limits from 1 to the full cost, so that running out of budget
+        # meets every other failure the script can hit
+        top = full[3].total_cost if full[0] == "value" else 4 * static_cost(script)
+        limit = data.draw(st.integers(1, max(top, 1)), label="limit")
+        assert_same(script, ctx, limit, max_width)
+
+    @pytest.mark.parametrize("drive", [lambda: drive_layer([0, 1, 1, 0, 1], 3),
+                                       lambda: drive_grid([1, 0, 1], 2)],
+                             ids=["layer", "grid"])
+    def test_validators_on_their_own_chains(self, drive):
+        txs, _ = drive()
+        outputs = {tx.tx_id(): tx.outputs for tx in txs}
+        checked = 0
+        for tx in txs[1:]:
+            inputs = [outputs[ref.tx_id][ref.index] for ref in tx.inputs]
+            for me in inputs:
+                ctx = EvalContext(me, inputs, tx.outputs)
+                value, receipt = assert_same(me.script_ref, ctx, 10_000, 256)[2:]
+                assert value is True
+                for limit in (receipt.total_cost - 1, receipt.total_cost // 2):
+                    assert assert_same(me.script_ref, ctx, limit, 256)[1] \
+                        is interp.CostLimitExceeded
+                checked += 1
+        assert checked
+
+
+# Every node kind over operands of every kind, including ones that raise,
+# so that each check, its order against its operands and each operator
+# is compared with the oracle under every limit up to the full cost.
+_OPERANDS = [
+    Lit(True), Lit(False), Lit(0), Lit(3), Lit(-2), Lit(Bits([1, 0])),
+    Lit(ScriptRef(Lit(True))), CtxRef("self"), CtxRef("in"),
+    FieldAccess(CtxRef("self"), "x"), Var("unbound"),
+]
+_NODES = {
+    "+": lambda a, b: Arith("+", a, b),
+    "-": lambda a, b: Arith("-", a, b),
+    "mod": lambda a, b: Arith("mod", a, b),
+    "=": lambda a, b: Cmp("=", a, b),
+    "<": lambda a, b: Cmp("<", a, b),
+    "&": lambda a, b: BoolOp("&", a, b),
+    "|": lambda a, b: BoolOp("|", a, b),
+    "^": lambda a, b: BoolOp("^", a, b),
+    "index": Index,
+    "++": ListConcat,
+    "pow": lambda a, b: PowMod(a, b, Lit(7)),
+    "pow modulus": lambda a, b: PowMod(Lit(2), a, b),
+    "copyEq": lambda a, b: CopyEq(a, b, ()),
+    "override": lambda a, b: CopyEq(CtxRef("self"), b, (("x", a),)),
+    "output": lambda a, b: SyntheticOutput((("x", a),), b),
+    "if": lambda a, b: If(a, b, Lit(1)),
+    "let": lambda a, b: Let("v", a, BoolOp("&", Var("v"), b)),
+    "map": lambda a, b: MapIndices(a, "i", Cmp("<", Var("i"), b)),
+    "unary": lambda a, b: BoolOp("&", Not(a), Cmp("=", Size(b), ScriptOf(b))),
+    "field": lambda a, b: Cmp("=", FieldAccess(a, "x"), FieldAccess(b, "val")),
+}
+
+
+@pytest.mark.parametrize("node", list(_NODES))
+def test_every_node_over_every_operand_kind(node):
+    me = Output(Lit(True), Payload((("x", 5), ("val", True), ("layer", Bits([0, 1])))))
+    ctx = EvalContext(me, (me, Output(Lit(1), Payload((("x", 2),)))), (me,))
+    for a in _OPERANDS:
+        for b in _OPERANDS:
+            script = _NODES[node](a, b)
+            full = assert_same(script, ctx, ENOUGH, 4)
+            top = full[3].total_cost if full[0] == "value" else static_cost(script)
+            for limit in range(1, top):
+                assert_same(script, ctx, limit, 4)
+
+
+def _ctx(**fields):
+    me = Output(Lit(True), Payload(tuple(fields.items())))
+    return EvalContext(me, (me,), (me,))
+
+
+def _decoded(expr):
+    """The script as the chain reader gets it: decoded from its bytes."""
+    data = serialize_script(expr)
+    ref = ScriptRef.from_bytes(data)
+    assert ref.canonical == data
+    return ref
+
+
+class TestHostileScripts:
+    @pytest.mark.parametrize("name", ["a\nimport os", "'", "__import__('os')", "s"])
+    def test_names_never_reach_the_source(self, name):
+        me = CtxRef("self")
+        cases = [
+            Let(name, Lit(3), Arith("+", Var(name), Var(name))),
+            Let(name, Lit(3), Var("s")),
+            MapIndices(Lit(3), name, Cmp("<", Var(name), Lit(2))),
+            Let(name, Lit(1), MapIndices(Lit(2), name, Cmp("=", Var(name), Lit(0)))),
+            FieldAccess(me, name),
+            Var(name),
+            CopyEq(me, me, ((name, Lit(1)),)),
+            SyntheticOutput(((name, Lit(1)),), Lit(ScriptRef(Lit(True)))),
+        ]
+        for expr in cases:
+            ref = _decoded(expr)
+            source, _ = interp._generate(ref.expr)
+            if len(name) > 1:  # "'" and "s" occur in any generated source
+                assert name not in source
+            for ctx in (_ctx(), _ctx(s=5)):
+                assert_same(ref, ctx)
+
+    def test_counter_name_as_a_field(self):
+        result = assert_same(_decoded(parse("self.s + 1")), _ctx(s=5))
+        assert result[2] == 6
+
+    def test_long_int_literal(self):
+        big = 10**5000 + 7  # past the 4,300 digits that repr() will print
+        for expr in (Cmp("=", Arith("+", Lit(big), Lit(1)), Lit(big + 1)),
+                     Arith("mod", Lit(big), Lit(1000)),
+                     Cmp("<", Lit(-big), Lit(big))):
+            assert_same(_decoded(expr), _ctx())
+
+    def test_deepest_nested_maps(self):
+        def nest(depth, leaf, wrap=lambda body: body):
+            expr = leaf
+            for k in range(depth):
+                expr = MapIndices(Lit(1), "v", wrap(expr) if k else expr)
+            return expr
+        flag = FieldAccess(CtxRef("self"), "flag")
+        # a map body that is a map is a type error, at any depth
+        for expr in (nest(MAX_DEPTH - 1, Lit(True)), nest(MAX_DEPTH - 2, flag)):
+            assert assert_same(_decoded(expr), _ctx(flag=True))[1] \
+                is interp.EvalTypeError
+        # one node past what the decoder accepts still generates
+        assert assert_same(nest(MAX_DEPTH - 1, flag), _ctx(flag=True))[1] \
+            is interp.EvalTypeError
+        one = Lit(Bits([1]))
+        expr = nest(MAX_DEPTH // 2 - 1, flag, lambda body: Cmp("=", body, one))
+        assert assert_same(_decoded(expr), _ctx(flag=True))[2] == Bits([1])
+        assert assert_same(_decoded(expr), _ctx(flag=False))[2] == Bits([0])
+
+    @pytest.mark.parametrize("taken", [True, False])
+    def test_deepest_nested_ifs(self, taken):
+        expr = Lit(7)
+        for _ in range(MAX_DEPTH - 1):
+            expr = If(Lit(taken), expr, Lit(0)) if taken else If(Lit(taken), Lit(0), expr)
+        assert assert_same(_decoded(expr), _ctx())[2] == 7
+
+    @pytest.mark.parametrize("script, expected", [
+        (Let("a", Var("a"), Var("a")), interp.UnboundVariable),
+        (parse("let a = 1 in let a = a + 1 in a"), 2),
+        (parse("let a = 5 in (map(2, a -> a < 1) = 0b10) & (a = 5)"), True),
+        (parse("map(2, i -> let i = i + 1 in i < 2)"), Bits([1, 0])),
+        (MapIndices(Lit(2), "i", Cmp("<", Var("j"), Lit(2))), interp.UnboundVariable),
+        (MapIndices(Lit(0), "i", Cmp("<", Var("j"), Lit(2))), Bits()),
+        (Arith("+", Let("a", Lit(1), Var("a")), Var("a")), interp.UnboundVariable),
+        (If(Lit(True), Lit(1), Var("b")), 1),
+        (If(Lit(False), Lit(1), Var("b")), interp.UnboundVariable),
+    ])
+    def test_shadowed_and_unbound_variables(self, script, expected):
+        result = assert_same(_decoded(script), _ctx())
+        if isinstance(expected, type):
+            assert result[1] is expected
+        else:
+            assert result[2] == expected
+
+
+class TestGeneratedSize:
+    # a node emits at most a charge, a check and its operation; 'if' adds
+    # two block lines, 'map' a function of five lines, and every script
+    # a function head, its context slots and the counter
+    LINES_PER_NODE = 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scripts)
+    @example(parse("map(3, i -> map(2, j -> i < j) = 0b01)"))
+    @example(parse("if true then 1 else if false then 2 else 3"))
+    def test_lines_linear_in_nodes(self, script):
+        source, _ = interp._generate(script)
+        assert len(source.splitlines()) <= self.LINES_PER_NODE * static_cost(script)
+        compile(source, "<script>", "exec")
+
+    def test_largest_script(self):
+        script = untaken_branches(16_384)
+        assert len(serialize_script(script)) <= 16_384
+        source, _ = interp._generate(script)
+        assert len(source.splitlines()) <= self.LINES_PER_NODE * static_cost(script)
+        assert assert_same(script, _ctx(), 10_000, 256)[2] is True
+
+
+def untaken_branches(size):
+    """A script of at most ``size`` bytes that is one untaken 'if': its
+    branch is a balanced '&' tree of 'if' nodes, so it stays shallow."""
+    def tree(leaves, k):
+        if leaves == 1:
+            return If(Cmp("=", FieldAccess(CtxRef("self"), "x"), Lit(k)),
+                      Cmp("=", FieldAccess(CtxRef("self"), "x"), Lit(k + 1)),
+                      Not(Lit(False)))
+        half = leaves // 2
+        return BoolOp("&", tree(half, k), tree(leaves - half, k + half))
+
+    def script(leaves):
+        return If(Lit(False), tree(leaves, 0), Lit(True))
+
+    low, high = 1, size  # script(low) fits, script(high) does not
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if len(serialize_script(script(mid))) <= size \
+            else (low, mid)
+    return script(low)

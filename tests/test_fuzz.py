@@ -4,7 +4,9 @@ Chain files, snapshots and script sources are mutated as bytes (flip,
 insert, delete, non-ASCII included) and, for the JSON files, as values
 (a scalar or container swapped for one of a few hostile values).  Each
 case must end in a documented outcome: an exit status of 0, 1 or 2, a
-``UtxoSet`` or a ``ChainFormatError``, never another exception.
+``UtxoSet`` or a ``ChainFormatError``, never another exception.  Mutated
+chains are verified twice, the second time by the closure-tree oracle,
+and both runs must print the same lines.
 """
 
 import contextlib
@@ -14,12 +16,17 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import closure_oracle
 from conftest import drive_grid
+from utxo110 import interp, ledger
 from utxo110.chainio import (
-    ChainFormatError, dump_chain, dump_utxo_snapshot, load_utxo_snapshot,
+    ChainFormatError, dump_chain, dump_utxo_snapshot, load_chain,
+    load_utxo_snapshot,
 )
 from utxo110.cli import main
+from utxo110.lang import Bits
 from utxo110.ledger import UtxoSet
+from utxo110.model import Output, OutputRef, Transaction
 from utxo110.rule110 import BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE
 
 HOSTILE_VALUES = (0, -1, 2**64, True, None, "", [], {})
@@ -90,6 +97,26 @@ def verify_exit(path) -> int:
         return main(["verify", "--chain", str(path)])
 
 
+def verify_printed(path):
+    """Exit status and stdout of ``verify``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--chain", str(path)])
+    return code, out.getvalue()
+
+
+def verify_both_ways(path) -> int:
+    """``verify``'s exit status, once it has printed the same with the
+    closure-tree oracle evaluating the scripts."""
+    generated = verify_printed(path)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (interp, ledger):
+            patch.setattr(module, "evaluate", closure_oracle.evaluate)
+        assert verify_printed(path) == generated
+    return generated[0]
+
+
 def load_snapshot_or_error(path):
     try:
         return load_utxo_snapshot(path)
@@ -109,7 +136,7 @@ def test_verify_survives_byte_mutations(files, edits):
     base, chain, _ = files
     path = base / "bytes.jsonl"
     path.write_bytes(mutate_bytes(chain, edits))
-    assert verify_exit(path) in (0, 1, 2)
+    assert verify_both_ways(path) in (0, 1, 2)
 
 
 @FUZZ
@@ -123,7 +150,39 @@ def test_verify_survives_value_mutations(files, data):
     replace_at(records, path_to, value)
     path = base / "values.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    assert verify_exit(path) in (0, 1, 2)
+    assert verify_both_ways(path) in (0, 1, 2)
+
+
+def restamped(txs, tx_index, out_index, field, value):
+    """The chain with one payload value replaced, and every tx id from
+    there on recomputed, so that the scripts get to judge the change."""
+    new_ids = {}
+    out = []
+    for i, tx in enumerate(txs):
+        inputs = [OutputRef(new_ids.get(r.tx_id, r.tx_id), r.index) for r in tx.inputs]
+        outputs = list(tx.outputs)
+        if i == tx_index:
+            old = outputs[out_index]
+            outputs[out_index] = Output(old.script_ref, old.payload.replace(field, value))
+        new = Transaction(inputs, outputs, tx.is_genesis)
+        new_ids[tx.tx_id()] = new.tx_id()
+        out.append(new)
+    return out
+
+
+@FUZZ
+@given(data=st.data(), value=st.one_of(
+    st.booleans(), st.integers(-3, 4), st.just(2**64),
+    st.lists(st.integers(0, 1), max_size=3).map(Bits)))
+def test_verify_agrees_with_oracle_on_restamped_payloads(files, data, value):
+    base, _, _ = files
+    txs = [r.tx for r in load_chain(base / "chain.jsonl")]
+    i = data.draw(st.integers(0, len(txs) - 1))
+    j = data.draw(st.integers(0, len(txs[i].outputs) - 1))
+    field = data.draw(st.sampled_from(txs[i].outputs[j].payload.names()))
+    path = base / "restamped.jsonl"
+    dump_chain(restamped(txs, i, j, field, value), path)
+    assert verify_both_ways(path) in (0, 1)
 
 
 @FUZZ

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from utxo110.lang import (
     MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, Index, If,
@@ -154,6 +154,9 @@ _exprs = st.recursive(_leaf, _extend, max_leaves=25)
 class TestSourcePrinter:
     @settings(max_examples=300, deadline=None)
     @given(_exprs)
+    @example(Not(Size(ScriptOf(Arith("mod", PowMod(Lit(False), Lit(False), Lit(False)),
+                                      Lit(False))))))
+    @example(Arith("mod", Lit(4), PowMod(Lit(2), Lit(3), Lit(5))))
     def test_parse_print_identity(self, expr):
         assert parse(script_source(expr)) == expr
 
@@ -162,6 +165,14 @@ class TestSourcePrinter:
     def test_serialization_injective(self, a, b):
         if a != b:
             assert serialize_script(a) != serialize_script(b)
+
+    def test_pow_as_the_left_operand_of_mod(self):
+        expr = Arith("mod", PowMod(Lit(2), Lit(3), Lit(5)), Lit(4))
+        assert script_source(expr) == "(2 pow 3 mod 5) mod 4"
+        assert parse(script_source(expr)) == expr
+        assert script_source(Arith("mod", Lit(4), PowMod(Lit(2), Lit(3), Lit(5)))) \
+            == "4 mod (2 pow 3 mod 5)"
+        assert script_source(parse("1 + 2 pow 3 mod 5")) == "1 + 2 pow 3 mod 5"
 
     def test_binders_round_trip(self):
         for source in ("let a = 1 in map(3, i -> a < i)",
