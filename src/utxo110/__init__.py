@@ -14,10 +14,7 @@ from .canonical import (
     CanonicalForm, CopyRule, FieldRule, LookupRule, NotCanonical,
     analyze_canonical, rules_to_expr,
 )
-from .chainio import (
-    ChainFormatError, ChainRecord, dump_chain, dump_utxo_snapshot, load_chain,
-    load_utxo_snapshot,
-)
+from .chainio import ChainFormatError, ChainRecord, dump_chain, load_chain
 from .interp import (
     CostLimitExceeded, CostReceipt, EvalContext, EvalError, evaluate,
 )

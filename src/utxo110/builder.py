@@ -9,25 +9,29 @@ once, applying successes immediately so later lookups see fresh state.
 Two policies matter beyond the raw rules:
 
 * Lookups that match several references pick the smallest one, but only
-  when all matches carry identical content; content that actually
-  differs is reported as ambiguous.  Interchangeable duplicate copies
-  are a designed feature of the grid encoding, so refusing them would
-  wedge the automaton.
-* A transaction whose outputs all duplicate currently unspent content
+  when all matches are equal outputs; outputs that actually differ are
+  reported as ambiguous.  Interchangeable duplicate copies are a
+  designed feature of the grid encoding, so refusing them would wedge
+  the automaton.
+* A transaction whose outputs all duplicate currently unspent outputs
   (ignoring what it spends) makes no progress and is not emitted; sweep
   permanently retires such seeds.  Without this, the redundant third
-  copy of a one-cell row would re-derive old rows forever.
+  copy of a one-cell row would re-derive old rows forever.  The guard
+  finds the copies of each output through the UTXO set's payload index.
+
+Rules are derived per branch: the let-inlined script is split at its
+``if``s, and each branch must be a conjunction of assignments and
+lookups, even where the script as a whole is not.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 
 from .canonical import (
     AnalysisError, CopyRule, DeadCase, FieldRule,
-    NotCanonical, SCRIPT_FIELD, analyze_canonical, classify_conjuncts,
+    NotCanonical, SCRIPT_FIELD, classify_conjuncts,
     flatten_and, inline_lets, normalize_conjunct, reduce_case, scan_refs,
     split_cases,
 )
@@ -232,9 +236,6 @@ def derive_build_rules(script: Expr | ScriptRef):
 
 @functools.cache
 def _derive(ref: ScriptRef):
-    flat = analyze_canonical(ref.expr)
-    if isinstance(flat, NotCanonical):
-        return NotBuildable(flat.reason)
     try:
         inlined = inline_lets(ref.expr)
         raw_cases = split_cases(inlined)
@@ -275,6 +276,18 @@ def _eval_rule(rule: ScriptRef, resolved, params):
     return value
 
 
+def _makes_no_progress(outputs, inputs, utxo: UtxoSet) -> bool:
+    """True when every output already has at least as many equal unspent
+    copies outside ``inputs`` as ``outputs`` holds."""
+    spent = set(inputs)
+    for out in outputs:
+        copies = sum(1 for ref in utxo.lookup(out.payload.items())
+                     if ref not in spent and utxo.resolve(ref) == out)
+        if copies < outputs.count(out):
+            return False
+    return True
+
+
 def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
               seed_output: Output, params: ChainParams):
     for check in case.seed_checks:
@@ -300,10 +313,8 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
         matches = [r for r in utxo.lookup(constraints) if r not in resolved_refs]
         if not matches:
             raise _CaseFailure(LookupMiss(k, tuple(constraints)))
-        if len(matches) > 1:
-            contents = {utxo.resolve(r).content_key() for r in matches}
-            if len(contents) > 1:
-                raise _CaseFailure(LookupAmbiguous(k, tuple(constraints)))
+        if len({utxo.resolve(r) for r in matches}) > 1:
+            raise _CaseFailure(LookupAmbiguous(k, tuple(constraints)))
         chosen = matches[0]
         resolved_refs.append(chosen)
         resolved.append(utxo.resolve(chosen))
@@ -332,21 +343,10 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
             raise _CaseFailure(ConsistencyCheckFailed(str(exc)))
         outputs.append(out)
 
-    tx = Transaction(inputs=resolved_refs, outputs=outputs)
-
-    # no-progress guard: every output already exists unspent elsewhere
-    needed = Counter(o.content_key() for o in outputs)
-    available = Counter()
-    spent = set(resolved_refs)
-    for ref, out in utxo.items():
-        if ref in spent:
-            continue
-        ck = out.content_key()
-        if ck in needed:
-            available[ck] += 1
-    if all(available[k] >= c for k, c in needed.items()):
+    if _makes_no_progress(outputs, resolved_refs, utxo):
         raise _CaseFailure(NoProgress())
 
+    tx = Transaction(inputs=resolved_refs, outputs=outputs)
     result = validate_transaction(tx, utxo, params)
     if not isinstance(result, Valid):
         raise _CaseFailure(ConsistencyCheckFailed(str(result.reason)))

@@ -1,4 +1,4 @@
-"""File formats: JSON Lines chain files and UTXO snapshot files.
+"""File format: JSON Lines chain files.
 
 Chain file: one JSON object per line::
 
@@ -11,28 +11,24 @@ The base64 script bytes are the script: they must be its canonical
 encoding, and bytes that do not re-encode to themselves are rejected.
 Unknown keys are ignored on load, so files from earlier versions, whose
 output records also held the script's printed source, still load with
-the same tx ids.  Snapshot files map "txId:index" keys to the same
-output record.
+the same tx ids.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import re
 from dataclasses import dataclass
 
 from .lang import Bits, ScriptRef
-from .ledger import UtxoSet
 from .model import Output, OutputRef, Payload, Transaction
 
 
 class ChainFormatError(ValueError):
-    """Chain or snapshot file cannot be parsed."""
+    """Chain file cannot be parsed."""
 
 
 MAX_INDEX = 2**32 - 1  # output indices are u32 in the tx-id preimage
-_INDEX_RE = re.compile(r"[0-9]{1,10}")
 
 
 def value_to_json(value):
@@ -182,32 +178,3 @@ def load_chain(path) -> list:
         except UnicodeDecodeError as exc:
             raise ChainFormatError(f"not UTF-8 text: {exc}") from None
     return records
-
-
-def dump_utxo_snapshot(utxo: UtxoSet, path) -> None:
-    # items() is sorted by reference, so insertion order is deterministic;
-    # payload key order is significant and must not be re-sorted
-    snapshot = {str(ref): output_to_json(out) for ref, out in utxo.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_utxo_snapshot(path) -> UtxoSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            snapshot = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # incl. bad UTF-8
-            raise ChainFormatError(str(exc)) from None
-    if not isinstance(snapshot, dict):
-        raise ChainFormatError("snapshot must be an object")
-    utxo = UtxoSet()
-    for key, obj in snapshot.items():
-        tx_hex, _, index_text = key.partition(":")
-        if not (_INDEX_RE.fullmatch(index_text) and int(index_text) <= MAX_INDEX):
-            raise ChainFormatError(f"bad snapshot key: {key!r}")
-        ref = OutputRef(_hex_id(tx_hex), int(index_text))
-        if ref in utxo:
-            raise ChainFormatError(f"duplicate snapshot key: {key!r}")
-        utxo.add(ref, output_from_json(obj))
-    return utxo

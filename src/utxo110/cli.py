@@ -5,7 +5,7 @@ Subcommands::
     run      build a genesis state and advance the automaton by sweeps
     verify   replay a chain file and report the first failure
     render   draw a verified chain as ASCII or PBM
-    analyze  print the canonical form and generation rules of a script
+    analyze  print the flat canonical form and the builder's cases of a script
 
 Exit codes: 0 success, 1 domain failure (invalid chain, stuck builder,
 stdout closed by its reader), 2 usage, parse or file failure.  All output
@@ -243,9 +243,9 @@ def cmd_analyze(args) -> int:
     form = analyze_canonical(script)
     if isinstance(form, NotCanonical):
         print(f"not canonical: {form.reason}")
-        return EXIT_OK
-    print("canonical form")
-    _print_form(form)
+    else:
+        print("canonical form")
+        _print_form(form)
     rules = derive_build_rules(script)
     if isinstance(rules, NotBuildable):
         print(str(rules))

@@ -99,6 +99,14 @@ def _as_int(v, what):
     return v
 
 
+def _int_text(n: int) -> str:
+    """An int for an error message: its digits up to 64 bits, its bit
+    length above that (``str`` refuses ints past 4,300 digits)."""
+    if n.bit_length() <= 64:
+        return str(n)
+    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit int>"
+
+
 def _kind(v):
     if isinstance(v, bool):
         return "bool"
@@ -166,11 +174,11 @@ def _script_of(target):
 def _index(target, i):
     if isinstance(target, Bits):
         if not 0 <= i < len(target):
-            raise IndexOutOfBounds(f"bit index {i} out of range")
+            raise IndexOutOfBounds(f"bit index {_int_text(i)} out of range")
         return bool(target[i])
     if isinstance(target, tuple):
         if not 0 <= i < len(target):
-            raise IndexOutOfBounds(f"list index {i} out of range")
+            raise IndexOutOfBounds(f"list index {_int_text(i)} out of range")
         return target[i]
     raise EvalTypeError(f"cannot index into {_kind(target)}")
 
@@ -198,7 +206,8 @@ def _compare(a, b):
 def _map_length(n, max_width):
     if n < 0:
         raise EvalTypeError("map length must be nonnegative")
-    raise WidthExceeded(f"map length {n} exceeds width cap {max_width}")
+    raise WidthExceeded(
+        f"map length {_int_text(n)} exceeds width cap {max_width}")
 
 
 def _copy_eq_operands(a, b):

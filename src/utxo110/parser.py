@@ -247,7 +247,12 @@ class _Parser:
     def atom(self):
         tok = self.cur
         if self.accept("int"):
-            return Lit(int(tok.text))
+            try:
+                value = int(tok.text)
+            except ValueError:  # past the interpreter's int-string limit
+                self.error(f"integer literal of {len(tok.text)} digits is too long",
+                           tok)
+            return Lit(value)
         if self.accept("bits"):
             digits = tok.text[2:]
             return Lit(Bits() if digits == "_" else Bits.from_text(digits))

@@ -14,7 +14,8 @@ import functools
 from utxo110.interp import (
     ArithmeticDomainError, CostLimitExceeded, CostReceipt, EvalContext,
     EvalTypeError, IndexOutOfBounds, MissingField, UnboundVariable,
-    WidthExceeded, _as_bool, _as_int, _kind, _payload_value, _values_equal,
+    WidthExceeded, _as_bool, _as_int, _int_text, _kind, _payload_value,
+    _values_equal,
 )
 from utxo110.lang import (
     Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess, If, Index,
@@ -111,11 +112,12 @@ def _compile(e: Expr):
             i = _as_int(index(rt), "index")
             if isinstance(target, Bits):
                 if not 0 <= i < len(target):
-                    raise IndexOutOfBounds(f"bit index {i} out of range")
+                    raise IndexOutOfBounds(f"bit index {_int_text(i)} out of range")
                 return bool(target[i])
             if isinstance(target, tuple):
                 if not 0 <= i < len(target):
-                    raise IndexOutOfBounds(f"list index {i} out of range")
+                    raise IndexOutOfBounds(
+                        f"list index {_int_text(i)} out of range")
                 return target[i]
             raise EvalTypeError(f"cannot index into {_kind(target)}")
         return run
@@ -216,7 +218,7 @@ def _compile(e: Expr):
                 raise EvalTypeError("map length must be nonnegative")
             if n > rt.max_width:
                 raise WidthExceeded(
-                    f"map length {n} exceeds width cap {rt.max_width}")
+                    f"map length {_int_text(n)} exceeds width cap {rt.max_width}")
             env = rt.env
             had = var in env
             saved = env.get(var)

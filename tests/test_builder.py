@@ -1,14 +1,20 @@
 import random
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
 
 from conftest import drive_grid, drive_layer
+from test_codegen import _untyped
+from test_lang import _exprs
 from utxo110.builder import (
     BuildRules, CannotBuild, ConsistencyCheckFailed, LookupMiss, NoProgress,
-    NotBuildable, build_next, derive_build_rules, sweep,
+    NotBuildable, _makes_no_progress, build_next, derive_build_rules, sweep,
 )
-from utxo110.lang import Bits
+from utxo110.canonical import NotCanonical, analyze_canonical
+from utxo110.lang import Bits, Lit, ScriptRef
 from utxo110.ledger import ChainLog, UtxoSet, Valid, apply_transaction, \
     validate_transaction
-from utxo110.model import ChainParams, Output, Payload, Transaction
+from utxo110.model import ChainParams, Output, OutputRef, Payload, Transaction
 from utxo110.parser import parse
 from utxo110.rule110 import (
     GridRow, build_bit_script, build_layer_script, evolve_cyclic, evolve_grid,
@@ -55,6 +61,31 @@ class TestDeriveRules:
         result = derive_build_rules(parse("out[0].x = in[0].x"))
         assert isinstance(result, NotBuildable)
         assert "script" in result.reason
+
+    def test_canonical_branches_build_where_the_flat_form_is_not(self, params):
+        script = parse(
+            "if in[0].a then (out[0].x = 1) & (out[0].script = in[0].script) "
+            "else (out[0].x = 2) & (out[0].script = in[0].script)")
+        assert isinstance(analyze_canonical(script), NotCanonical)
+        rules = derive_build_rules(script)
+        assert isinstance(rules, BuildRules)
+        assert len(rules.cases) == 2
+        genesis = Transaction(inputs=(), outputs=(
+            Output(script, Payload(a=True)), Output(script, Payload(a=False))),
+            is_genesis=True)
+        utxo = UtxoSet()
+        apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
+        for index, x in ((0, 1), (1, 2)):
+            built = build_next(utxo, genesis.ref(index), params)
+            assert isinstance(built, Transaction)
+            assert built.outputs == (Output(script, Payload(x=x)),)
+            assert isinstance(validate_transaction(built, utxo, params), Valid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_untyped, _exprs))
+    def test_derive_returns_rules_or_a_reason(self, script):
+        result = derive_build_rules(script)
+        assert isinstance(result, (BuildRules, NotBuildable))
 
 
 class TestBuildNext:
@@ -195,6 +226,42 @@ class TestSweep:
         second = build_next(utxo, fr[1], params)
         assert isinstance(second, CannotBuild)
         assert isinstance(second.reason, NoProgress)
+
+
+# Outputs the no-progress guard must tell apart: two scripts, an empty
+# payload, True against 1, and the same fields in another order.
+_SCRIPTS = (ScriptRef(Lit(True)), ScriptRef(parse("in[0].x = 1")))
+_PAYLOADS = (
+    Payload(), Payload(x=1), Payload(x=True), Payload(x=2),
+    Payload(x=1, y=2), Payload(y=2, x=1), Payload(y=Bits([1])),
+)
+_POOL = tuple(Output(s, p) for s in _SCRIPTS for p in _PAYLOADS)
+
+
+def _no_progress_by_full_scan(outputs, inputs, utxo):
+    """The guard's definition: count equal unspent copies of every output
+    over the whole UTXO set, skipping what the transaction spends."""
+    needed = Counter(o.content_key() for o in outputs)
+    available = Counter(out.content_key() for ref, out in utxo.items()
+                        if ref not in inputs)
+    return all(available[k] >= n for k, n in needed.items())
+
+
+class TestNoProgressGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_index_guard_agrees_with_full_scan(self, data):
+        unspent = data.draw(st.lists(st.sampled_from(_POOL), max_size=10))
+        utxo = UtxoSet()
+        for i, out in enumerate(unspent):
+            utxo.add(OutputRef(bytes([i % 3]) * 32, i), out)
+        inputs = data.draw(st.lists(st.sampled_from(utxo.refs()), unique=True,
+                                    max_size=3)) if unspent else []
+        spent_outputs = [utxo.resolve(r) for r in inputs]
+        outputs = data.draw(st.lists(st.sampled_from(_POOL + tuple(spent_outputs)),
+                                     min_size=1, max_size=4))
+        assert _makes_no_progress(outputs, inputs, utxo) \
+            == _no_progress_by_full_scan(outputs, inputs, utxo)
 
 
 class TestOrderIndependence:

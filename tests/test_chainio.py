@@ -7,8 +7,7 @@ from conftest import NON_CANONICAL_SCRIPTS, drive_grid, drive_layer
 from utxo110 import lang
 from utxo110.cli import main
 from utxo110.chainio import (
-    ChainFormatError, dump_chain, dump_utxo_snapshot, load_chain,
-    load_utxo_snapshot, value_from_json, value_to_json,
+    ChainFormatError, dump_chain, load_chain, value_from_json, value_to_json,
 )
 from utxo110.lang import Bits, ScriptRef, script_source, serialize_script
 from utxo110.ledger import VerifyOk, verify_chain
@@ -72,12 +71,10 @@ class TestChainFiles:
         assert records[0].stored_id == records[0].tx.tx_id()
 
     def test_output_records_hold_only_script_and_payload(self, tmp_path, params):
-        txs, utxo = drive_grid([1, 0, 1], 3, params)
+        txs, _ = drive_grid([1, 0, 1], 3, params)
         dump_chain(txs, tmp_path / "chain.jsonl")
-        dump_utxo_snapshot(utxo, tmp_path / "utxo.json")
         lines = (tmp_path / "chain.jsonl").read_text().splitlines()
         records = [out for line in lines for out in json.loads(line)["outputs"]]
-        records += json.loads((tmp_path / "utxo.json").read_text()).values()
         assert len(records) > len(txs)
         assert all(list(out) == ["script", "payload"] for out in records)
 
@@ -211,66 +208,3 @@ class TestChainFiles:
         outputs = [out for r in records for out in r.tx.outputs]
         assert len(outputs) > 6
         assert all(out.script_ref is outputs[0].script_ref for out in outputs)
-
-
-class TestSnapshots:
-    def test_round_trip(self, tmp_path, params):
-        _, utxo = drive_grid([1, 1], 3, params)
-        path = tmp_path / "utxo.json"
-        dump_utxo_snapshot(utxo, path)
-        again = load_utxo_snapshot(path)
-        assert dict(again.items()) == dict(utxo.items())
-        # the reloaded index answers the same queries, on every field
-        for probe in ([("mid", True)], [("val", True)], [("x", 0), ("val", False)]):
-            assert again.lookup(probe) == utxo.lookup(probe)
-
-    def test_field_name_no_script_can_read(self, tmp_path, params):
-        path, snapshot = self._snapshot(tmp_path, params)
-        key, record = next(iter(snapshot.items()))
-        record["payload"]["val\n"] = {"t": "bool", "v": True}
-        path.write_text(json.dumps({key: record}))
-        with pytest.raises(ChainFormatError, match="invalid payload field name"):
-            load_utxo_snapshot(path)
-
-    def test_bad_key(self, tmp_path):
-        path = tmp_path / "utxo.json"
-        path.write_text('{"nonsense": {}}')
-        with pytest.raises(ChainFormatError):
-            load_utxo_snapshot(path)
-
-    def _snapshot(self, tmp_path, params):
-        _, utxo = drive_grid([1, 1], 1, params)
-        path = tmp_path / "utxo.json"
-        dump_utxo_snapshot(utxo, path)
-        return path, json.loads(path.read_text())
-
-    @pytest.mark.parametrize("index, ok", [
-        ("4294967295", True), ("4294967296", False), ("9" * 5_000, False),
-        ("\u00b2", False), ("", False),
-    ], ids=["u32-max", "2^32", "long-int", "superscript-2", "empty"])
-    def test_key_index_is_a_u32(self, tmp_path, params, index, ok):
-        path, snapshot = self._snapshot(tmp_path, params)
-        key, record = next(iter(snapshot.items()))
-        tx_hex = key.partition(":")[0]
-        path.write_text(json.dumps({f"{tx_hex}:{index}": record}))
-        if ok:
-            assert len(load_utxo_snapshot(path)) == 1
-        else:
-            with pytest.raises(ChainFormatError, match="bad snapshot key"):
-                load_utxo_snapshot(path)
-
-    def test_two_keys_for_one_reference(self, tmp_path, params):
-        path, snapshot = self._snapshot(tmp_path, params)
-        key, record = next(iter(snapshot.items()))
-        path.write_text(json.dumps({key: record, key.upper(): record}))
-        with pytest.raises(ChainFormatError, match="duplicate snapshot key"):
-            load_utxo_snapshot(path)
-
-    @pytest.mark.parametrize("data", [
-        b'{"\xff": {}}', b'{"a": ' + b"9" * 5_000 + b"}", b"[" * 100_000,
-    ], ids=["not-utf8", "long-int", "deep-array"])
-    def test_undecodable_file(self, tmp_path, data):
-        path = tmp_path / "utxo.json"
-        path.write_bytes(data)
-        with pytest.raises(ChainFormatError):
-            load_utxo_snapshot(path)

@@ -12,7 +12,9 @@ from conftest import NON_CANONICAL_SCRIPTS, step_with_oversize_output
 from utxo110 import cli, rule110
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
-from utxo110.lang import MAX_DEPTH, Bits, Lit, Not, serialize_script
+from utxo110.lang import (
+    MAX_DEPTH, Bits, Index, Lit, MapIndices, Not, serialize_script,
+)
 from utxo110.model import Output, Payload, Transaction
 from utxo110.render import pad_rows, rows_to_ascii
 from utxo110.rule110 import (
@@ -299,8 +301,11 @@ class TestAnalyze:
 
     def test_discrete_log_sample(self, capsys):
         assert run_cli("analyze", "--script", SAMPLES / "discrete_log.script") == 0
-        out = capsys.readouterr().out
-        assert "not canonical" in out
+        lines = capsys.readouterr().out.splitlines()
+        # the flat verdict, then the builder's, which never disagree here
+        assert len(lines) == 2
+        assert lines[0].startswith("not canonical: ")
+        assert lines[1].startswith("not buildable: ")
 
     def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -351,24 +356,26 @@ def _not_chain(nots: int):
     return expr
 
 
-class TestNestingLimit:
-    def write_spend(self, path, script):
-        genesis = Transaction(inputs=(), outputs=(Output(script, Payload(v=1)),),
-                              is_genesis=True)
-        spend = Transaction(inputs=(genesis.ref(0),),
-                            outputs=(Output(script, Payload(v=2)),))
-        dump_chain([genesis, spend], path)
+def _write_spend(path, script):
+    """A genesis output guarded by ``script`` and one tx spending it."""
+    genesis = Transaction(inputs=(), outputs=(Output(script, Payload(v=1)),),
+                          is_genesis=True)
+    spend = Transaction(inputs=(genesis.ref(0),),
+                        outputs=(Output(script, Payload(v=2)),))
+    dump_chain([genesis, spend], path)
 
+
+class TestNestingLimit:
     def test_script_at_limit_verifies(self, tmp_path, capsys):
         chain = tmp_path / "chain.jsonl"
-        self.write_spend(chain, _not_chain(MAX_DEPTH - 1))
+        _write_spend(chain, _not_chain(MAX_DEPTH - 1))
         assert run_cli("verify", "--chain", chain) == 0
         assert "ok: 2 transactions" in capsys.readouterr().out
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5_000])
     def test_deeper_script_exits_two(self, tmp_path, capsys, depth):
         chain = tmp_path / "chain.jsonl"
-        self.write_spend(chain, _not_chain(1))
+        _write_spend(chain, _not_chain(1))
         # written by hand: the encoder itself recurses once per node
         deep = bytes([1]) + b"\x0c" * (depth - 1) + serialize_script(Lit(False))[1:]
         lines = chain.read_text().splitlines()
@@ -378,6 +385,30 @@ class TestNestingLimit:
         chain.write_text("\n".join(lines) + "\n")
         assert run_cli("verify", "--chain", chain) == 2
         assert "nests deeper than" in capsys.readouterr().err
+
+
+class TestOversizedInts:
+    """Ints past Python's 4,300-digit string limit end in a clean error."""
+
+    @pytest.mark.parametrize("script", [
+        Index(Lit(Bits([1])), Lit(10**5000)),
+        MapIndices(Lit(10**5000), "i", Lit(True)),
+    ], ids=["bit-index", "map-length"])
+    def test_verify_reports_the_failed_script(self, tmp_path, capsys, script):
+        chain = tmp_path / "chain.jsonl"
+        _write_spend(chain, script)
+        assert run_cli("verify", "--chain", chain) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith(
+            "verification failed at transaction 1: script of input 0 failed: ")
+        assert "-bit int>" in out
+        assert "Traceback" not in err
+
+    def test_analyze_of_a_huge_literal_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.script"
+        path.write_text("in[0].x = 1" + "0" * 4999)
+        assert run_cli("analyze", "--script", path) == 2
+        assert "integer literal of 5000 digits is too long" in capsys.readouterr().err
 
 
 def _balanced_and(terms):

@@ -1,12 +1,11 @@
 """Mutation fuzzing of every file the CLI and the loaders read.
 
-Chain files, snapshots and script sources are mutated as bytes (flip,
-insert, delete, non-ASCII included) and, for the JSON files, as values
-(a scalar or container swapped for one of a few hostile values).  Each
-case must end in a documented outcome: an exit status of 0, 1 or 2, a
-``UtxoSet`` or a ``ChainFormatError``, never another exception.  Mutated
-chains are verified twice, the second time by the closure-tree oracle,
-and both runs must print the same lines.
+Chain files and script sources are mutated as bytes (flip, insert,
+delete, non-ASCII included) and chain files also as values (a scalar or
+container swapped for one of a few hostile values).  Each case must end
+in an exit status of 0, 1 or 2, never another exception.  Mutated chains
+are verified twice, the second time by the closure-tree oracle, and both
+runs must print the same lines.
 """
 
 import contextlib
@@ -19,13 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import closure_oracle
 from conftest import drive_grid
 from utxo110 import interp, ledger
-from utxo110.chainio import (
-    ChainFormatError, dump_chain, dump_utxo_snapshot, load_chain,
-    load_utxo_snapshot,
-)
+from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
 from utxo110.lang import Bits
-from utxo110.ledger import UtxoSet
 from utxo110.model import Output, OutputRef, Transaction
 from utxo110.rule110 import BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE
 
@@ -82,13 +77,11 @@ def replace_at(obj, path, value):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A small grid chain and its final UTXO snapshot, as bytes."""
+    """A small grid chain, as bytes."""
     base = tmp_path_factory.mktemp("fuzz")
-    txs, utxo = drive_grid([1, 0, 1], 2)
+    txs, _ = drive_grid([1, 0, 1], 2)
     dump_chain(txs, base / "chain.jsonl")
-    dump_utxo_snapshot(utxo, base / "utxo.json")
-    return base, (base / "chain.jsonl").read_bytes(), \
-        (base / "utxo.json").read_bytes()
+    return base, (base / "chain.jsonl").read_bytes()
 
 
 def verify_exit(path) -> int:
@@ -117,23 +110,15 @@ def verify_both_ways(path) -> int:
     return generated[0]
 
 
-def load_snapshot_or_error(path):
-    try:
-        return load_utxo_snapshot(path)
-    except ChainFormatError as exc:
-        return exc
-
-
 def test_unmutated_files_are_accepted(files):
-    base, chain, snapshot = files
+    base, _ = files
     assert verify_exit(base / "chain.jsonl") == 0
-    assert isinstance(load_snapshot_or_error(base / "utxo.json"), UtxoSet)
 
 
 @FUZZ
 @given(edits=_edits)
 def test_verify_survives_byte_mutations(files, edits):
-    base, chain, _ = files
+    base, chain = files
     path = base / "bytes.jsonl"
     path.write_bytes(mutate_bytes(chain, edits))
     assert verify_both_ways(path) in (0, 1, 2)
@@ -142,7 +127,7 @@ def test_verify_survives_byte_mutations(files, edits):
 @FUZZ
 @given(data=st.data())
 def test_verify_survives_value_mutations(files, data):
-    base, chain, _ = files
+    base, chain = files
     records = [json.loads(line) for line in chain.decode().splitlines()]
     paths = list(value_paths(records))
     path_to = data.draw(st.sampled_from(paths[1:]))
@@ -175,7 +160,7 @@ def restamped(txs, tx_index, out_index, field, value):
     st.booleans(), st.integers(-3, 4), st.just(2**64),
     st.lists(st.integers(0, 1), max_size=3).map(Bits)))
 def test_verify_agrees_with_oracle_on_restamped_payloads(files, data, value):
-    base, _, _ = files
+    base, _ = files
     txs = [r.tx for r in load_chain(base / "chain.jsonl")]
     i = data.draw(st.integers(0, len(txs) - 1))
     j = data.draw(st.integers(0, len(txs[i].outputs) - 1))
@@ -186,33 +171,10 @@ def test_verify_agrees_with_oracle_on_restamped_payloads(files, data, value):
 
 
 @FUZZ
-@given(edits=_edits)
-def test_snapshot_load_survives_byte_mutations(files, edits):
-    base, _, snapshot = files
-    path = base / "bytes.json"
-    path.write_bytes(mutate_bytes(snapshot, edits))
-    result = load_snapshot_or_error(path)
-    assert isinstance(result, (UtxoSet, ChainFormatError))
-
-
-@FUZZ
-@given(data=st.data())
-def test_snapshot_load_survives_value_mutations(files, data):
-    base, _, snapshot = files
-    obj = json.loads(snapshot)
-    path_to = data.draw(st.sampled_from(list(value_paths(obj))))
-    value = data.draw(st.sampled_from(HOSTILE_VALUES))
-    path = base / "values.json"
-    path.write_text(json.dumps(replace_at(obj, path_to, value)))
-    result = load_snapshot_or_error(path)
-    assert isinstance(result, (UtxoSet, ChainFormatError))
-
-
-@FUZZ
 @given(source=st.sampled_from([LAYER_SCRIPT_SOURCE, BIT_SCRIPT_SOURCE]),
        edits=_edits)
 def test_analyze_survives_script_mutations(files, source, edits):
-    base, _, _ = files
+    base, _ = files
     path = base / "mutated.script"
     path.write_bytes(mutate_bytes(source.encode(), edits))
     with contextlib.redirect_stdout(io.StringIO()), \
