@@ -4,14 +4,24 @@ Chain file: one JSON object per line::
 
     {"txId": hex, "isGenesis": bool,
      "inputs":  [{"txId": hex, "index": int}, ...],
-     "outputs": [{"script": base64 canonical bytes,
+     "outputs": [{"script": base64 canonical bytes or int,
                   "payload": {field: {"t": kind, "v": value}, ...}}, ...]}
 
 The base64 script bytes are the script: they must be its canonical
 encoding, and bytes that do not re-encode to themselves are rejected.
-Unknown keys are ignored on load, so files from earlier versions, whose
-output records also held the script's printed source, still load with
-the same tx ids.
+
+Each distinct output script is written in full once, by the first output
+in the file that carries it.  Every later output with that script holds
+its number instead: the distinct scripts are numbered from 0 in the order
+in which they first appear.  A coin re-states its script in every output
+it creates, so a grid chain, whose outputs all carry one script, shrinks
+about tenfold.  The numbers live only in the file: tx ids hash the
+script bytes as before.  Any prefix of a file is a valid chain, and a
+reference must name a script defined on an earlier output.
+
+Files from earlier versions wrote every script in full, or also held each
+script's printed source under a key that is now ignored.  They still load,
+with the same tx ids.
 """
 
 from __future__ import annotations
@@ -71,17 +81,53 @@ def _script_from_json(raw) -> ScriptRef:
         raise ChainFormatError(f"bad script bytes: {exc}") from None
 
 
-def output_to_json(output: Output) -> dict:
+class _ScriptTable:
+    """The distinct output scripts of one chain file so far, numbered from 0
+    in the order in which they first appear."""
+
+    def __init__(self):
+        self.numbers: dict[ScriptRef, int] = {}
+        self.scripts: list[ScriptRef] = []
+
+    def _add(self, ref: ScriptRef) -> None:
+        self.numbers[ref] = len(self.scripts)
+        self.scripts.append(ref)
+
+    def to_json(self, ref: ScriptRef):
+        """The script's base64 bytes on its first appearance, its number after."""
+        number = self.numbers.get(ref)
+        if number is not None:
+            return number
+        self._add(ref)
+        return base64.b64encode(ref.canonical).decode("ascii")
+
+    def from_json(self, raw) -> ScriptRef:
+        if type(raw) is int:  # not bool, which JSON true would give
+            if not 0 <= raw < len(self.scripts):
+                raise ChainFormatError(
+                    f"script number {raw} is not one of the "
+                    f"{len(self.scripts)} scripts defined before it")
+            return self.scripts[raw]
+        if not isinstance(raw, str):
+            raise ChainFormatError(
+                f"script must be a base64 string or a script number, got {raw!r}")
+        ref = _script_from_json(raw)
+        if ref not in self.numbers:
+            self._add(ref)
+        return ref
+
+
+def output_to_json(output: Output, scripts: _ScriptTable) -> dict:
     return {
-        "script": base64.b64encode(output.script_bytes).decode("ascii"),
+        "script": scripts.to_json(output.script_ref),
         "payload": {name: value_to_json(v) for name, v in output.payload.items()},
     }
 
 
-def output_from_json(obj) -> Output:
+def output_from_json(obj, scripts: _ScriptTable) -> Output:
     if not isinstance(obj, dict) or "script" not in obj or "payload" not in obj:
         raise ChainFormatError(f"malformed output record: {obj!r}")
-    script = _script_from_json(obj["script"])
+    script = scripts.from_json(obj["script"])
     payload_obj = obj["payload"]
     if not isinstance(payload_obj, dict):
         raise ChainFormatError("payload must be an object")
@@ -105,13 +151,13 @@ def _hex_id(text) -> bytes:
     return raw
 
 
-def transaction_to_json(tx: Transaction) -> dict:
+def transaction_to_json(tx: Transaction, scripts: _ScriptTable) -> dict:
     return {
         "txId": tx.tx_id().hex(),
         "isGenesis": tx.is_genesis,
         "inputs": [{"txId": ref.tx_id.hex(), "index": ref.index}
                    for ref in tx.inputs],
-        "outputs": [output_to_json(o) for o in tx.outputs],
+        "outputs": [output_to_json(o, scripts) for o in tx.outputs],
     }
 
 
@@ -121,7 +167,7 @@ class ChainRecord:
     tx: Transaction
 
 
-def transaction_from_json(obj) -> ChainRecord:
+def transaction_from_json(obj, scripts: _ScriptTable) -> ChainRecord:
     if not isinstance(obj, dict):
         raise ChainFormatError("transaction record must be an object")
     try:
@@ -143,7 +189,7 @@ def transaction_from_json(obj) -> ChainRecord:
                 or not 0 <= index <= MAX_INDEX:
             raise ChainFormatError(f"bad input index: {index!r}")
         inputs.append(OutputRef(_hex_id(entry["txId"]), index))
-    outputs = [output_from_json(o) for o in outputs_obj]
+    outputs = [output_from_json(o, scripts) for o in outputs_obj]
     try:
         tx = Transaction(inputs=inputs, outputs=outputs, is_genesis=is_genesis)
     except ValueError as exc:
@@ -152,15 +198,18 @@ def transaction_from_json(obj) -> ChainRecord:
 
 
 def dump_chain(transactions, path) -> None:
+    scripts = _ScriptTable()
     with open(path, "w", encoding="utf-8") as fh:
         for tx in transactions:
-            fh.write(json.dumps(transaction_to_json(tx), separators=(",", ":")))
+            fh.write(json.dumps(transaction_to_json(tx, scripts),
+                                separators=(",", ":")))
             fh.write("\n")
 
 
 def load_chain(path) -> list:
     """Parse a chain file into ChainRecords; raises ChainFormatError."""
     records = []
+    scripts = _ScriptTable()
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -172,7 +221,7 @@ def load_chain(path) -> list:
                 except (ValueError, RecursionError) as exc:
                     raise ChainFormatError(f"line {lineno}: {exc}") from None
                 try:
-                    records.append(transaction_from_json(obj))
+                    records.append(transaction_from_json(obj, scripts))
                 except ChainFormatError as exc:
                     raise ChainFormatError(f"line {lineno}: {exc}") from None
         except UnicodeDecodeError as exc:

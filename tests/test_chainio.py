@@ -11,7 +11,7 @@ from utxo110.chainio import (
 )
 from utxo110.lang import Bits, ScriptRef, script_source, serialize_script
 from utxo110.ledger import VerifyOk, verify_chain
-from utxo110.model import transaction_bytes
+from utxo110.model import Output, Payload, Transaction, transaction_bytes
 from utxo110.parser import parse
 from utxo110.rule110 import build_bit_script
 
@@ -87,7 +87,7 @@ class TestChainFiles:
         old_lines = []
         for tx, line in zip(txs, path.read_text().splitlines()):
             obj = json.loads(line)
-            obj["outputs"] = [{"script": rec["script"],
+            obj["outputs"] = [{"script": base64.b64encode(out.script_bytes).decode(),
                                "scriptText": script_source(out.script),
                                "payload": rec["payload"]}
                               for out, rec in zip(tx.outputs, obj["outputs"])]
@@ -139,7 +139,7 @@ class TestChainFiles:
         path = tmp_path / "chain.jsonl"
         dump_chain(txs, path)
         obj = json.loads(path.read_text())
-        obj["outputs"][0]["script"] = 5
+        obj["outputs"][0]["script"] = {"t": "script", "v": obj["outputs"][0]["script"]}
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(ChainFormatError, match="base64 string"):
             load_chain(path)
@@ -208,3 +208,106 @@ class TestChainFiles:
         outputs = [out for r in records for out in r.tx.outputs]
         assert len(outputs) > 6
         assert all(out.script_ref is outputs[0].script_ref for out in outputs)
+
+
+def _expand_script_numbers(lines):
+    """The chain lines with every script number replaced by the base64
+    bytes it stands for, as files were written before scripts were
+    numbered."""
+    defined = []
+    out = []
+    for line in lines:
+        obj = json.loads(line)
+        for rec in obj["outputs"]:
+            if isinstance(rec["script"], int):
+                rec["script"] = defined[rec["script"]]
+            elif rec["script"] not in defined:
+                defined.append(rec["script"])
+        out.append(json.dumps(obj, separators=(",", ":")))
+    return out
+
+
+def _verify(path, capsys):
+    code = main(["verify", "--chain", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestScriptNumbers:
+    """Each distinct output script is written once; later outputs hold its
+    number in the order in which the file first defines it."""
+
+    def test_grid_chain_numbers_its_one_script(self, tmp_path, params):
+        txs, _ = drive_grid([1, 0, 1], 3, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        scripts = [out["script"] for line in path.read_text().splitlines()
+                   for out in json.loads(line)["outputs"]]
+        assert scripts[0] == base64.b64encode(
+            serialize_script(build_bit_script())).decode()
+        assert scripts[1:] == [0] * (len(scripts) - 1)
+
+    def test_distinct_scripts_are_all_written_in_full(self, tmp_path):
+        genesis = Transaction(
+            inputs=(), is_genesis=True,
+            outputs=[Output(parse(f"self.b = {i}"), Payload(b=i)) for i in range(3)])
+        spends = [Transaction(inputs=[genesis.ref(i)],
+                              outputs=[Output(parse(f"{100 + i} = {100 + i}"),
+                                              Payload(r=i))])
+                  for i in range(3)]
+        path = tmp_path / "chain.jsonl"
+        dump_chain([genesis] + spends, path)
+        scripts = [out["script"] for line in path.read_text().splitlines()
+                   for out in json.loads(line)["outputs"]]
+        assert len(scripts) == 6
+        assert all(isinstance(s, str) for s in scripts)
+
+    def test_inline_scripts_load_to_the_same_chain(self, tmp_path, params, capsys):
+        txs, _ = drive_grid([0, 1, 1], 4, params)
+        numbered = tmp_path / "numbered.jsonl"
+        dump_chain(txs, numbered)
+        lines = numbered.read_text().splitlines()
+        inline = tmp_path / "inline.jsonl"
+        inline.write_text("\n".join(_expand_script_numbers(lines)) + "\n")
+        assert '"script":0' in numbered.read_text()
+        assert '"script":0' not in inline.read_text()
+        assert inline.stat().st_size > 5 * numbered.stat().st_size
+        records = load_chain(numbered)
+        assert load_chain(inline) == records
+        assert [r.stored_id for r in records] == [t.tx_id() for t in txs]
+        ok = _verify(numbered, capsys)
+        assert ok[0] == 0 and ok[1].startswith("ok: ")
+        assert _verify(inline, capsys) == ok
+
+    def test_inline_repeat_takes_no_number(self, tmp_path):
+        a, b = parse("1 = 1"), parse("2 = 2")
+        genesis = Transaction(inputs=(), is_genesis=True, outputs=[
+            Output(s, Payload(v=i)) for i, s in enumerate([a, a, b, b])])
+        path = tmp_path / "chain.jsonl"
+        dump_chain([genesis], path)
+        obj = json.loads(path.read_text())
+        scripts = [out["script"] for out in obj["outputs"]]
+        assert [type(s) for s in scripts] == [str, int, str, int]
+        assert scripts[1::2] == [0, 1]
+        obj["outputs"][1]["script"] = obj["outputs"][0]["script"]
+        path.write_text(json.dumps(obj) + "\n")
+        (record,) = load_chain(path)
+        assert record.tx == genesis
+
+    @pytest.mark.parametrize("line, number", [
+        (2, -1), (2, True), (2, False), (2, 2**64), (2, 0.0), (2, 1), (1, 0),
+    ], ids=["negative", "true", "false", "2^64", "float", "next-number", "before-any"])
+    def test_bad_script_number(self, tmp_path, params, capsys, line, number):
+        txs, _ = drive_grid([1], 2, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[line - 1])
+        obj["outputs"][0]["script"] = number
+        lines[line - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ChainFormatError, match=f"line {line}: script"):
+            load_chain(path)
+        code, out, err = _verify(path, capsys)
+        assert (code, out) == (2, "")
+        assert f"line {line}: script" in err and "Traceback" not in err

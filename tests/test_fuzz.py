@@ -24,7 +24,8 @@ from utxo110.lang import Bits
 from utxo110.model import Output, OutputRef, Transaction
 from utxo110.rule110 import BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE
 
-HOSTILE_VALUES = (0, -1, 2**64, True, None, "", [], {})
+# the fuzzed chain defines one script, so 1 is a script number past it
+HOSTILE_VALUES = (0, 1, -1, 2**64, 0.5, True, None, "", [], {})
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -111,7 +112,8 @@ def verify_both_ways(path) -> int:
 
 
 def test_unmutated_files_are_accepted(files):
-    base, _ = files
+    base, chain = files
+    assert b'"script":0,' in chain  # the mutations also hit script numbers
     assert verify_exit(base / "chain.jsonl") == 0
 
 
