@@ -35,7 +35,7 @@ from .canonical import (
     flatten_and, inline_lets, normalize_conjunct, reduce_case, scan_refs,
     split_cases,
 )
-from .interp import EvalContext, EvalError, evaluate
+from .interp import EvalContext, EvalError, _payload_value, evaluate
 from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size
 from .ledger import (
     ChainLog, UtxoSet, Valid, apply_transaction, validate_transaction,
@@ -269,11 +269,13 @@ _RULE_BUDGET_FACTOR = 4
 
 
 def _eval_rule(rule: ScriptRef, resolved, params):
+    """A rule's value: a payload field, a lookup key, a script or a check,
+    so an output or an output list is an EvalError."""
     ctx = EvalContext(self_input=resolved[0], inputs=resolved, outputs=())
     value, _ = evaluate(rule, ctx,
                         _RULE_BUDGET_FACTOR * params.cost_limit_per_input,
                         max_width=params.max_width)
-    return value
+    return _payload_value(value, "a rule's value")
 
 
 def _makes_no_progress(outputs, inputs, utxo: UtxoSet) -> bool:

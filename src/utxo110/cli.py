@@ -22,10 +22,10 @@ from .builder import BuildRules, NotBuildable, derive_build_rules, sweep
 from .canonical import CanonicalForm, FieldRule, NotCanonical, \
     SCRIPT_FIELD, analyze_canonical
 from .chainio import ChainFormatError, dump_chain, load_chain
-from .interp import WidthExceeded
 from .lang import Bits, script_source
-from .ledger import ChainLog, FirstFailure, UtxoSet, apply_transaction, verify_chain
-from .model import ChainParams, OversizeOutputError
+from .ledger import ChainLog, FirstFailure, TransactionRejected, UtxoSet, \
+    apply_transaction, verify_chain
+from .model import ChainParams
 from .parser import ParseError, parse
 from .render import render_chain
 from .rule110 import GridRow, genesis_grid, genesis_layer
@@ -67,21 +67,21 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
+    if args.mode == "layer":
+        genesis = genesis_layer(bits, params)
+    else:
+        genesis = genesis_grid(GridRow.from_bits(bits), params)
+    utxo = UtxoSet()
+    log = ChainLog(params.block_budget)
     try:
-        if args.mode == "layer":
-            genesis = genesis_layer(bits, params)
-        else:
-            genesis = genesis_grid(GridRow.from_bits(bits), params)
-    except (WidthExceeded, OversizeOutputError) as exc:
+        apply_transaction(genesis, utxo, log, params)
+    except TransactionRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     created = _create_outputs({"chain": args.chain, "render": args.render})
     if created is None:
         return EXIT_USAGE
-    utxo = UtxoSet()
-    log = ChainLog(params.block_budget)
-    apply_transaction(genesis, utxo, log, params)
     retired: set = set()
     for step in range(args.steps):
         built = sweep(utxo, log, params, retired)

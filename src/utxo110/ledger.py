@@ -3,9 +3,11 @@
 Validation runs every input's guarding script against the spending
 transaction under a per-input cost limit; a transaction is valid only if
 every script returns true, its outputs are within the size limits, its
-cost fits in one block and none of its outputs already exists.  Genesis
-transactions are checked for the last rule only and may appear only
-before the first regular transaction.
+cost fits in one block and none of its outputs already exists.  A
+genesis transaction spends nothing and runs no script, so it is checked
+for the output limits and collisions only.  The one rule that depends on
+history, that genesis transactions come before the first regular one, is
+checked by ``apply_transaction`` against the chain log.
 
 The chain log groups applied transactions into blocks greedily by cost
 budget.  Blocks are a budgeting device only; the grouping is a pure
@@ -19,8 +21,7 @@ from dataclasses import dataclass, field
 
 from .interp import CostLimitExceeded, EvalContext, EvalError, evaluate
 from .model import (
-    ChainParams, Output, OutputRef, OversizeOutputError, Transaction, _kind_tag,
-    check_output_limits,
+    ChainParams, Output, OutputRef, Transaction, _kind_tag, output_bytes,
 )
 
 
@@ -196,7 +197,9 @@ class MisplacedGenesis:
 
 def validate_transaction(tx: Transaction, utxo: UtxoSet,
                          params: ChainParams = ChainParams()):
-    """Check every ledger rule: Valid(total cost) or Invalid(reason)."""
+    """Check every ledger rule that the UTXO set decides: Valid(total
+    cost) or Invalid(reason).  Genesis order is left to
+    ``apply_transaction``, which sees the chain log."""
     seen = set()
     resolved = []
     for ref in tx.inputs:
@@ -210,13 +213,17 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
     for index in range(len(tx.outputs)):
         if tx.ref(index) in utxo:
             return Invalid(OutputExists(tx.ref(index)))
+    for i, output in enumerate(tx.outputs):
+        script_size = len(output.script_bytes)
+        if script_size > params.max_script_bytes:
+            return Invalid(OversizeOutput(
+                i, f"script is {script_size} bytes, limit {params.max_script_bytes}"))
+        payload_size = len(output_bytes(output)) - script_size
+        if payload_size > params.max_payload_bytes:
+            return Invalid(OversizeOutput(
+                i, f"payload is {payload_size} bytes, limit {params.max_payload_bytes}"))
     if tx.is_genesis:
         return Valid(0)
-    for i, output in enumerate(tx.outputs):
-        try:
-            check_output_limits(output, params)
-        except OversizeOutputError as exc:
-            return Invalid(OversizeOutput(i, str(exc)))
     total = 0
     for i, output in enumerate(resolved):
         ctx = EvalContext(self_input=output, inputs=resolved, outputs=tx.outputs)
@@ -281,7 +288,15 @@ class TransactionRejected(Exception):
 
 def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
                       params: ChainParams = ChainParams()) -> Valid:
-    """Validate, then spend inputs and insert outputs. Atomic on failure."""
+    """Validate, then spend inputs and insert outputs. Atomic on failure.
+
+    A genesis transaction is rejected once the log ends in a regular one;
+    since only this function fills the log, that keeps every genesis
+    before the first regular transaction.
+    """
+    last = log.blocks[-1].transactions
+    if tx.is_genesis and last and not last[-1].is_genesis:
+        raise TransactionRejected(MisplacedGenesis())
     result = validate_transaction(tx, utxo, params)
     if isinstance(result, Invalid):
         raise TransactionRejected(result.reason)
@@ -317,18 +332,12 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
     """
     utxo = UtxoSet()
     log = ChainLog(params.block_budget)
-    seen_regular = False
     total = 0
     for i, tx in enumerate(transactions):
         if stored_ids is not None:
             computed = tx.tx_id()
             if stored_ids[i] != computed:
                 return FirstFailure(i, TxIdMismatch(stored_ids[i], computed))
-        if tx.is_genesis:
-            if seen_regular:
-                return FirstFailure(i, MisplacedGenesis())
-        else:
-            seen_regular = True
         try:
             result = apply_transaction(tx, utxo, log, params)
         except TransactionRejected as exc:

@@ -221,18 +221,3 @@ class ChainParams:
     block_budget: int = 1_000_000
     max_script_bytes: int = 16_384
     max_payload_bytes: int = 1_024
-
-
-class OversizeOutputError(ValueError):
-    """Output exceeds the configured script or payload byte limits."""
-
-
-def check_output_limits(output: Output, params: ChainParams) -> None:
-    if len(output.script_bytes) > params.max_script_bytes:
-        raise OversizeOutputError(
-            f"script is {len(output.script_bytes)} bytes, "
-            f"limit {params.max_script_bytes}")
-    payload_size = len(output_bytes(output)) - len(output.script_bytes)
-    if payload_size > params.max_payload_bytes:
-        raise OversizeOutputError(
-            f"payload is {payload_size} bytes, limit {params.max_payload_bytes}")

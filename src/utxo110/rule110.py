@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .interp import WidthExceeded
 from .lang import Bits, Expr, ScriptRef
-from .model import ChainParams, Output, Payload, Transaction, check_output_limits
+from .model import ChainParams, Output, Payload, Transaction
 from .parser import parse
 
 LAYER_FIELD = "layer"
@@ -124,7 +124,6 @@ def genesis_layer(layer, params: ChainParams = ChainParams()) -> Transaction:
         raise WidthExceeded(
             f"layer width {len(bits)} outside [1, {params.max_width}]")
     output = Output(build_layer_script(), Payload(((LAYER_FIELD, bits),)))
-    check_output_limits(output, params)
     return Transaction(inputs=(), outputs=(output,), is_genesis=True)
 
 
@@ -151,6 +150,4 @@ def genesis_grid(row: GridRow, params: ChainParams = ChainParams()) -> Transacti
         outputs.append(cell_output(val, x, row.n, False, script))
         outputs.append(cell_output(val, x, row.n, True, script))
         outputs.append(cell_output(val, x, row.n, False, script))
-    for out in outputs:
-        check_output_limits(out, params)
     return Transaction(inputs=(), outputs=tuple(outputs), is_genesis=True)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import drive_grid, drive_layer
@@ -11,7 +12,9 @@ from utxo110.builder import (
     NotBuildable, _makes_no_progress, build_next, derive_build_rules, sweep,
 )
 from utxo110.canonical import NotCanonical, analyze_canonical
-from utxo110.lang import Bits, Lit, ScriptRef
+from utxo110.lang import (
+    Arith, Bits, Cmp, FieldAccess, If, Lit, Not, ScriptRef, Size, script_source,
+)
 from utxo110.ledger import ChainLog, UtxoSet, Valid, apply_transaction, \
     validate_transaction
 from utxo110.model import ChainParams, Output, OutputRef, Payload, Transaction
@@ -146,6 +149,24 @@ class TestBuildNext:
         assert isinstance(result, CannotBuild)
         assert isinstance(result.reason, ConsistencyCheckFailed)
 
+    # Rules whose value is an output (in[0]) rather than a payload value:
+    # an output field, a copyEq override and a lookup key.
+    @pytest.mark.parametrize("source", [
+        "(out[0].x = in[0]) & (out[0].script = in[0].script)",
+        "(out[0].x = 1) & (out[0].script = in[0].script) "
+        "& copyEq(out[1], out[0], x <- in[0])",
+        "(in[1].x = in[0]) & (out[0].x = 1) & (out[0].script = in[0].script)",
+    ], ids=["field", "copy", "lookup"])
+    def test_rule_valued_as_an_output_cannot_build(self, params, source):
+        script = parse(source)
+        genesis = Transaction(inputs=(), outputs=(Output(script, Payload(x=0)),),
+                              is_genesis=True)
+        utxo = UtxoSet()
+        apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
+        result = build_next(utxo, genesis.ref(0), params)
+        assert result == CannotBuild(ConsistencyCheckFailed(
+            "a rule's value must be a payload value, got output"))
+
 
 class TestSweep:
     def test_layer_one_transaction_per_sweep(self, params):
@@ -262,6 +283,52 @@ class TestNoProgressGuard:
                                      min_size=1, max_size=4))
         assert _makes_no_progress(outputs, inputs, utxo) \
             == _no_progress_by_full_scan(outputs, inputs, utxo)
+
+
+# Rule expressions for canonical-shaped scripts, over few enough node
+# kinds that some of them build.  Among the leaves are in[0] and in,
+# which are an output and an output list, not payload values.
+def _extend_rule(expr):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-"]), expr, expr).map(lambda t: Arith(*t)),
+        st.tuples(st.sampled_from(["=", "<"]), expr, expr).map(lambda t: Cmp(*t)),
+        st.tuples(expr, expr, expr).map(lambda t: If(*t)),
+        st.tuples(expr, st.sampled_from(["f", "g"])).map(lambda t: FieldAccess(*t)),
+        expr.map(Not),
+        expr.map(Size),
+    )
+
+
+_rule_leaves = st.one_of(
+    st.integers(-2, 3).map(Lit), st.booleans().map(Lit),
+    st.sampled_from([parse(s) for s in ("in[0]", "in", "in[0].f", "in[0].g")]))
+_rule_exprs = st.one_of(_rule_leaves,
+                        st.recursive(_rule_leaves, _extend_rule, max_leaves=6))
+_field_values = st.one_of(st.integers(-2, 3), st.booleans(),
+                          st.lists(st.integers(0, 1), max_size=3).map(Bits))
+
+
+class TestBuildNextNeverRaises:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from([
+               "(out[0].f = E) & (out[0].script = in[0].script)",
+               "(in[1].f = E) & (out[0].g = 1) & (out[0].script = in[0].script)"]),
+           rule=_rule_exprs,
+           payloads=st.lists(st.tuples(_field_values, _field_values),
+                             min_size=1, max_size=3))
+    def test_valid_transaction_or_cannot_build(self, shape, rule, payloads):
+        params = ChainParams()
+        script = parse(shape.replace("E", f"({script_source(rule)})"))
+        genesis = Transaction(inputs=(), outputs=tuple(
+            Output(script, Payload(f=f, g=g)) for f, g in payloads), is_genesis=True)
+        utxo = UtxoSet()
+        apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
+        for seed in utxo.refs():
+            result = build_next(utxo, seed, params)
+            if isinstance(result, Transaction):
+                assert isinstance(validate_transaction(result, utxo, params), Valid)
+            else:
+                assert isinstance(result, CannotBuild)
 
 
 class TestOrderIndependence:

@@ -107,6 +107,7 @@ class TestRun:
                        "--steps", "0", "--chain", tmp_path / "c",
                        "--max-width", "8200") == 2
         assert "payload is" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -178,6 +179,15 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli("verify", "--chain", chain) == 1
         assert "transaction 1" in capsys.readouterr().out
+
+    def test_oversize_genesis_output(self, tmp_path, capsys):
+        chain = tmp_path / "chain.jsonl"
+        blob = Output(Lit(True), Payload(blob=Bits([1] * 40_000)))
+        dump_chain([Transaction(inputs=(), outputs=(blob,), is_genesis=True)], chain)
+        assert run_cli("verify", "--chain", chain) == 1
+        assert capsys.readouterr().out == (
+            "verification failed at transaction 0: output 0 is too large: "
+            "payload is 5021 bytes, limit 1024\n")
 
     def test_oversize_extra_output(self, tmp_path, capsys):
         chain = tmp_path / "chain.jsonl"

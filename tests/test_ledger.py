@@ -107,6 +107,19 @@ class TestValidate:
         assert result.reason.output_index == 1
 
 
+    @pytest.mark.parametrize("output, detail", [
+        (Output(Lit(True), Payload(blob=Bits([1] * 40_000))),
+         "payload is 5021 bytes, limit 1024"),
+        (Output(Lit(Bits([1] * 140_000)), Payload()),
+         "script is 17507 bytes, limit 16384"),
+    ], ids=["payload", "script"])
+    def test_oversize_genesis_output_invalid(self, params, output, detail):
+        genesis = Transaction(inputs=(), outputs=(Output(Lit(True), Payload()), output),
+                              is_genesis=True)
+        assert validate_transaction(genesis, UtxoSet(), params) \
+            == Invalid(OversizeOutput(1, detail))
+
+
 class TestApply:
     def test_utxo_delta(self, params):
         genesis = genesis_layer(Bits.from_text("0011"), params)
@@ -151,6 +164,21 @@ class TestApply:
             apply_transaction(tx, utxo, log, params)
         assert err.value.reason == OutputExists(tx.ref(0))
         assert utxo.items() == before and len(log) == 1
+
+    def test_genesis_after_regular_rejected_and_state_unchanged(self, params):
+        first = genesis_layer(Bits.from_text("0011"), params)
+        second = genesis_layer(Bits.from_text("01"), params)
+        utxo = UtxoSet()
+        log = ChainLog(params.block_budget)
+        apply_transaction(first, utxo, log, params)
+        apply_transaction(second, utxo, log, params)  # genesis after genesis
+        apply_transaction(step_transaction(first), utxo, log, params)
+        before = utxo.items(), list(log.transactions())
+        with pytest.raises(TransactionRejected) as err:
+            apply_transaction(genesis_layer(Bits.from_text("10"), params),
+                              utxo, log, params)
+        assert err.value.reason == MisplacedGenesis()
+        assert (utxo.items(), list(log.transactions())) == before
 
     def test_grid_interior_spends_three_makes_three(self, params):
         txs, _ = drive_grid([1, 0, 1, 1], 2, params)
