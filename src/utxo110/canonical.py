@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lang import (
-    Arith, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess, If, Index, Let,
-    ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf, Size,
+    MAX_DEPTH, NODE_FIELDS, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess,
+    If, Index, Let, ListConcat, Lit, MapIndices, Not, ScriptOf, Size,
     SyntheticOutput, Var, children, script_source,
 )
 
@@ -68,6 +68,29 @@ class NotCanonical:
 
 
 # ---------------------------------------------------------------------------
+# Walks over the let-DAG
+#
+# Each walk below maps a node to its result once per call and reuses that
+# result wherever the node appears again.  Inlining leaves a let's value
+# as one shared object at every use, so the walks take time linear in
+# the distinct nodes of that DAG, where a tree walk would copy and
+# rewrite the value once per use.
+
+def _per_node(step):
+    """``step`` as a function that runs once per distinct node object and
+    returns that first result for every later visit of the node."""
+    memo = {}
+
+    def rewrite(e):
+        hit = memo.get(id(e))
+        if hit is None:
+            hit = memo[id(e)] = (e, step(e))  # e stays alive, so its id does too
+        return hit[1]
+
+    return rewrite
+
+
+# ---------------------------------------------------------------------------
 # Reference analysis
 
 @dataclass
@@ -80,59 +103,82 @@ class Refs:
     free_vars: frozenset = frozenset()
 
 
-def scan_refs(expr: Expr) -> Refs:
-    refs = Refs()
-    free = set()
+def _ref_scanner():
+    """``scan_refs`` as a function that finds each node's ``Refs`` once,
+    from its children's, and keeps it for its own lifetime."""
 
-    def walk(e, bound):
+    def step(e):
         if isinstance(e, CtxRef):
-            if e.kind == "out":
-                refs.uses_out = True
-            elif e.kind == "self":
-                refs.uses_self = True
-            else:
-                refs.bare_in = True
-            return
+            return Refs(uses_out=e.kind == "out", uses_self=e.kind == "self",
+                        bare_in=e.kind not in ("out", "self"))
         if isinstance(e, Var):
-            if e.name not in bound:
-                free.add(e.name)
-            return
+            return Refs(free_vars=frozenset((e.name,)))
         if isinstance(e, Index) and isinstance(e.obj, CtxRef) and e.obj.kind == "in" \
                 and isinstance(e.index, Lit) and isinstance(e.index.value, int) \
                 and not isinstance(e.index.value, bool):
-            refs.max_in_index = max(refs.max_in_index, e.index.value)
-            walk(e.index, bound)
-            return
+            return Refs(max_in_index=max(-1, e.index.value))
         if isinstance(e, Size) and isinstance(e.obj, CtxRef) and e.obj.kind == "in":
-            refs.in_size = True
-            return
+            return Refs(in_size=True)
         if isinstance(e, MapIndices):
-            walk(e.length, bound)
-            walk(e.body, bound | {e.var})
-            return
+            return _merge_refs(scan(e.length), scan(e.body), e.var)
         if isinstance(e, Let):
-            walk(e.value, bound)
-            walk(e.body, bound | {e.name})
-            return
+            return _merge_refs(scan(e.value), scan(e.body), e.name)
+        refs = Refs()
         for c in children(e):
-            walk(c, bound)
+            refs = _merge_refs(refs, scan(c))
+        return refs
 
-    walk(expr, frozenset())
-    refs.free_vars = frozenset(free)
-    return refs
+    scan = _per_node(step)
+    return scan
+
+
+def _merge_refs(a: Refs, b: Refs, bound=None) -> Refs:
+    """What reading both ``a`` and ``b`` reads, with ``bound`` bound in b."""
+    return Refs(a.uses_out or b.uses_out, a.uses_self or b.uses_self,
+                a.bare_in or b.bare_in, a.in_size or b.in_size,
+                max(a.max_in_index, b.max_in_index),
+                a.free_vars | (b.free_vars - {bound}))
+
+
+def scan_refs(expr: Expr) -> Refs:
+    return _ref_scanner()(expr)
 
 
 # ---------------------------------------------------------------------------
 # Let inlining (capture-checked substitution)
 
-def free_vars(expr: Expr) -> frozenset:
-    return scan_refs(expr).free_vars
+# The largest inlined form, in tree nodes, that analysis accepts.  Rule
+# expressions are cut from it, and their canonical bytes, their generated
+# code and ``analyze``'s printout spell it out as a tree, each in time
+# linear in its tree size.  Lets can make that size exponential in the
+# script's length (each ``let a2 = a1 + a1`` doubles it), so it is
+# bounded here: about ten times the 5,121 nodes of the grid validator.
+MAX_INLINED_NODES = 50_000
+
+
+def inlined_size(expr: Expr):
+    """``(nodes, depth)`` of ``inline_lets(expr)``, found in one pass over
+    ``expr`` without building the inlined form: a let-bound name counts
+    as the inlined form of its value."""
+
+    def size(e, env):
+        if isinstance(e, Var) and e.name in env:
+            return env[e.name]
+        if isinstance(e, Let):
+            return size(e.body, {**env, e.name: size(e.value, env)})
+        if isinstance(e, MapIndices):  # the loop variable is one node
+            parts = [size(e.length, env), size(e.body, {**env, e.var: (1, 1)})]
+        else:
+            parts = [size(c, env) for c in children(e)]
+        return 1 + sum(n for n, _ in parts), 1 + max((d for _, d in parts), default=0)
+
+    return size(expr, {})
 
 
 def substitute(expr: Expr, name: str, value: Expr) -> Expr:
-    value_free = free_vars(value)
+    value_free = scan_refs(value).free_vars
 
-    def sub(e):
+    def step(e):
         if isinstance(e, Var):
             return value if e.name == name else e
         if isinstance(e, Let):
@@ -153,52 +199,52 @@ def substitute(expr: Expr, name: str, value: Expr) -> Expr:
             return MapIndices(new_length, e.var, sub(e.body))
         return _rebuild(e, sub)
 
+    sub = _per_node(step)
     return sub(expr)
 
 
 def _rebuild(e: Expr, f):
-    if isinstance(e, (Lit, Var, CtxRef)):
-        return e
-    if isinstance(e, FieldAccess):
-        return FieldAccess(f(e.obj), e.field)
-    if isinstance(e, ScriptOf):
-        return ScriptOf(f(e.obj))
-    if isinstance(e, Index):
-        return Index(f(e.obj), f(e.index))
-    if isinstance(e, Size):
-        return Size(f(e.obj))
-    if isinstance(e, Arith):
-        return Arith(e.op, f(e.left), f(e.right))
-    if isinstance(e, PowMod):
-        return PowMod(f(e.base), f(e.exponent), f(e.modulus))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, f(e.left), f(e.right))
-    if isinstance(e, BoolOp):
-        return BoolOp(e.op, f(e.left), f(e.right))
-    if isinstance(e, Not):
-        return Not(f(e.operand))
-    if isinstance(e, MapIndices):
-        return MapIndices(f(e.length), e.var, f(e.body))
-    if isinstance(e, Let):
-        return Let(e.name, f(e.value), f(e.body))
-    if isinstance(e, If):
-        return If(f(e.cond), f(e.then), f(e.orelse))
-    if isinstance(e, CopyEq):
-        return CopyEq(f(e.target), f(e.source),
-                      tuple((n, f(x)) for n, x in e.overrides))
-    if isinstance(e, ListConcat):
-        return ListConcat(f(e.left), f(e.right))
-    if isinstance(e, SyntheticOutput):
-        return SyntheticOutput(tuple((n, f(x)) for n, x in e.fields), f(e.script))
-    raise TypeError(type(e).__name__)
+    """``e`` with ``f`` applied to each child in field order, or ``e``
+    itself when ``f`` returns every child unchanged."""
+    values = []
+    changed = False
+    for name, holds in NODE_FIELDS[type(e)]:
+        old = getattr(e, name)
+        if holds == "expr":
+            new = f(old)
+            changed = changed or new is not old
+        elif holds == "pairs":
+            new = tuple((n, f(x)) for n, x in old)
+            changed = changed or any(x is not y for (_, x), (_, y) in zip(new, old))
+        else:
+            new = old
+        values.append(new)
+    return type(e)(*values) if changed else e
 
 
 def inline_lets(expr: Expr) -> Expr:
-    """Eliminate every let by substitution."""
-    if isinstance(expr, Let):
-        value = inline_lets(expr.value)
-        return inline_lets(substitute(expr.body, expr.name, value))
-    return _rebuild(expr, inline_lets)
+    """Eliminate every let by substitution.
+
+    The result shares each let's value among its uses.  Raises
+    AnalysisError when the inlined form would nest deeper than
+    ``MAX_DEPTH``, which bounds every later walk's recursion as it does
+    for scripts, or would hold more than ``MAX_INLINED_NODES`` nodes.
+    """
+    nodes, depth = inlined_size(expr)
+    if depth > MAX_DEPTH:
+        raise AnalysisError(f"with its lets inlined the script nests {depth} "
+                            f"nodes deep, past the limit of {MAX_DEPTH}")
+    if nodes > MAX_INLINED_NODES:
+        raise AnalysisError(f"with its lets inlined the script has more than "
+                            f"{MAX_INLINED_NODES} nodes")
+
+    def step(e):
+        if isinstance(e, Let):
+            return inline(substitute(e.body, e.name, inline(e.value)))
+        return _rebuild(e, inline)
+
+    inline = _per_node(step)
+    return inline(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +435,31 @@ MAX_CASES = 64
 
 
 def _find_splittable_if(expr: Expr):
-    if isinstance(expr, If) and not scan_refs(expr.cond).free_vars:
-        return expr.cond
-    for c in children(expr):
-        found = _find_splittable_if(c)
-        if found is not None:
-            return found
-    return None
+    """The condition of the first ``if`` in pre-order whose condition has
+    no free variables, or None."""
+    scan = _ref_scanner()
+
+    def step(e):
+        if isinstance(e, If) and not scan(e.cond).free_vars:
+            return e.cond
+        for c in children(e):
+            found = find(c)
+            if found is not None:
+                return found
+        return None
+
+    find = _per_node(step)
+    return find(expr)
 
 
 def _take_branch(expr: Expr, cond: Expr, take_then: bool) -> Expr:
-    if isinstance(expr, If) and expr.cond == cond:
-        chosen = expr.then if take_then else expr.orelse
-        return _take_branch(chosen, cond, take_then)
-    return _rebuild(expr, lambda e: _take_branch(e, cond, take_then))
+    def step(e):
+        if isinstance(e, If) and e.cond == cond:
+            return take(e.then if take_then else e.orelse)
+        return _rebuild(e, take)
+
+    take = _per_node(step)
+    return take(expr)
 
 
 def split_cases(expr: Expr):
@@ -455,8 +512,8 @@ def reduce_case(expr: Expr, in_size):
     index provably falls outside the list.
     """
 
-    def red(e):
-        e = _rebuild(e, red) if not isinstance(e, (Lit, Var, CtxRef)) else e
+    def step(e):
+        e = _rebuild(e, red)
 
         if isinstance(e, FieldAccess) and isinstance(e.obj, SyntheticOutput):
             for name, x in e.obj.fields:
@@ -496,4 +553,5 @@ def reduce_case(expr: Expr, in_size):
             raise DeadCase("list index beyond concatenation")
         return e
 
+    red = _per_node(step)
     return red(expr)

@@ -626,20 +626,25 @@ class _Generator:
     }
 
 
-def _generate(expr: Expr):
-    """``(source, namespace)`` of the function evaluating ``expr``: it takes
-    ``(ctx, limit, max_width)`` and returns ``(value, cost)``."""
-    gen = _Generator()
-    return gen.generate(expr), gen.namespace
-
-
 @functools.cache
 def compiled(script: ScriptRef):
     """The evaluator for a script: its Python source, generated and
-    compiled once per interned ref."""
-    source, namespace = _generate(script.expr)
-    exec(compile(source, "<script>", "exec"), namespace)
-    return namespace["f"]
+    compiled once per interned ref.  It takes ``(ctx, limit, max_width)``
+    and returns ``(value, cost)``; its ``reads_self`` attribute is False
+    when the code never reads ``ctx.self_input``, so that every input
+    carrying the script gets the same value, cost or error."""
+    gen = _Generator()
+    source = gen.generate(script.expr)
+    exec(compile(source, "<script>", "exec"), gen.namespace)
+    function = gen.namespace["f"]
+    function.reads_self = _CTX["self"][0] in gen.ctx_used
+    return function
+
+
+@functools.cache
+def reads_self(script: ScriptRef) -> bool:
+    """Whether a script's outcome can depend on which input is ``self``."""
+    return compiled(script).reads_self
 
 
 def evaluate(script: Expr | ScriptRef, ctx: EvalContext, limit: int,

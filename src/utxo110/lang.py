@@ -274,19 +274,25 @@ _NODE_TYPES = (
 )
 
 
-def is_expr(obj) -> bool:
-    return isinstance(obj, _NODE_TYPES)
+# Per node class, its fields in order as (name, what it holds): "expr"
+# one expression, "pairs" a tuple of (name, expression) pairs, None no
+# expression.  Read from the annotations once here, not by calling
+# ``dataclasses.fields`` on every node a walk visits.
+NODE_FIELDS = {
+    cls: tuple((f.name, {"'Expr'": "expr", "tuple": "pairs"}.get(f.type))
+               for f in fields(cls))
+    for cls in _NODE_TYPES
+}
 
 
 def children(expr: Expr) -> tuple:
     """Direct sub-expressions of a node."""
     out = []
-    for f in fields(expr):
-        v = getattr(expr, f.name)
-        if is_expr(v):
-            out.append(v)
-        elif isinstance(v, tuple):
-            out.extend(e for _, e in v)
+    for name, holds in NODE_FIELDS[type(expr)]:
+        if holds == "expr":
+            out.append(getattr(expr, name))
+        elif holds == "pairs":
+            out.extend(e for _, e in getattr(expr, name))
     return tuple(out)
 
 

@@ -5,9 +5,12 @@ transaction under a per-input cost limit; a transaction is valid only if
 every script returns true, its outputs are within the size limits, its
 cost fits in one block and none of its outputs already exists.  A
 genesis transaction spends nothing and runs no script, so it is checked
-for the output limits and collisions only.  The one rule that depends on
-history, that genesis transactions come before the first regular one, is
-checked by ``apply_transaction`` against the chain log.
+for the output limits and collisions only.  Inputs that all carry one
+script which never reads ``self`` would each get the same outcome, so
+that script runs once and its cost counts once per input.  The one rule
+that depends on history, that genesis transactions come before the
+first regular one, is checked by ``apply_transaction`` against the chain
+log.
 
 The chain log groups applied transactions into blocks greedily by cost
 budget.  Blocks are a budgeting device only; the grouping is a pure
@@ -19,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .interp import CostLimitExceeded, EvalContext, EvalError, evaluate
+from .interp import (
+    CostLimitExceeded, EvalContext, EvalError, evaluate, reads_self,
+)
 from .model import (
     ChainParams, Output, OutputRef, Transaction, _kind_tag, output_bytes,
 )
@@ -224,8 +229,12 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
                 i, f"payload is {payload_size} bytes, limit {params.max_payload_bytes}"))
     if tx.is_genesis:
         return Valid(0)
+    # Inputs that share a script which never reads self all get the same
+    # value, cost or error, so one evaluation stands for each of them.
+    script = resolved[0].script_ref
+    shared = all(o.script_ref is script for o in resolved) and not reads_self(script)
     total = 0
-    for i, output in enumerate(resolved):
+    for i, output in enumerate(resolved[:1] if shared else resolved):
         ctx = EvalContext(self_input=output, inputs=resolved, outputs=tx.outputs)
         try:
             value, receipt = evaluate(output.script_ref, ctx,
@@ -239,7 +248,7 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
             if isinstance(value, bool):
                 return Invalid(ScriptFalse(i))
             return Invalid(ScriptError(i, f"script returned {type(value).__name__}"))
-        total += receipt.total_cost
+        total += receipt.total_cost * (len(resolved) if shared else 1)
     if total > params.block_budget:
         return Invalid(BudgetExceeded(total, params.block_budget))
     return Valid(total)

@@ -8,6 +8,7 @@ is left-padded with background zeros to the width of the last row.
 from __future__ import annotations
 
 from .chainio import ChainFormatError
+from .lang import Bits
 from .rule110 import LAYER_FIELD, MID_FIELD, N_FIELD, VAL_FIELD, X_FIELD
 
 
@@ -62,7 +63,10 @@ def layer_rows(transactions) -> list:
         payload = tx.outputs[0].payload
         if LAYER_FIELD not in payload:
             raise ChainFormatError("layer chain output lacks the layer field")
-        rows.append(list(payload.get(LAYER_FIELD)))
+        layer = payload.get(LAYER_FIELD)
+        if not isinstance(layer, Bits):
+            raise ChainFormatError(f"layer chain field {LAYER_FIELD!r} is not bits")
+        rows.append(list(layer))
     return rows
 
 
@@ -84,6 +88,11 @@ def grid_rows(transactions) -> list:
             except KeyError as exc:
                 raise ChainFormatError(
                     f"grid output lacks field {exc.args[0]!r}") from None
+            if not isinstance(val, bool):
+                raise ChainFormatError(f"grid output field {VAL_FIELD!r} is not a bool")
+            for name, value in ((X_FIELD, x), (N_FIELD, n)):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ChainFormatError(f"grid output field {name!r} is not an int")
             bit = 1 if val else 0
             prev = cells.setdefault((n, x), bit)
             if prev != bit:

@@ -11,6 +11,27 @@ from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
 NON_CANONICAL_SCRIPTS = ("010121000000020001", "0101220000000181")
 
 
+
+def let_chain(count: int, value) -> str:
+    """Source of a script binding ``a0 = in[0].x`` and then ``count`` lets,
+    each ``aI = value("a(I-1)")``, that assigns the last to out[0].x."""
+    lets = "".join(f"let a{i} = {value(f'a{i - 1}')} in " for i in range(1, count + 1))
+    return (f"let a0 = in[0].x in {lets}"
+            f"(out[0].x = a{count}) & (out[0].script = in[0].script)")
+
+
+def doubling(name: str) -> str:
+    return f"{name} + {name}"
+
+
+# Lets whose inlined form outgrows analysis: one doubles it 16 times
+# (327,694 nodes), the other nests it 905 nodes deep.
+OVERSIZED_LETS = {
+    "doubling": let_chain(16, doubling),
+    "deepening": let_chain(30, lambda name: name + " + 1" * 30),
+}
+
+
 @pytest.fixture
 def params():
     return ChainParams()

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import drive_grid, drive_layer
+from conftest import OVERSIZED_LETS, drive_grid, drive_layer
 from test_codegen import _untyped
 from test_lang import _exprs
 from utxo110.builder import (
@@ -166,6 +166,18 @@ class TestBuildNext:
         result = build_next(utxo, genesis.ref(0), params)
         assert result == CannotBuild(ConsistencyCheckFailed(
             "a rule's value must be a payload value, got output"))
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED_LETS))
+    def test_lets_that_inline_too_large_cannot_build(self, params, name):
+        script = parse(OVERSIZED_LETS[name])
+        genesis = Transaction(inputs=(), outputs=(Output(script, Payload(x=0)),),
+                              is_genesis=True)
+        utxo = UtxoSet()
+        apply_transaction(genesis, utxo, ChainLog(params.block_budget), params)
+        result = build_next(utxo, genesis.ref(0), params)
+        assert isinstance(result, CannotBuild)
+        assert isinstance(result.reason, NotBuildable)
+        assert "with its lets inlined the script" in result.reason.reason
 
 
 class TestSweep:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import NON_CANONICAL_SCRIPTS, step_with_oversize_output
+from conftest import (
+    NON_CANONICAL_SCRIPTS, OVERSIZED_LETS, step_with_oversize_output,
+)
 from utxo110 import cli, rule110
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
@@ -280,6 +282,23 @@ class TestRender:
                        "--render", tmp_path / "no" / "rows.txt") == 2
         assert capsys.readouterr().err.startswith("error: cannot write render:")
 
+    @pytest.mark.parametrize("payloads, field", [
+        ([dict(val=True, x=0, n=Bits([1]), mid=True)], "'n' is not an int"),
+        ([dict(val=True, x=0, n=0, mid=True),
+          dict(val=True, x=0, n=Bits([1]), mid=True)], "'n' is not an int"),
+        ([dict(layer=5)], "'layer' is not bits"),
+    ], ids=["bits-n", "int-and-bits-n", "int-layer"])
+    def test_mistyped_payload_is_a_domain_error(self, tmp_path, capsys,
+                                                payloads, field):
+        chain = tmp_path / "chain.jsonl"
+        outputs = tuple(Output(Lit(True), Payload(**p)) for p in payloads)
+        dump_chain([Transaction((), outputs, is_genesis=True)], chain)
+        assert run_cli("verify", "--chain", chain) == 0
+        capsys.readouterr()
+        assert run_cli("render", "--chain", chain) == 1
+        out, err = capsys.readouterr()
+        assert (out, err.startswith("error: "), field in err) == ("", True, True)
+
     def test_run_with_render_flag(self, tmp_path):
         chain = tmp_path / "chain.jsonl"
         render = tmp_path / "rows.txt"
@@ -463,6 +482,20 @@ def test_stdout_closed_before_any_output():
     proc = _analyze_process(PACKAGE / "layer_step.script", write_end)
     os.close(write_end)
     _exits_one_without_traceback(proc)
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_LETS))
+def test_analyze_refuses_lets_that_inline_too_large(tmp_path, name):
+    path = tmp_path / "lets.script"
+    path.write_text(OVERSIZED_LETS[name])
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "utxo110", "analyze", "--script", str(path)],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["not canonical", "not buildable"]
+    assert all("with its lets inlined the script" in line for line in lines)
 
 
 def test_usage_error_exits_two():

@@ -269,7 +269,7 @@ class TestHostileScripts:
         ]
         for expr in cases:
             ref = _decoded(expr)
-            source, _ = interp._generate(ref.expr)
+            source = interp._Generator().generate(ref.expr)
             if len(name) > 1:  # "'" and "s" occur in any generated source
                 assert name not in source
             for ctx in (_ctx(), _ctx(s=5)):
@@ -342,14 +342,14 @@ class TestGeneratedSize:
     @example(parse("map(3, i -> map(2, j -> i < j) = 0b01)"))
     @example(parse("if true then 1 else if false then 2 else 3"))
     def test_lines_linear_in_nodes(self, script):
-        source, _ = interp._generate(script)
+        source = interp._Generator().generate(script)
         assert len(source.splitlines()) <= self.LINES_PER_NODE * static_cost(script)
         compile(source, "<script>", "exec")
 
     def test_largest_script(self):
         script = untaken_branches(16_384)
         assert len(serialize_script(script)) <= 16_384
-        source, _ = interp._generate(script)
+        source = interp._Generator().generate(script)
         assert len(source.splitlines()) <= self.LINES_PER_NODE * static_cost(script)
         assert assert_same(script, _ctx(), 10_000, 256)[2] is True
 

@@ -5,7 +5,7 @@ delete, non-ASCII included) and chain files also as values (a scalar or
 container swapped for one of a few hostile values).  Each case must end
 in an exit status of 0, 1 or 2, never another exception.  Mutated chains
 are verified twice, the second time by the closure-tree oracle, and both
-runs must print the same lines.
+runs must print the same lines; then they are rendered.
 """
 
 import contextlib
@@ -22,7 +22,9 @@ from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
 from utxo110.lang import Bits
 from utxo110.model import Output, OutputRef, Transaction
-from utxo110.rule110 import BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE
+from utxo110.rule110 import (
+    BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE, GridRow, genesis_grid, genesis_layer,
+)
 
 # the fuzzed chain defines one script, so 1 is a script number past it
 HOSTILE_VALUES = (0, 1, -1, 2**64, 0.5, True, None, "", [], {})
@@ -91,6 +93,12 @@ def verify_exit(path) -> int:
         return main(["verify", "--chain", str(path)])
 
 
+def render_exit(path) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(["render", "--chain", str(path)])
+
+
 def verify_printed(path):
     """Exit status and stdout of ``verify``."""
     out = io.StringIO()
@@ -124,6 +132,7 @@ def test_verify_survives_byte_mutations(files, edits):
     path = base / "bytes.jsonl"
     path.write_bytes(mutate_bytes(chain, edits))
     assert verify_both_ways(path) in (0, 1, 2)
+    assert render_exit(path) in (0, 1, 2)
 
 
 @FUZZ
@@ -138,6 +147,7 @@ def test_verify_survives_value_mutations(files, data):
     path = base / "values.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert verify_both_ways(path) in (0, 1, 2)
+    assert render_exit(path) in (0, 1, 2)
 
 
 def restamped(txs, tx_index, out_index, field, value):
@@ -157,10 +167,13 @@ def restamped(txs, tx_index, out_index, field, value):
     return out
 
 
-@FUZZ
-@given(data=st.data(), value=st.one_of(
+_PAYLOAD_VALUES = st.one_of(
     st.booleans(), st.integers(-3, 4), st.just(2**64),
-    st.lists(st.integers(0, 1), max_size=3).map(Bits)))
+    st.lists(st.integers(0, 1), max_size=3).map(Bits))
+
+
+@FUZZ
+@given(data=st.data(), value=_PAYLOAD_VALUES)
 def test_verify_agrees_with_oracle_on_restamped_payloads(files, data, value):
     base, _ = files
     txs = [r.tx for r in load_chain(base / "chain.jsonl")]
@@ -170,6 +183,23 @@ def test_verify_agrees_with_oracle_on_restamped_payloads(files, data, value):
     path = base / "restamped.jsonl"
     dump_chain(restamped(txs, i, j, field, value), path)
     assert verify_both_ways(path) in (0, 1)
+    assert render_exit(path) in (0, 1)
+
+
+@FUZZ
+@given(data=st.data(), genesis=st.sampled_from([
+    genesis_grid(GridRow.from_bits([1, 0, 1])), genesis_layer(Bits([0, 1, 1]))]),
+    value=_PAYLOAD_VALUES)
+def test_render_survives_restamped_genesis_payloads(files, data, genesis, value):
+    """No script checks a genesis output, so any payload value verifies
+    and reaches the renderer."""
+    base, _ = files
+    j = data.draw(st.integers(0, len(genesis.outputs) - 1))
+    field = data.draw(st.sampled_from(genesis.outputs[j].payload.names()))
+    path = base / "genesis.jsonl"
+    dump_chain(restamped([genesis], 0, j, field, value), path)
+    assert verify_exit(path) == 0
+    assert render_exit(path) in (0, 1)
 
 
 @FUZZ

@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import drive_grid, drive_layer, step_transaction, \
     step_with_oversize_output
+from utxo110 import ledger
+from utxo110.interp import EvalContext, evaluate
 from utxo110.lang import Bits, Lit, serialize_script
 from utxo110.ledger import (
     ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
@@ -81,6 +83,35 @@ class TestValidate:
                          outputs=(Output(Lit(True), Payload()),))
         result = validate_transaction(tx, utxo, params)
         assert isinstance(result.reason, ScriptError)
+
+    @pytest.mark.parametrize("source, evaluations", [
+        ("in[1].v = 2", 1), ("in[1].v = 3", 1),
+        ("self.v = 1", 2), ("in[1].v = self.v + 1", 2),
+    ])
+    def test_shared_script_runs_once_unless_it_reads_self(
+            self, params, monkeypatch, source, evaluations):
+        script = parse(source)
+        gen = Transaction(inputs=(), outputs=tuple(
+            Output(script, Payload(v=v)) for v in (1, 2, 3)), is_genesis=True)
+        utxo = UtxoSet()
+        apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
+        tx = Transaction(inputs=tuple(gen.ref(i) for i in range(3)),
+                         outputs=(Output(Lit(True), Payload()),))
+        # the verdict of running the script once per input
+        inputs = gen.outputs
+        want, total = None, 0
+        for i, inp in enumerate(inputs):
+            value, receipt = evaluate(script, EvalContext(inp, inputs, tx.outputs),
+                                      params.cost_limit_per_input)
+            if value is not True:
+                want = Invalid(ScriptFalse(i))
+                break
+            total += receipt.total_cost
+        calls = []
+        monkeypatch.setattr(ledger, "evaluate",
+                            lambda *args, **kw: calls.append(1) or evaluate(*args, **kw))
+        assert validate_transaction(tx, utxo, params) == (want or Valid(total))
+        assert len(calls) == evaluations
 
     def test_genesis_always_valid(self, params):
         gen = genesis_layer(Bits.from_text("1"), params)
