@@ -17,18 +17,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .builder import BuildRules, NotBuildable, derive_build_rules, sweep
-from .canonical import CanonicalForm, FieldRule, NotCanonical, \
-    SCRIPT_FIELD, analyze_canonical
+# Only what `verify` needs is imported here; each command imports the
+# rest of what it uses, so that `verify` never loads the builder, the
+# analyser, the parser, the renderer or the Rule 110 scripts.
 from .chainio import ChainFormatError, dump_chain, load_chain
 from .lang import Bits, script_source
 from .ledger import ChainLog, FirstFailure, TransactionRejected, UtxoSet, \
     apply_transaction, verify_chain
 from .model import ChainParams
-from .parser import ParseError, parse
-from .render import render_chain
-from .rule110 import GridRow, genesis_grid, genesis_layer
+
+if TYPE_CHECKING:
+    from .builder import BuildRules
+    from .canonical import CanonicalForm
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -52,7 +54,26 @@ def _add_limit_flags(sub):
                      help="total cost budget per block (default %(default)s)")
 
 
+def _render_overwrites_chain(args) -> bool:
+    """Report and return whether --render names the --chain file, through
+    the same path, a symlink or a hard link."""
+    if args.render is None:
+        return False
+    try:
+        same = os.path.samefile(args.chain, args.render)
+    except OSError:  # one of them does not exist yet
+        same = os.path.realpath(args.chain) == os.path.realpath(args.render)
+    if same:
+        print("error: --render names the --chain file", file=sys.stderr)
+    return same
+
+
 def cmd_run(args) -> int:
+    from .builder import sweep
+    from .rule110 import GridRow, genesis_grid, genesis_layer
+
+    if _render_overwrites_chain(args):
+        return EXIT_USAGE
     params = _params(args)
     try:
         bits = Bits.from_text(args.initial)
@@ -108,6 +129,7 @@ def cmd_run(args) -> int:
     print(f"total cost: {total_cost}")
     print(f"utxo size: {len(utxo)}")
     if args.render is not None:
+        from .render import render_chain
         if not _write_render(args.render, render_chain(transactions, args.format)):
             return EXIT_USAGE
         print(f"render written to {args.render}")
@@ -173,6 +195,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_chain
+
+    if _render_overwrites_chain(args):
+        return EXIT_USAGE
     records = _load_records(args.chain)
     if records is None:
         return EXIT_USAGE
@@ -195,6 +221,8 @@ def cmd_render(args) -> int:
 
 
 def _print_form(form: CanonicalForm) -> None:
+    from .canonical import SCRIPT_FIELD, FieldRule
+
     print(f"out rules: {len(form.out_rules)}")
     for rule in form.out_rules:
         if isinstance(rule, FieldRule):
@@ -228,6 +256,10 @@ def _print_cases(rules: BuildRules) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .builder import NotBuildable, derive_build_rules
+    from .canonical import NotCanonical, analyze_canonical
+    from .parser import ParseError, parse
+
     try:
         with open(args.script, "r", encoding="utf-8") as fh:
             source = fh.read()

@@ -94,12 +94,6 @@ class UtxoSet:
             result &= b
         return sorted(result)
 
-    def copy(self) -> "UtxoSet":
-        clone = UtxoSet()
-        clone._primary = dict(self._primary)
-        clone._index = {k: set(v) for k, v in self._index.items()}
-        return clone
-
 
 # ---------------------------------------------------------------------------
 # Validation results

@@ -236,7 +236,9 @@ def test_criterion_6_tamper_suite():
         for i, ref in enumerate(tx.inputs):
             original = utxo.resolve(ref)
             for field in ("val", "x", "n", "mid"):
-                tampered = utxo.copy()
+                tampered = UtxoSet()
+                for other_ref, output in utxo.items():
+                    tampered.add(other_ref, output)
                 tampered.spend(ref)
                 mutated = Output(original.script,
                                  original.payload.replace(

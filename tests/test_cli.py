@@ -11,7 +11,7 @@ import pytest
 from conftest import (
     NON_CANONICAL_SCRIPTS, OVERSIZED_LETS, step_with_oversize_output,
 )
-from utxo110 import cli, rule110
+from utxo110 import builder, rule110
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
 from utxo110.lang import (
@@ -29,6 +29,18 @@ PACKAGE = Path(rule110.__file__).resolve().parent
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _same_file_as(path, how):
+    """A second name for ``path``: the path itself, a symlink or a hard link."""
+    if how == "same":
+        return path
+    link = path.with_name("link")
+    if how == "symlink":
+        link.symlink_to(path)
+    else:
+        os.link(path, link)
+    return link
 
 
 class TestRun:
@@ -81,13 +93,33 @@ class TestRun:
                                                    capsys, bad):
         def sweep(*args):
             raise AssertionError("swept before checking the output paths")
-        monkeypatch.setattr(cli, "sweep", sweep)
+        monkeypatch.setattr(builder, "sweep", sweep)
         paths = {"chain": tmp_path / "chain.jsonl", "render": tmp_path / "rows.txt"}
         paths[bad] = tmp_path / "no" / "such" / "file"
         assert run_cli("run", "--mode", "grid", "--initial", "1", "--steps", "1",
                        "--chain", paths["chain"], "--render", paths["render"]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {bad}:")
         assert list(tmp_path.iterdir()) == []  # nothing created is left behind
+
+    @pytest.mark.parametrize("how", ["same", "symlink", "hardlink"])
+    def test_render_naming_the_chain_file_is_refused(self, tmp_path, capsys, how):
+        chain = tmp_path / "chain.jsonl"
+        chain.write_bytes(b"kept\n")
+        render = _same_file_as(chain, how)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("run", "--mode", "grid", "--initial", "1", "--steps", "2",
+                       "--chain", chain, "--render", render) == 2
+        assert capsys.readouterr() == ("", "error: --render names the --chain file\n")
+        assert chain.read_bytes() == b"kept\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("how", ["same", "symlink"])
+    def test_render_naming_a_new_chain_file_creates_nothing(self, tmp_path, how):
+        chain = tmp_path / "chain.jsonl"
+        render = _same_file_as(chain, how)  # a dangling symlink for "symlink"
+        assert run_cli("run", "--mode", "grid", "--initial", "1", "--steps", "2",
+                       "--chain", chain, "--render", render) == 2
+        assert not os.path.lexists(chain)
 
     def test_failed_run_leaves_output_files_as_they_were(self, tmp_path):
         chain, render = tmp_path / "chain.jsonl", tmp_path / "rows.txt"
@@ -298,6 +330,18 @@ class TestRender:
         assert run_cli("render", "--chain", chain) == 1
         out, err = capsys.readouterr()
         assert (out, err.startswith("error: "), field in err) == ("", True, True)
+
+    @pytest.mark.parametrize("how", ["same", "symlink", "hardlink"])
+    def test_render_naming_the_chain_file_is_refused(self, tmp_path, capsys, how):
+        chain = tmp_path / "chain.jsonl"
+        run_cli("run", "--mode", "grid", "--initial", "1", "--steps", "2",
+                "--chain", chain)
+        capsys.readouterr()
+        before = chain.read_bytes()
+        render = _same_file_as(chain, how)
+        assert run_cli("render", "--chain", chain, "--render", render) == 2
+        assert capsys.readouterr() == ("", "error: --render names the --chain file\n")
+        assert chain.read_bytes() == before
 
     def test_run_with_render_flag(self, tmp_path):
         chain = tmp_path / "chain.jsonl"

@@ -1,0 +1,102 @@
+"""Each command loads only the modules it uses, and the package's public
+names resolve on first use to the defining module's objects."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import utxo110
+from utxo110.cli import main
+
+SRC = Path(utxo110.__file__).resolve().parent.parent
+
+VERIFY_MODULES = ["cli", "chainio", "interp", "lang", "ledger", "model"]
+
+PRINT_LOADED = """
+import sys
+print(" ".join(sorted(n for n in sys.modules if n.split(".")[0] == "utxo110")))
+"""
+
+
+def loaded_after(code: str) -> tuple:
+    """What a fresh interpreter running ``code`` printed, and the
+    ``utxo110`` modules it holds afterwards."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code + PRINT_LOADED],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *printed, modules = proc.stdout.splitlines()
+    return printed, modules.split()
+
+
+def cli_in_child(*argv) -> str:
+    """Child code running ``python -m utxo110 argv`` through runpy and
+    printing its exit status."""
+    return f"""
+import runpy, sys
+sys.argv = ["utxo110", *{[str(a) for a in argv]!r}]
+try:
+    runpy.run_module("utxo110", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code)
+"""
+
+
+def package(*modules) -> list:
+    return sorted(["utxo110"] + [f"utxo110.{m}" for m in modules])
+
+
+def test_import_loads_no_module():
+    assert loaded_after("import utxo110") == ([], ["utxo110"])
+
+
+def test_verify_loads_only_what_validation_needs(tmp_path, capsys):
+    chain = tmp_path / "chain.jsonl"
+    assert main(["run", "--mode", "grid", "--initial", "1", "--steps", "2",
+                 "--chain", str(chain)]) == 0
+    capsys.readouterr()
+    printed, modules = loaded_after(cli_in_child("verify", "--chain", chain))
+    assert printed == ["ok: 6 transactions, total cost 1796", "exit 0"]
+    assert modules == package(*VERIFY_MODULES)
+
+
+def test_run_without_render_leaves_render_unloaded(tmp_path):
+    printed, modules = loaded_after(cli_in_child(
+        "run", "--mode", "layer", "--initial", "0110", "--steps", "1",
+        "--chain", tmp_path / "chain.jsonl"))
+    assert printed[-1] == "exit 0"
+    assert modules == package(*VERIFY_MODULES, "builder", "canonical",
+                              "parser", "rule110")
+
+
+def test_chain_writer_names_load_only_their_modules():
+    assert loaded_after(
+        "from utxo110 import Output, Payload, Transaction, dump_chain, parse"
+    ) == ([], package("chainio", "lang", "model", "parser"))
+
+
+@pytest.mark.parametrize("name", utxo110.__all__)
+def test_export_is_the_defining_module_object(name):
+    value = getattr(utxo110, name)
+    assert value.__module__.startswith("utxo110.")
+    assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from utxo110 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(utxo110.__all__)
+    assert all(namespace[n] is getattr(utxo110, n) for n in utxo110.__all__)
+    assert set(utxo110.__all__) <= set(dir(utxo110))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        utxo110.no_such_name
+    assert not hasattr(utxo110, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from utxo110 import no_such_name", {})
