@@ -27,7 +27,6 @@ lookups, even where the script as a whole is not.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .canonical import (
     AnalysisError, CopyRule, DeadCase, FieldRule,
@@ -36,14 +35,14 @@ from .canonical import (
     split_cases,
 )
 from .interp import EvalContext, EvalError, _payload_value, evaluate
-from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size
+from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size, record
 from .ledger import (
     ChainLog, UtxoSet, Valid, apply_transaction, validate_transaction,
 )
 from .model import ChainParams, Output, OutputRef, Payload, Transaction
 
 
-@dataclass(frozen=True)
+@record
 class NotBuildable:
     reason: str
 
@@ -51,7 +50,7 @@ class NotBuildable:
         return f"not buildable: {self.reason}"
 
 
-@dataclass(frozen=True)
+@record
 class LookupMiss:
     input_index: int
     constraints: tuple
@@ -61,7 +60,7 @@ class LookupMiss:
         return f"no unspent output matches in[{self.input_index}] ({keys})"
 
 
-@dataclass(frozen=True)
+@record
 class LookupAmbiguous:
     input_index: int
     constraints: tuple
@@ -71,7 +70,7 @@ class LookupAmbiguous:
         return f"several distinct outputs match in[{self.input_index}] ({keys})"
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyCheckFailed:
     detail: str
 
@@ -79,13 +78,13 @@ class ConsistencyCheckFailed:
         return f"consistency check failed: {self.detail}"
 
 
-@dataclass(frozen=True)
+@record
 class NoProgress:
     def __str__(self):
         return "transaction would only recreate existing unspent outputs"
 
 
-@dataclass(frozen=True)
+@record
 class CannotBuild:
     reason: object
 
@@ -93,7 +92,7 @@ class CannotBuild:
         return str(self.reason)
 
 
-@dataclass(frozen=True)
+@record
 class BuildCase:
     """One branch of a script, compiled to generation rules."""
 
@@ -103,7 +102,7 @@ class BuildCase:
     out_rules: tuple    # of (out index, 'fields'|'copy', rule data with ScriptRefs)
 
 
-@dataclass(frozen=True)
+@record
 class BuildRules:
     cases: tuple
 

@@ -16,12 +16,10 @@ the transaction builder, which needs a per-branch view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lang import (
     MAX_DEPTH, NODE_FIELDS, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess,
     If, Index, Let, ListConcat, Lit, MapIndices, Not, ScriptOf, Size,
-    SyntheticOutput, Var, children, script_source,
+    SyntheticOutput, Var, children, record, script_source,
 )
 
 SCRIPT_FIELD = "script"  # rule slot for the output's guarding script
@@ -31,7 +29,7 @@ class AnalysisError(Exception):
     """Script shape the analyzer cannot handle (e.g. variable shadowing)."""
 
 
-@dataclass(frozen=True)
+@record
 class FieldRule:
     """out[index].field is assigned the value of ``expr`` (inputs only)."""
     out_index: int
@@ -39,7 +37,7 @@ class FieldRule:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@record
 class CopyRule:
     """out[index] is a copy of out[source] with overridden fields."""
     out_index: int
@@ -47,7 +45,7 @@ class CopyRule:
     overrides: tuple  # of (field, Expr)
 
 
-@dataclass(frozen=True)
+@record
 class LookupRule:
     """in[index].field must equal ``expr`` over earlier inputs."""
     in_index: int
@@ -55,14 +53,14 @@ class LookupRule:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalForm:
     out_rules: tuple  # FieldRule | CopyRule
     in_rules: tuple   # LookupRule
     residual: tuple   # Expr
 
 
-@dataclass(frozen=True)
+@record
 class NotCanonical:
     reason: str
 
@@ -93,7 +91,7 @@ def _per_node(step):
 # ---------------------------------------------------------------------------
 # Reference analysis
 
-@dataclass
+@record(frozen=False)
 class Refs:
     uses_out: bool = False
     uses_self: bool = False

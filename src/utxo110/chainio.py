@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
 
-from .lang import Bits, ScriptRef
+from .lang import Bits, ScriptRef, record
 from .model import Output, OutputRef, Payload, Transaction
 
 
@@ -161,7 +160,7 @@ def transaction_to_json(tx: Transaction, scripts: _ScriptTable) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@record
 class ChainRecord:
     stored_id: bytes
     tx: Transaction

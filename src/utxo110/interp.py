@@ -1,7 +1,7 @@
 """Cost-metered evaluator for guarding scripts.
 
 Each script is generated into Python source once per ``ScriptRef`` and
-compiled with ``exec``, the way stdlib ``dataclasses`` builds methods;
+compiled with ``exec``, the way ``lang.record`` builds record methods;
 the resulting function then runs against an ``EvalContext``.  Every node
 visit charges its weight against the caller-supplied limit, so
 evaluation time is bounded a priori:
@@ -22,12 +22,11 @@ share across threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .lang import (
     Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess, If, Index,
     Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf, ScriptRef,
-    Size, SyntheticOutput, Var,
+    Size, SyntheticOutput, Var, record,
 )
 from .model import ChainParams, Output, Payload
 
@@ -64,7 +63,7 @@ class ArithmeticDomainError(EvalError):
     """Nonpositive modulus or negative exponent."""
 
 
-@dataclass(frozen=True)
+@record
 class CostReceipt:
     total_cost: int
     limit: int

@@ -14,7 +14,6 @@ node visits.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
 
 
 FORMAT_VERSION = 1
@@ -28,6 +27,81 @@ MAX_DEPTH = 64
 # Field names that collide with postfix syntax and are therefore banned
 # in payloads.
 RESERVED_FIELD_NAMES = frozenset({"size", "script"})
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+_FRESH = object()  # stands for a list default not passed to __init__
+
+
+def record(cls=None, *, frozen=True, order=False):
+    """Class decorator: a plain record of the class's own annotated fields.
+
+    Fields keep the order they are written in, and a class-level value is
+    that field's default; a list default is copied for each instance.
+    ``__init__`` takes the fields positionally or by keyword and then
+    calls ``__post_init__`` when the class has one.  Records are equal
+    when they have the same class and equal field tuples.  A frozen
+    record hashes its field tuple and raises ``AttributeError`` on
+    assignment and deletion; a mutable one is unhashable.  ``order`` adds
+    ``<``, ``<=``, ``>``, ``>=`` over the field tuples.  The field-wise
+    methods are generated as source and compiled by one ``exec`` per
+    class.  ``__record_fields__`` holds the field names.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    env = {"_set": object.__setattr__, "_FRESH": _FRESH}
+    params, init = [], []
+    for name in names:
+        if name not in cls.__dict__:
+            params.append(name)
+            continue
+        default = env["_d_" + name] = cls.__dict__[name]
+        if isinstance(default, list):
+            params.append(f"{name}=_FRESH")
+            init.append(f" if {name} is _FRESH: {name} = _d_{name}.copy()")
+        else:
+            params.append(f"{name}=_d_{name}")
+    for name in names:
+        init.append(f" _set(self, {name!r}, {name})" if frozen
+                    else f" self.{name} = {name}")
+    if hasattr(cls, "__post_init__"):
+        init.append(" self.__post_init__()")
+    mine = "(" + "".join(f"self.{name}," for name in names) + ")"
+    theirs = "(" + "".join(f"other.{name}," for name in names) + ")"
+    ops = {"__eq__": "=="}
+    if order:
+        ops.update(__lt__="<", __le__="<=", __gt__=">", __ge__=">=")
+    source = [f"def __init__(self, {', '.join(params)}):", *(init or [" pass"])]
+    for method, op in ops.items():
+        source += [f"def {method}(self, other):",
+                   " if other.__class__ is self.__class__:",
+                   f"  return {mine} {op} {theirs}",
+                   " return NotImplemented"]
+    if frozen:
+        source += ["def __hash__(self):", f" return hash({mine})"]
+        cls.__setattr__ = cls.__delattr__ = _immutable
+    else:
+        cls.__hash__ = None
+    methods = {}
+    exec("\n".join(source), env, methods)
+    for method, function in methods.items():
+        setattr(cls, method, function)
+    cls.__record_fields__ = names
+    cls.__repr__ = _record_repr
+    return cls
+
+
+def _record_repr(self):
+    fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                       for name in self.__record_fields__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Bits:
@@ -151,111 +225,111 @@ def _intern(expr, data: bytes) -> ScriptRef:
 # ---------------------------------------------------------------------------
 # AST nodes
 
-@dataclass(frozen=True)
+@record
 class Lit:
     value: object  # bool | int | Bits | ScriptRef
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class CtxRef:
     kind: str  # "self" | "in" | "out"
 
 
-@dataclass(frozen=True)
+@record
 class FieldAccess:
     obj: "Expr"
     field: str
 
 
-@dataclass(frozen=True)
+@record
 class ScriptOf:
     obj: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Index:
     obj: "Expr"
     index: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Size:
     obj: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Arith:
     op: str  # "+" | "-" | "mod"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class PowMod:
     base: "Expr"
     exponent: "Expr"
     modulus: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Cmp:
     op: str  # "=" | "<"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class BoolOp:
     op: str  # "&" | "|" | "^"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class MapIndices:
     length: "Expr"
     var: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Let:
     name: str
     value: "Expr"
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class If:
     cond: "Expr"
     then: "Expr"
     orelse: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class CopyEq:
     target: "Expr"
     source: "Expr"
     overrides: tuple  # of (field, Expr)
 
 
-@dataclass(frozen=True)
+@record
 class ListConcat:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class SyntheticOutput:
     fields: tuple  # of (field, Expr), payload order
     script: "Expr"
@@ -276,11 +350,11 @@ _NODE_TYPES = (
 
 # Per node class, its fields in order as (name, what it holds): "expr"
 # one expression, "pairs" a tuple of (name, expression) pairs, None no
-# expression.  Read from the annotations once here, not by calling
-# ``dataclasses.fields`` on every node a walk visits.
+# expression.  Read from each record's annotations once here, not on
+# every node a walk visits.
 NODE_FIELDS = {
-    cls: tuple((f.name, {"'Expr'": "expr", "tuple": "pairs"}.get(f.type))
-               for f in fields(cls))
+    cls: tuple((name, {"'Expr'": "expr", "tuple": "pairs"}.get(
+        cls.__annotations__[name])) for name in cls.__record_fields__)
     for cls in _NODE_TYPES
 }
 

@@ -20,11 +20,10 @@ reconstructs it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .interp import (
     CostLimitExceeded, EvalContext, EvalError, evaluate, reads_self,
 )
+from .lang import record
 from .model import (
     ChainParams, Output, OutputRef, Transaction, _kind_tag, output_bytes,
 )
@@ -98,12 +97,12 @@ class UtxoSet:
 # ---------------------------------------------------------------------------
 # Validation results
 
-@dataclass(frozen=True)
+@record
 class Valid:
     total_cost: int
 
 
-@dataclass(frozen=True)
+@record
 class Invalid:
     reason: object
 
@@ -111,7 +110,7 @@ class Invalid:
         return str(self.reason)
 
 
-@dataclass(frozen=True)
+@record
 class MissingInput:
     ref: OutputRef
 
@@ -119,7 +118,7 @@ class MissingInput:
         return f"missing input {self.ref}"
 
 
-@dataclass(frozen=True)
+@record
 class DuplicateInput:
     ref: OutputRef
 
@@ -127,7 +126,7 @@ class DuplicateInput:
         return f"duplicate input {self.ref}"
 
 
-@dataclass(frozen=True)
+@record
 class OversizeOutput:
     output_index: int
     detail: str
@@ -136,7 +135,7 @@ class OversizeOutput:
         return f"output {self.output_index} is too large: {self.detail}"
 
 
-@dataclass(frozen=True)
+@record
 class OutputExists:
     ref: OutputRef
 
@@ -144,7 +143,7 @@ class OutputExists:
         return f"output {self.ref} already exists"
 
 
-@dataclass(frozen=True)
+@record
 class ScriptFalse:
     input_index: int
 
@@ -152,7 +151,7 @@ class ScriptFalse:
         return f"script of input {self.input_index} returned false"
 
 
-@dataclass(frozen=True)
+@record
 class ScriptError:
     input_index: int
     error: str
@@ -161,7 +160,7 @@ class ScriptError:
         return f"script of input {self.input_index} failed: {self.error}"
 
 
-@dataclass(frozen=True)
+@record
 class CostExceeded:
     input_index: int
 
@@ -169,7 +168,7 @@ class CostExceeded:
         return f"input {self.input_index} ran over the cost limit"
 
 
-@dataclass(frozen=True)
+@record
 class BudgetExceeded:
     cost: int
     budget: int
@@ -178,7 +177,7 @@ class BudgetExceeded:
         return f"transaction cost {self.cost} exceeds block budget {self.budget}"
 
 
-@dataclass(frozen=True)
+@record
 class TxIdMismatch:
     stored: bytes
     computed: bytes
@@ -188,7 +187,7 @@ class TxIdMismatch:
                 f"recomputed {self.computed.hex()[:16]}...")
 
 
-@dataclass(frozen=True)
+@record
 class MisplacedGenesis:
     def __str__(self):
         return "genesis transaction after the first regular transaction"
@@ -251,11 +250,11 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
 # ---------------------------------------------------------------------------
 # Chain log
 
-@dataclass
+@record(frozen=False)
 class Block:
     budget: int
     cost_used: int = 0
-    transactions: list = field(default_factory=list)
+    transactions: list = []
 
 
 class ChainLog:
@@ -311,13 +310,13 @@ def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
     return result
 
 
-@dataclass(frozen=True)
+@record
 class VerifyOk:
     transactions: int
     total_cost: int
 
 
-@dataclass(frozen=True)
+@record
 class FirstFailure:
     tx_index: int
     reason: object

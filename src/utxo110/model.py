@@ -10,9 +10,10 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
-from dataclasses import dataclass
 
-from .lang import Bits, Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value
+from .lang import (
+    Bits, Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value, record,
+)
 
 _FIELD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -128,7 +129,7 @@ class Output:
         return f"Output(payload={self.payload!r}, script={len(self.script_bytes)}B)"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class OutputRef:
     """Reference to an output of a prior transaction."""
 
@@ -212,7 +213,7 @@ def transaction_bytes(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class ChainParams:
     """Tunable limits shared by the interpreter, ledger and builder."""
 

@@ -16,11 +16,10 @@ oracles for the chain; they share nothing with the script VM.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
 
 from .interp import WidthExceeded
-from .lang import Bits, Expr, ScriptRef
+from .lang import Bits, Expr, ScriptRef, record
 from .model import ChainParams, Output, Payload, Transaction
 from .parser import parse
 
@@ -53,7 +52,7 @@ def evolve_cyclic(layer, steps: int) -> list:
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class GridRow:
     """One row of the left-growing grid: bits over columns [n, 0]."""
 

@@ -129,8 +129,8 @@ def _script_refs(value):
         return [value]
     if isinstance(value, tuple):
         return [r for v in value for r in _script_refs(v)]
-    if hasattr(value, "__dataclass_fields__"):
-        return [r for name in value.__dataclass_fields__
+    if hasattr(value, "__record_fields__"):
+        return [r for name in value.__record_fields__
                 for r in _script_refs(getattr(value, name))]
     return []
 
@@ -156,6 +156,13 @@ def test_derived_rules_are_the_tree_oracles(expr):
 @pytest.mark.parametrize("script", [build_bit_script, build_layer_script])
 def test_shipped_scripts_derive_the_tree_oracles_rules(script):
     assert_same_rules(ScriptRef(script()))
+
+
+def test_ref_walk_reaches_the_grid_validators_rules():
+    # Without this, the identity check in assert_same_rules would pass
+    # on empty lists if _script_refs stopped descending into records.
+    rules = builder._derive.__wrapped__(ScriptRef(build_bit_script()))
+    assert _script_refs(rules)
 
 
 def doubling_lets(count: int):

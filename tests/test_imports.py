@@ -17,19 +17,26 @@ VERIFY_MODULES = ["cli", "chainio", "interp", "lang", "ledger", "model"]
 
 PRINT_LOADED = """
 import sys
-print(" ".join(sorted(n for n in sys.modules if n.split(".")[0] == "utxo110")))
+print(" ".join(sorted(sys.modules)))
 """
 
 
-def loaded_after(code: str) -> tuple:
-    """What a fresh interpreter running ``code`` printed, and the
-    ``utxo110`` modules it holds afterwards."""
+def modules_after(code: str) -> tuple:
+    """What a fresh interpreter running ``code`` printed, and every
+    module it holds afterwards."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code + PRINT_LOADED],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     *printed, modules = proc.stdout.splitlines()
     return printed, modules.split()
+
+
+def loaded_after(code: str) -> tuple:
+    """What a fresh interpreter running ``code`` printed, and the
+    ``utxo110`` modules it holds afterwards."""
+    printed, modules = modules_after(code)
+    return printed, [n for n in modules if n.split(".")[0] == "utxo110"]
 
 
 def cli_in_child(*argv) -> str:
@@ -70,6 +77,18 @@ def test_run_without_render_leaves_render_unloaded(tmp_path):
     assert printed[-1] == "exit 0"
     assert modules == package(*VERIFY_MODULES, "builder", "canonical",
                               "parser", "rule110")
+
+
+def test_run_and_verify_load_neither_dataclasses_nor_inspect(tmp_path):
+    # Both modules cost every process their import time; compared with
+    # a bare interpreter, so whatever site loads does not count.
+    chain = tmp_path / "chain.jsonl"
+    bare = set(modules_after("pass")[1])
+    for argv in (["run", "--mode", "grid", "--initial", "1", "--steps", "2",
+                  "--chain", chain], ["verify", "--chain", chain]):
+        printed, modules = modules_after(cli_in_child(*argv))
+        assert printed[-1] == "exit 0"
+        assert not {"dataclasses", "inspect"} & (set(modules) - bare)
 
 
 def test_chain_writer_names_load_only_their_modules():
