@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 # Only what `verify` needs is imported here; each command imports the
 # rest of what it uses, so that `verify` never loads the builder, the
@@ -28,6 +27,7 @@ from .ledger import ChainLog, FirstFailure, TransactionRejected, UtxoSet, \
     apply_transaction, verify_chain
 from .model import ChainParams
 
+TYPE_CHECKING = False  # type checkers read it as True; importing typing costs start-up
 if TYPE_CHECKING:
     from .builder import BuildRules
     from .canonical import CanonicalForm

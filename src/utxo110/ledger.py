@@ -25,16 +25,17 @@ from .interp import (
 )
 from .lang import record
 from .model import (
-    ChainParams, Output, OutputRef, Transaction, _kind_tag, output_bytes,
+    ChainParams, Output, OutputRef, Transaction,
 )
 
 
 class UtxoSet:
-    """Unspent outputs with a secondary index over every payload field."""
+    """Unspent outputs, with an index over every payload field that is
+    built on the first ``lookup`` and kept current from then on."""
 
     def __init__(self):
         self._primary: dict[OutputRef, Output] = {}
-        self._index: dict[tuple, set] = {}
+        self._index: dict[tuple, set] | None = None
 
     def __len__(self):
         return len(self._primary)
@@ -55,22 +56,24 @@ class UtxoSet:
     def items(self):
         return [(ref, self._primary[ref]) for ref in self.refs()]
 
-    def _index_keys(self, output: Output):
+    def _index_output(self, ref: OutputRef, output: Output) -> None:
+        # type(value) keeps True and 1 apart, as the payload encoding does
         for name, value in output.payload.items():
-            yield (name, _kind_tag(value), value)
+            self._index.setdefault((name, type(value), value), set()).add(ref)
 
     def add(self, ref: OutputRef, output: Output) -> None:
         if ref in self._primary:
             raise ValueError(f"reference already present: {ref}")
         self._primary[ref] = output
-        for key in self._index_keys(output):
-            self._index.setdefault(key, set()).add(ref)
+        if self._index is not None:
+            self._index_output(ref, output)
 
     def spend(self, ref: OutputRef) -> Output:
         output = self._primary.pop(ref)
-        for key in self._index_keys(output):
-            bucket = self._index.get(key)
-            if bucket is not None:
+        if self._index is not None:
+            for name, value in output.payload.items():
+                key = (name, type(value), value)
+                bucket = self._index[key]
                 bucket.discard(ref)
                 if not bucket:
                     del self._index[key]
@@ -85,7 +88,11 @@ class UtxoSet:
         constraints = list(constraints)
         if not constraints:
             return self.refs()
-        buckets = [self._index.get((name, _kind_tag(value), value), set())
+        if self._index is None:
+            self._index = {}
+            for ref, output in self._primary.items():
+                self._index_output(ref, output)
+        buckets = [self._index.get((name, type(value), value), set())
                    for name, value in constraints]
         buckets.sort(key=len)
         result = set(buckets[0])
@@ -216,7 +223,7 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
         if script_size > params.max_script_bytes:
             return Invalid(OversizeOutput(
                 i, f"script is {script_size} bytes, limit {params.max_script_bytes}"))
-        payload_size = len(output_bytes(output)) - script_size
+        payload_size = 4 + len(output.payload.encoded)  # with the script's length prefix
         if payload_size > params.max_payload_bytes:
             return Invalid(OversizeOutput(
                 i, f"payload is {payload_size} bytes, limit {params.max_payload_bytes}"))

@@ -1,57 +1,51 @@
 """Ledger data model: payloads, outputs, transactions, parameters.
 
-Transactions are treated as immutable once constructed; the transaction
-id is the SHA-256 digest of the canonical transaction bytes and is
-cached on first use.
+A payload's identity is its canonical encoding, built once when the
+payload is: equality and hashing compare those bytes, so field order
+and the kind of each value (``True`` is not ``1``) come from the
+encoding, and transaction bytes reuse it (``ledger.UtxoSet`` builds its
+payload index only on the first lookup).  Transactions are treated as
+immutable once constructed; the transaction id is the SHA-256 digest of
+the canonical transaction bytes and is cached on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-import struct
 
 from .lang import (
-    Bits, Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value, record,
+    Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value, _u32, record,
 )
 
 _FIELD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _kind_tag(value) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, Bits):
-        return "bits"
-    if isinstance(value, ScriptRef):
-        return "scriptref"
-    raise TypeError(f"not a payload value: {type(value).__name__}")
-
-
 class Payload:
     """Ordered field -> value record attached to an output.
 
-    Field order is part of output identity.  Values are bool, int, Bits
-    or ScriptRef; bool and int compare as distinct kinds even though
-    Python treats True == 1.
+    Values are bool, int, Bits or ScriptRef.  ``encoded`` holds the
+    canonical bytes (field count, then each name and value), and two
+    payloads are equal exactly when those bytes are.
     """
 
-    __slots__ = ("_pairs", "_map")
+    __slots__ = ("_pairs", "_map", "encoded")
 
     def __init__(self, pairs=(), **kwargs):
-        items = list(pairs) + list(kwargs.items())
-        seen = set()
+        items = tuple(pairs) + tuple(kwargs.items())
+        fields = {}
+        parts = [_u32(len(items))]
         for name, value in items:
             if not _FIELD_NAME_RE.fullmatch(name) or name in RESERVED_FIELD_NAMES:
                 raise ValueError(f"invalid payload field name {name!r}")
-            if name in seen:
+            if name in fields:
                 raise ValueError(f"duplicate payload field {name!r}")
-            seen.add(name)
-            _kind_tag(value)
-        object.__setattr__(self, "_pairs", tuple(items))
-        object.__setattr__(self, "_map", dict(items))
+            fields[name] = value
+            raw = name.encode("utf-8")
+            parts += (_u32(len(raw)), raw, _enc_value(value))
+        object.__setattr__(self, "_pairs", items)
+        object.__setattr__(self, "_map", fields)
+        object.__setattr__(self, "encoded", b"".join(parts))
 
     def get(self, name):
         try:
@@ -74,16 +68,13 @@ class Payload:
             raise KeyError(name)
         return Payload(tuple((n, value if n == name else v) for n, v in self._pairs))
 
-    def _key(self):
-        return tuple((n, _kind_tag(v), v) for n, v in self._pairs)
-
     def __eq__(self, other):
         if not isinstance(other, Payload):
             return NotImplemented
-        return self._key() == other._key()
+        return self.encoded == other.encoded
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.encoded)
 
     def __setattr__(self, name, value):
         raise AttributeError("Payload is immutable")
@@ -112,7 +103,7 @@ class Output:
 
     def content_key(self):
         """Hashable identity of this output's content (script + payload)."""
-        return (self.script_ref, self.payload._key())
+        return (self.script_ref, self.payload.encoded)
 
     def __eq__(self, other):
         if not isinstance(other, Output):
@@ -183,20 +174,9 @@ class Transaction:
                 f"{len(self.outputs)} out)")
 
 
-def _u32(n: int) -> bytes:
-    return struct.pack(">I", n)
-
-
 def output_bytes(output: Output) -> bytes:
-    parts = [_u32(len(output.script_bytes)), output.script_bytes]
-    pairs = output.payload.items()
-    parts.append(_u32(len(pairs)))
-    for name, value in pairs:
-        raw = name.encode("utf-8")
-        parts.append(_u32(len(raw)))
-        parts.append(raw)
-        parts.append(_enc_value(value))
-    return b"".join(parts)
+    script = output.script_bytes
+    return _u32(len(script)) + script + output.payload.encoded
 
 
 def transaction_bytes(tx: Transaction) -> bytes:

@@ -21,11 +21,11 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def modules_after(code: str) -> tuple:
-    """What a fresh interpreter running ``code`` printed, and every
-    module it holds afterwards."""
+def modules_after(code: str, *flags) -> tuple:
+    """What a fresh interpreter, started with ``flags``, printed running
+    ``code``, and every module it holds afterwards."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code + PRINT_LOADED],
+    proc = subprocess.run([sys.executable, *flags, "-c", code + PRINT_LOADED],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     *printed, modules = proc.stdout.splitlines()
@@ -89,6 +89,17 @@ def test_run_and_verify_load_neither_dataclasses_nor_inspect(tmp_path):
         printed, modules = modules_after(cli_in_child(*argv))
         assert printed[-1] == "exit 0"
         assert not {"dataclasses", "inspect"} & (set(modules) - bare)
+
+
+def test_run_and_verify_load_no_typing_without_site(tmp_path):
+    # Under -S, site loads nothing, so whatever typing costs would be
+    # paid by the package itself.
+    chain = tmp_path / "chain.jsonl"
+    for argv in (["run", "--mode", "grid", "--initial", "1", "--steps", "2",
+                  "--chain", chain], ["verify", "--chain", chain]):
+        printed, modules = modules_after(cli_in_child(*argv), "-S")
+        assert printed[-1] == "exit 0"
+        assert "typing" not in modules
 
 
 def test_chain_writer_names_load_only_their_modules():

@@ -3,9 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import drive_grid, drive_layer, step_transaction, \
     step_with_oversize_output
-from utxo110 import ledger
+from utxo110 import ledger, model
+from utxo110.chainio import dump_chain, load_chain
 from utxo110.interp import EvalContext, evaluate
-from utxo110.lang import Bits, Lit, serialize_script
+from utxo110.lang import Bits, Lit, ScriptRef, serialize_script
 from utxo110.ledger import (
     ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
     MisplacedGenesis, MissingInput, OutputExists, OversizeOutput, ScriptError,
@@ -150,6 +151,19 @@ class TestValidate:
         assert validate_transaction(genesis, UtxoSet(), params) \
             == Invalid(OversizeOutput(1, detail))
 
+    @pytest.mark.parametrize("extra, expected", [
+        (0, Valid(0)),
+        (1, Invalid(OversizeOutput(0, "payload is 1025 bytes, limit 1024"))),
+    ], ids=["at-limit", "one-over"])
+    def test_payload_limit_boundary(self, params, extra, expected):
+        # counted: 4-byte script-length prefix, 14 bytes of field framing,
+        # then the packed bits
+        payload = Payload(b=Bits([1] * (8 * (params.max_payload_bytes - 18) + extra)))
+        assert 4 + len(payload.encoded) == params.max_payload_bytes + extra
+        genesis = Transaction(inputs=(), outputs=(Output(Lit(True), payload),),
+                              is_genesis=True)
+        assert validate_transaction(genesis, UtxoSet(), params) == expected
+
 
 class TestApply:
     def test_utxo_delta(self, params):
@@ -260,7 +274,10 @@ _payloads = st.lists(_pairs, max_size=4, unique_by=lambda kv: kv[0])
        st.sets(st.integers(0, 7), max_size=3), st.data())
 def test_index_matches_linear_scan(payloads, spent, data):
     utxo = UtxoSet()
+    early = data.draw(st.integers(0, len(payloads)))
     for i, pairs in enumerate(payloads):
+        if i == early:
+            utxo.lookup([("x", 0)])  # builds the index the rest must keep
         utxo.add(OutputRef(bytes([i]) * 32, 0), Output(Lit(True), Payload(pairs)))
     for i in spent & set(range(len(payloads))):
         utxo.spend(OutputRef(bytes([i]) * 32, 0))
@@ -283,6 +300,106 @@ def test_index_matches_linear_scan(payloads, spent, data):
         if ok:
             expected.append(ref)
     assert got == sorted(expected)
+    rebuilt = UtxoSet()
+    for ref, out in utxo.items():
+        rebuilt.add(ref, out)
+    for u in (utxo, rebuilt):
+        u.lookup([("x", 0)])
+    assert utxo._index == rebuilt._index
+
+
+# -- payload identity ---------------------------------------------------------
+
+def _kind_tag(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, int):
+        return "int"
+    if isinstance(value, Bits):
+        return "bits"
+    if isinstance(value, ScriptRef):
+        return "scriptref"
+    raise TypeError(f"not a payload value: {type(value).__name__}")
+
+
+def _key(payload):
+    """Identity as one (name, kind, value) triple per field, in order:
+    the oracle that identity by canonical bytes must agree with."""
+    return tuple((n, _kind_tag(v), v) for n, v in payload.items())
+
+
+_SCRIPTS = (ScriptRef(Lit(True)), ScriptRef(parse("1 + 1 = 2")))
+_identity_fields = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]),
+              st.one_of(st.booleans(), st.integers(-2, 2), st.integers(),
+                        st.lists(st.booleans(), max_size=12).map(Bits),
+                        st.sampled_from(_SCRIPTS))),
+    max_size=3, unique_by=lambda kv: kv[0])
+
+
+def _recast(pairs):
+    """The same fields, each bool turned into an int and each 0 or 1
+    int into a bool: equal to Python, not as payload values."""
+    return [(n, int(v) if type(v) is bool else bool(v) if type(v) is int and v in (0, 1)
+             else v) for n, v in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_identity_fields, st.data())
+def test_payloads_equal_exactly_when_encodings_equal(pairs, data):
+    other = data.draw(st.one_of(st.just(pairs), st.permutations(pairs),
+                                st.just(_recast(pairs)), _identity_fields))
+    a, b = Payload(pairs), Payload(other)
+    assert (a == b) == (a.encoded == b.encoded) == (_key(a) == _key(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_payload_identity_cases():
+    assert Payload(x=True) != Payload(x=1)
+    assert Payload((("x", 1), ("y", 2))) != Payload((("y", 2), ("x", 1)))
+    with pytest.raises(TypeError):
+        Payload(x="text")
+
+
+def test_verify_encodes_each_payload_once_and_builds_no_index(tmp_path, monkeypatch):
+    txs, _ = drive_grid([1], 6)
+    chain = tmp_path / "chain.jsonl"
+    dump_chain(txs, chain)
+    encodings, fields = [], []
+    enc_value, init = model._enc_value, Payload.__init__
+
+    def counted_enc_value(value):
+        encodings.append(value)
+        return enc_value(value)
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fields.append(len(self.items()))
+
+    utxos = []
+
+    class Recorded(UtxoSet):
+        def __init__(self):
+            super().__init__()
+            utxos.append(self)
+
+    monkeypatch.setattr(model, "_enc_value", counted_enc_value)
+    monkeypatch.setattr(Payload, "__init__", counted_init)
+    monkeypatch.setattr(ledger, "UtxoSet", Recorded)
+    records = load_chain(chain)
+    # loading builds each output's payload, and encodes each field once
+    assert len(fields) == sum(len(tx.outputs) for tx in txs)
+    assert len(encodings) == sum(fields)
+    del encodings[:], fields[:]
+    result = verify_chain([r.tx for r in records],
+                          stored_ids=[r.stored_id for r in records])
+    assert result == verify_chain(txs)
+    assert result.transactions == len(txs)
+    # tx ids and limits reuse those bytes; only the outputs the grid
+    # validator synthesizes are built, and encoded, while verifying
+    assert len(encodings) == sum(fields)
+    assert len(utxos) == 2 and all(u._index is None for u in utxos)
 
 
 class TestVerify:
