@@ -9,7 +9,12 @@ evaluation time is bounded a priori:
 * plain nodes cost 1, charged before their children run,
 * ``pow .. mod`` costs 1 plus the bit length of the exponent, charged
   after its operands and before the power is taken,
-* ``map`` runs its body once per index, each run metered normally.
+* ``map`` runs its body once per index, each run metered normally.  A
+  static body, one whose charges are all constants (no ``if``, ``pow``
+  or nested ``map``), charges the same c on every run; when c × n fits
+  in what is left of the limit, the generated code charges c × n up
+  front and runs the body with no checks.  No charge could then fail,
+  so the value, cost or error is the one of the run-by-run walk.
 
 Boolean operators are strict (both operands always evaluated); only
 ``if`` is lazy.  Costs, receipts and errors are those of a node-by-node
@@ -260,9 +265,15 @@ class _Function:
         self.params = list(params)
         self.defined = set(params)
         self.free = []  # locals of enclosing functions, passed in as params
+        # source lines, and (indent, amount) markers for constant charges
         self.lines = []
         self.indent = 1
         self.pending = 0
+        # whether every charge is a marker: no 'if', 'pow' or nested 'map'
+        self.static = True
+        # in a map body: the name of each loop-invariant Bits target's
+        # size, computed once before the loop
+        self.hoisted = None
         # What the code so far has established on every path to the next
         # line: the temporary holding each operation's result, and the
         # kind each checked value passed as.  Both are pure facts, so
@@ -278,7 +289,7 @@ class _Function:
         between them add up to one check that fails exactly when one of
         theirs would, with the same error."""
         if self.pending:
-            self.line(f"if (s := s + {self.pending}) > L: _over(L)")
+            self.lines.append((self.indent, self.pending))
             self.pending = 0
 
     def op(self, text):
@@ -288,7 +299,10 @@ class _Function:
 
     def source(self):
         head = f"def {self.name}({', '.join(self.params + self.free)}):"
-        return "\n".join([head] + self.lines)
+        return "\n".join([head] + [
+            line if type(line) is str
+            else f"{' ' * line[0]}if (s := s + {line[1]}) > L: _over(L)"
+            for line in self.lines])
 
 
 class _Generator:
@@ -341,7 +355,7 @@ class _Generator:
         if t is None:
             t = fn.values[text] = self.temp()
             (fn.op if may_raise else fn.line)(f"{t} = {text}")
-        return t
+        return self.use(t)
 
     def check(self, value, kind, expected, what):
         """Emit ``_as_int``/``_as_bool``'s check; False if it always fails."""
@@ -461,10 +475,23 @@ class _Generator:
         if kind == "output list":
             return self.assign(f"{a}[{i}] if 0 <= {i} < len({a}) "
                                f"else _index({a}, {i})"), "output"
-        guard = "" if kind == "bits" else f"type({a}) is Bits and "
-        return self.assign(f"{a}._bits[{i}] == 1 if {guard}0 <= {i} < "
-                           f"len({a}._bits) else _index({a}, {i})"), \
+        guard, size = self.bits_size(a, kind)
+        return self.assign(f"{a}._bits[{i}] == 1 if {guard}0 <= {i} < {size} "
+                           f"else _index({a}, {i})"), \
             "bool" if kind == "bits" else None
+
+    def bits_size(self, a, kind):
+        """``(guard, size)``: the test that ``a`` is Bits, and its size.  In
+        a map body, the size of a target that is the same at every index
+        is read once, before the loop, as -1 when the target is not Bits."""
+        fn = self.fn
+        if fn.hoisted is None or a in fn.defined:
+            guard = "" if kind == "bits" else f"type({a}) is Bits and "
+            return guard, f"len({a}._bits)"
+        size = fn.hoisted.get(a)
+        if size is None:
+            size = fn.hoisted[a] = self.fresh("h")
+        return "", size
 
     def arith(self, e, scope):
         what = "arithmetic operand"
@@ -508,6 +535,7 @@ class _Generator:
         if operands is None:
             return None
         (b, _), (x, _), (m, _) = operands
+        self.fn.static = False
         self.fn.op(f"if {x} < 0 or {m} <= 0: _pow_domain({x})")
         self.fn.line(f"if (s := s + 1 + {x}.bit_length()) > L: _over(L)")
         return self.assign(f"pow({b}, {x}, {m})", False), "int"
@@ -519,6 +547,7 @@ class _Generator:
             return None
         result = self.fresh("t")
         kinds = []
+        fn.static = False  # what it charges depends on the branch taken
         pending, values, known = fn.pending, fn.values, fn.kinds
         for keyword, branch in ((f"if {cond[0][0]}:", e.then), ("else:", e.orelse)):
             fn.line(keyword)
@@ -545,20 +574,32 @@ class _Generator:
             return None
         n = length[0][0]
         fn.op(f"if not 0 <= {n} <= {self.use('W')}: _map_length({n}, W)")
-        # the body is a function of its own, so that nested maps never
-        # nest blocks in the source
+        fn.static = False  # what the map charges depends on n
+        # The body is a function of its own, so that nested maps never
+        # nest blocks in the source.  It starts from what holds at the
+        # call, and reads what does not change from index to index once.
         body = self.fn = _Function(self.fresh("m"), ["n", "s", "L"])
+        body.values, body.kinds = dict(fn.values), dict(fn.kinds)
+        body.hoisted = {}
         var = self.temp()
-        body.line("b = []")
-        body.line(f"for {var} in range(n):")
-        body.indent += 1
+        body.indent = 2
         value = self.operands({**scope, e.var: (var, "int")},
                               (e.body, "bool", "map body"))
         if value is not None:
             body.flush()
             body.line(f"b.append({value[0][0]})")
-        body.indent -= 1
-        body.line("return Bits(b), s")
+        loop = [f" for {var} in range(n):"] + body.lines
+        body.lines = [f" {size} = len({a}._bits) if type({a}) is Bits else -1"
+                      for a, size in body.hoisted.items()] + [" b = []"]
+        if body.static:
+            # Each run charges the same c: when all n runs fit, charge
+            # them up front and run a loop with no checks, where only an
+            # operation can fail, as it would in the walk.
+            c = sum(line[1] for line in loop if type(line) is tuple)
+            body.lines += [f" if s + {c} * n <= L:",
+                           *(" " + line for line in loop if type(line) is str),
+                           f"  return Bits._of(b), s + {c} * n"]
+        body.lines += loop + [" return Bits._of(b), s"]
         self.functions.append(body)
         self.fn = fn
         for name in body.free:

@@ -104,6 +104,13 @@ def _immutable(self, *args):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+# bytes.translate tables between bit values 0/1 and their text
+_TEXT_TO_BITS = bytes(
+    {ord("0"): 0, ord("."): 0, ord("1"): 1, ord("#"): 1}.get(c, 0xFF)
+    for c in range(256))
+_BITS_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
+
+
 class Bits:
     """Immutable sequence of bits (0/1), usable as a payload value."""
 
@@ -116,31 +123,46 @@ class Bits:
         object.__setattr__(self, "_bits", vals)
 
     @classmethod
+    def _of(cls, values) -> "Bits":
+        """Bits from 0/1 ints, bools or bytes that the caller has already
+        checked, without the public constructor's check of each value."""
+        bits = object.__new__(cls)
+        object.__setattr__(bits, "_bits", tuple(bytes(values)))
+        return bits
+
+    @classmethod
     def from_text(cls, text: str) -> "Bits":
         """Parse '0'/'1' or '.'/'#' notation."""
-        mapping = {"0": 0, "1": 1, ".": 0, "#": 1}
-        try:
-            return cls(mapping[ch] for ch in text.strip())
-        except KeyError as exc:
-            raise ValueError(f"invalid bit character {exc.args[0]!r}") from None
+        text = text.strip()
+        if text.isascii():
+            values = text.encode("ascii").translate(_TEXT_TO_BITS)
+            if 0xFF not in values:
+                return cls._of(values)
+        bad = next(ch for ch in text if ch not in "01.#")
+        raise ValueError(f"invalid bit character {bad!r}")
 
     def to_text(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return bytes(self._bits).translate(_BITS_TO_TEXT).decode("ascii")
 
     def packed(self) -> bytes:
         """MSB-first packing, zero-padded to a byte boundary."""
-        out = bytearray((len(self._bits) + 7) // 8)
-        for i, b in enumerate(self._bits):
-            if b:
-                out[i // 8] |= 0x80 >> (i % 8)
-        return bytes(out)
+        size = (len(self._bits) + 7) // 8
+        if not size:
+            return b""
+        pad = 8 * size - len(self._bits)
+        return (int(self.to_text(), 2) << pad).to_bytes(size, "big")
 
     @classmethod
     def from_packed(cls, data: bytes, nbits: int) -> "Bits":
-        bits = []
-        for i in range(nbits):
-            bits.append((data[i // 8] >> (7 - i % 8)) & 1)
-        return cls(bits)
+        """The first ``nbits`` bits of ``data``, MSB first; padding bits
+        past them are ignored."""
+        if nbits <= 0:
+            return cls()
+        size = (nbits + 7) // 8
+        if len(data) < size:
+            raise IndexError("packed bits are shorter than their bit count")
+        value = int.from_bytes(data[:size], "big") >> (8 * size - nbits)
+        return cls.from_text(format(value, f"0{nbits}b"))
 
     def __len__(self):
         return len(self._bits)

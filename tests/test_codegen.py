@@ -6,6 +6,8 @@ value and ``CostReceipt``, or the same exception type and message.
 """
 
 import functools
+import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -14,6 +16,7 @@ import closure_oracle
 from conftest import drive_grid, drive_layer
 from test_lang import _extend, _leaf
 from utxo110 import interp
+from utxo110.builder import derive_build_rules
 from utxo110.interp import EvalContext
 from utxo110.lang import (
     MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, If,
@@ -22,6 +25,7 @@ from utxo110.lang import (
 )
 from utxo110.model import Output, Payload
 from utxo110.parser import parse
+from utxo110.rule110 import build_layer_script, evolve_cyclic
 
 FIELDS = ["val", "x", "n", "mid", "layer", "field_1"]
 ENOUGH = 10**6
@@ -329,6 +333,179 @@ class TestHostileScripts:
             assert result[1] is expected
         else:
             assert result[2] == expected
+
+
+def _functions(source):
+    """The lines of each generated function, by name."""
+    functions = {}
+    for line in source.splitlines():
+        if line.startswith("def "):
+            lines = functions[line[4:line.index("(")]] = []
+        lines.append(line)
+    return functions
+
+
+_PRECHARGE = re.compile(r" if s \+ (\d+) \* n <= L:")
+
+
+def _fast_loops(source):
+    """Each map body's precharged loop: its lines from the up-front test
+    to its return."""
+    loops = {}
+    for name, lines in _functions(source).items():
+        for k, line in enumerate(lines):
+            if _PRECHARGE.fullmatch(line):
+                end = next(j for j in range(k, len(lines))
+                           if lines[j].startswith("  return "))
+                loops[name] = lines[k + 1:end]
+    return loops
+
+
+def _precharge_limit(script, n):
+    """The least limit under which the static body of the script's one
+    top-level map is charged up front: the cost charged before the map's
+    call plus c × n."""
+    source = interp._Generator().generate(script)
+    c = int(_PRECHARGE.search(source)[1])
+    before = 0
+    for line in _functions(source)["f"]:
+        if re.match(r" t\d+, s = m\d+\(", line):
+            return before + c * n
+        charge = re.match(r" if \(s := s \+ (\d+)\) > L: _over\(L\)$", line)
+        before += int(charge[1]) if charge else 0
+    raise AssertionError("no map call")
+
+
+def _layer_ctx(width, seed=3):
+    bits = Bits(random.Random(seed).getrandbits(1) for _ in range(width))
+    me = Output(Lit(True), Payload((("layer", bits), ("x", 2))))
+    nxt = Output(Lit(True), Payload((("layer", evolve_cyclic(bits, 1)[0]),)))
+    return EvalContext(me, (me,), (nxt,))
+
+
+def _every_limit(script, ctx, max_width=8):
+    """The same outcome as the oracle at every limit from 1 to two past
+    the full cost; returns the full cost."""
+    full = assert_same(script, ctx, ENOUGH, max_width)
+    top = full[3].total_cost if full[0] == "value" else 4 * static_cost(script)
+    for limit in range(1, top + 3):
+        assert_same(script, ctx, limit, max_width)
+    return top
+
+
+class TestPrecharge:
+    """A static map body is charged c × n up front when all n runs fit,
+    and is metered run by run when they do not: at every limit on either
+    side, the value, receipt or error is the oracle's."""
+
+    @pytest.mark.parametrize("source", [
+        "map(self.layer.size, i -> self.layer[(i - 1) mod self.layer.size] "
+        "^ self.layer[i]) = out[0].layer",
+        "(map(self.layer.size, i -> i < self.x) = 0b110000) & true",
+        "map(self.layer.size, i -> !self.layer[i] & (in[0].x = 2)) = self.layer",
+    ])
+    def test_static_bodies_at_every_limit(self, source):
+        script = parse(source)
+        ctx = _layer_ctx(6)
+        at = _precharge_limit(script, 6)
+        top = _every_limit(script, ctx)
+        assert 1 < at < top  # the sweep crosses the up-front test
+
+    def test_layer_validator_at_the_boundary(self):
+        script = ScriptRef(build_layer_script())
+        ctx = _layer_ctx(256)
+        value, receipt = assert_same(script, ctx, 10_000, 256)[2:]
+        assert value is True and receipt.total_cost == 9_235
+        at = _precharge_limit(script.expr, 256)
+        assert at == 9_235 - 7  # '&', 'out[0].script = self.script' follow
+        for limit in (1, at - 1, at, at + 1, 9_234, 9_235):
+            assert_same(script, ctx, limit, 256)
+        assert assert_same(script, ctx, at, 256)[1] is interp.CostLimitExceeded
+        assert assert_same(script, ctx, at - 1, 256)[1] is interp.CostLimitExceeded
+
+    @pytest.mark.parametrize("source, error", [
+        # out of range at index 3, a domain error at index 2, and bodies
+        # that are not bools from index 0
+        ("map(4, i -> self.layer[i])", interp.IndexOutOfBounds),
+        ("map(4, i -> (1 mod (2 - i)) = 1)", interp.ArithmeticDomainError),
+        ("map(4, i -> self.x)", interp.EvalTypeError),
+        ("map(4, i -> in[i - i])", interp.EvalTypeError),
+        ("map(4, i -> i)", interp.EvalTypeError),
+        ("let x = self.x in map(4, i -> x[i])", interp.EvalTypeError),
+    ])
+    def test_bodies_that_raise(self, source, error):
+        script = parse(source)
+        ctx = _layer_ctx(3)
+        assert assert_same(script, ctx)[1] is error
+        at = _precharge_limit(script, 4)
+        for limit in (at, at + 1):  # the budget fits: the operation's error
+            assert assert_same(script, ctx, limit)[1] is error
+        _every_limit(script, ctx)
+
+    @pytest.mark.parametrize("source", [
+        "map(3, i -> map(2, j -> i < j) = 0b01)",
+        "(if self.x < 3 then map(self.layer.size, i -> self.layer[i]) "
+        "else self.layer) = self.layer",
+        "map(self.layer.size, i -> (2 pow i mod 7) < 3)",
+        "map(self.layer.size, i -> if self.layer[i] then i < 2 else self.x < i)",
+        "map(2, i -> map(self.layer.size, j -> self.layer[j] ^ self.layer[i]) "
+        "= self.layer)",
+    ])
+    def test_nested_and_dynamic_bodies(self, source):
+        _every_limit(parse(source), _layer_ctx(5))
+
+    @pytest.mark.parametrize("x", [2, 5])
+    def test_index_target_of_unknown_kind(self, x):
+        # the same target before the loop is a list or Bits, by self.x
+        script = parse("let t = if self.x < 3 then in ++ in else self.layer in "
+                       "map(2, i -> t[i] = in[0])")
+        me = Output(Lit(True), Payload((("layer", Bits([1, 0])), ("x", x))))
+        _every_limit(script, EvalContext(me, (me,), ()))
+
+    def test_validator_fast_loops_charge_nothing(self):
+        layer = build_layer_script()
+        rules = derive_build_rules(layer)
+        (rule,), = [fields for _, _, (fields, _) in rules.cases[0].out_rules]
+        for script in (layer, rule[1].expr):
+            source = interp._Generator().generate(script)
+            loops = _fast_loops(source)
+            assert len(loops) == 1
+            (loop,) = loops.values()
+            assert "for " in loop[0] and not any("_over" in line for line in loop)
+            assert source.count("_over") > 1  # the metered loop still charges
+
+    @pytest.mark.parametrize("source, static", [
+        ("map(3, i -> if i < 1 then true else false)", []),
+        ("map(3, i -> (2 pow i mod 5) < 2)", []),
+        # only the inner body of nested maps is static
+        ("map(3, i -> map(2, j -> i < j) = 0b01)", ["inner"]),
+    ])
+    def test_dynamic_bodies_get_no_fast_loop(self, source, static):
+        source = interp._Generator().generate(parse(source))
+        bodies = {name: "inner" if not re.search(r"= m\d+\(", "\n".join(lines))
+                  else "outer" for name, lines in _functions(source).items()
+                  if name != "f"}
+        assert [bodies[name] for name in _fast_loops(source)] == static
+
+
+class TestMapResult:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 256).flatmap(
+        lambda w: st.lists(st.booleans(), min_size=w, max_size=w)))
+    def test_same_bits_as_the_public_constructor(self, bools):
+        want = Bits(bools)
+        ctx = _ctx(layer=want)
+        for source in ("map(self.layer.size, i -> self.layer[i])",
+                       "map(self.layer.size, i -> if self.layer[i] then true "
+                       "else false)"):
+            got = interp.evaluate(parse(source), ctx, ENOUGH, 256)[0]
+            assert type(got) is Bits
+            assert [type(b) for b in got._bits] == [int] * len(bools)
+            assert got._bits == want._bits
+            assert got == want and hash(got) == hash(want)
+            assert got.to_text() == want.to_text()
+            assert Payload((("layer", got),)).encoded \
+                == Payload((("layer", want),)).encoded
 
 
 class TestGeneratedSize:

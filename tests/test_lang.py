@@ -37,6 +37,72 @@ class TestBits:
             b.something = 1
 
 
+# The per-bit loops the Bits conversions replaced, kept as their oracle.
+def _loop_from_text(text):
+    mapping = {"0": 0, "1": 1, ".": 0, "#": 1}
+    try:
+        return Bits(mapping[ch] for ch in text.strip())
+    except KeyError as exc:
+        raise ValueError(f"invalid bit character {exc.args[0]!r}") from None
+
+
+def _loop_to_text(bits):
+    return "".join(str(b) for b in bits._bits)
+
+
+def _loop_packed(bits):
+    out = bytearray((len(bits._bits) + 7) // 8)
+    for i, b in enumerate(bits._bits):
+        if b:
+            out[i // 8] |= 0x80 >> (i % 8)
+    return bytes(out)
+
+
+def _loop_from_packed(data, nbits):
+    return Bits([(data[i // 8] >> (7 - i % 8)) & 1 for i in range(nbits)])
+
+
+def _outcome(function, *args):
+    try:
+        return "value", function(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+_bit_lists = st.lists(st.integers(0, 1), max_size=300).map(Bits)
+
+
+class TestBitsConversions:
+    @settings(max_examples=300)
+    @given(st.text(alphabet=st.one_of(st.sampled_from("01.#01.# \t\n"),
+                                      st.characters()), max_size=40))
+    @example("01é")
+    @example(" 1# ")
+    @example("0" * 300)
+    @example("x")
+    def test_from_text(self, text):
+        got = _outcome(Bits.from_text, text)
+        assert got == _outcome(_loop_from_text, text)
+        if got[0] == "value":
+            assert [type(b) for b in got[1]._bits] == [int] * len(got[1])
+
+    @given(_bit_lists)
+    def test_to_text_and_packed(self, bits):
+        assert bits.to_text() == _loop_to_text(bits)
+        assert bits.packed() == _loop_packed(bits)
+
+    @given(st.binary(max_size=40), st.data())
+    def test_from_packed_ignores_padding(self, data, draw):
+        nbits = draw.draw(st.integers(-2, 8 * len(data)), label="nbits")
+        got = Bits.from_packed(data, nbits)
+        assert got._bits == _loop_from_packed(data, nbits)._bits
+        assert [type(b) for b in got._bits] == [int] * len(got)
+
+    def test_from_packed_of_too_few_bytes(self):
+        with pytest.raises(IndexError):
+            Bits.from_packed(b"\xff", 9)
+
+
 class TestSerialization:
     def test_version_prefix(self):
         data = serialize_script(Lit(True))
