@@ -27,6 +27,7 @@ share across threads.
 from __future__ import annotations
 
 import functools
+import re
 
 from .lang import (
     Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess, If, Index,
@@ -255,6 +256,7 @@ _CTX = {"self": ("S", "self_input", "output"),
         "in": ("I", "inputs", "output list"),
         "out": ("O", "outputs", "output list")}
 _SCALARS = ("bool", "int", "bits", "scriptref")
+_WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 class _Function:
@@ -264,7 +266,8 @@ class _Function:
         self.name = name
         self.params = list(params)
         self.defined = set(params)
-        self.free = []  # locals of enclosing functions, passed in as params
+        self.outer = set()  # the locals of enclosing functions
+        self.free = []  # those the lines read, passed in as params
         # source lines, and (indent, amount) markers for constant charges
         self.lines = []
         self.indent = 1
@@ -342,20 +345,13 @@ class _Generator:
         self.fn.defined.add(name)
         return name
 
-    def use(self, name):
-        fn = self.fn
-        if name not in self.namespace and name not in fn.defined \
-                and name not in fn.free:
-            fn.free.append(name)
-        return name
-
     def assign(self, text, may_raise=True):
         fn = self.fn
         t = fn.values.get(text)
         if t is None:
             t = fn.values[text] = self.temp()
             (fn.op if may_raise else fn.line)(f"{t} = {text}")
-        return self.use(t)
+        return t
 
     def check(self, value, kind, expected, what):
         """Emit ``_as_int``/``_as_bool``'s check; False if it always fails."""
@@ -363,10 +359,10 @@ class _Generator:
         if kind == expected or fn.kinds.get(value) == expected:
             return True
         if kind is not None:
-            fn.op(f"_as_{expected}({value}, {what!r})")
+            fn.op(f"_as_{expected}({value}, {self.constant(what)})")
             return False
         fn.op(f"if type({value}) is not {expected}: "
-              f"_as_{expected}({value}, {what!r})")
+              f"_as_{expected}({value}, {self.constant(what)})")
         fn.kinds[value] = expected
         return True
 
@@ -418,14 +414,14 @@ class _Generator:
     def var(self, e, scope):
         if e.name in scope:
             name, kind = scope[e.name]
-            return self.use(name), kind
+            return name, kind
         self.fn.op(f"_unbound({self.constant(e.name)})")
         return None
 
     def ctx_ref(self, e, scope):
         name, _, kind = _CTX[e.kind]
         self.ctx_used.add(name)
-        return self.use(name), kind
+        return name, kind
 
     def let(self, e, scope):
         value = self.expr(e.value, scope)
@@ -573,12 +569,13 @@ class _Generator:
         if length is None:
             return None
         n = length[0][0]
-        fn.op(f"if not 0 <= {n} <= {self.use('W')}: _map_length({n}, W)")
+        fn.op(f"if not 0 <= {n} <= W: _map_length({n}, W)")
         fn.static = False  # what the map charges depends on n
         # The body is a function of its own, so that nested maps never
         # nest blocks in the source.  It starts from what holds at the
         # call, and reads what does not change from index to index once.
         body = self.fn = _Function(self.fresh("m"), ["n", "s", "L"])
+        body.outer = fn.defined | fn.outer
         body.values, body.kinds = dict(fn.values), dict(fn.kinds)
         body.hoisted = {}
         var = self.temp()
@@ -600,10 +597,15 @@ class _Generator:
                            *(" " + line for line in loop if type(line) is str),
                            f"  return Bits._of(b), s + {c} * n"]
         body.lines += loop + [" return Bits._of(b), s"]
+        # An enclosing local is passed in only when a line reads it.  Names
+        # and values from the script are namespace constants, so every
+        # word of the source is a name the generator made.
+        body.free = list(dict.fromkeys(
+            word for line in body.lines if type(line) is str
+            for word in _WORD.findall(line)
+            if word in body.outer and word not in body.defined))
         self.functions.append(body)
         self.fn = fn
-        for name in body.free:
-            self.use(name)
         result = self.temp()
         fn.line(f"{result}, s = {body.name}({', '.join([n, 's', 'L'] + body.free)})")
         return result, "bits"

@@ -9,8 +9,20 @@ for the output limits and collisions only.  Inputs that all carry one
 script which never reads ``self`` would each get the same outcome, so
 that script runs once and its cost counts once per input.  The one rule
 that depends on history, that genesis transactions come before the
-first regular one, is checked by ``apply_transaction`` against the chain
-log.
+first regular one, is ``check_order``; ``apply_transaction`` checks it
+against the chain log and ``verify_chain`` against the transaction
+before.
+
+``verify_chain`` replays a chain in two passes.  The first applies each
+transaction in order under every rule that the UTXO set decides, and
+queues the script checks of each regular one.  Once the UTXO set before
+a transaction is fixed, its script checks depend on nothing else, so the
+second pass may run them in any process.  When they have used 0.1 s of
+CPU time (``FORK_AFTER_S``), and ``_may_fork`` allows it, a forked
+helper takes every other remaining check.  The results are merged in chain
+order, and a check that failed in the helper is run again in the
+parent, so the verdict, counts, total and reason text are those of a
+one-pass replay.  Only chains of slow scripts reach the threshold.
 
 The chain log groups applied transactions into blocks greedily by cost
 budget.  Blocks are a budgeting device only; the grouping is a pure
@@ -19,6 +31,10 @@ reconstructs it exactly.
 """
 
 from __future__ import annotations
+
+import os
+import sys
+import time
 
 from .interp import (
     CostLimitExceeded, EvalContext, EvalError, evaluate, reads_self,
@@ -200,11 +216,19 @@ class MisplacedGenesis:
         return "genesis transaction after the first regular transaction"
 
 
-def validate_transaction(tx: Transaction, utxo: UtxoSet,
-                         params: ChainParams = ChainParams()):
-    """Check every ledger rule that the UTXO set decides: Valid(total
-    cost) or Invalid(reason).  Genesis order is left to
-    ``apply_transaction``, which sees the chain log."""
+def check_order(tx: Transaction, previous: Transaction | None):
+    """The one rule that depends on history: every genesis transaction
+    comes before the first regular one.  ``previous`` is the transaction
+    applied last, None at the start of a chain.  None or Invalid."""
+    if tx.is_genesis and previous is not None and not previous.is_genesis:
+        return Invalid(MisplacedGenesis())
+    return None
+
+
+def check_ledger(tx: Transaction, utxo: UtxoSet, params: ChainParams):
+    """The rules the UTXO set decides without running a script: no input
+    twice, every input unspent, no output that already exists, every
+    output within the size limits.  The resolved inputs, or Invalid."""
     seen = set()
     resolved = []
     for ref in tx.inputs:
@@ -227,8 +251,14 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
         if payload_size > params.max_payload_bytes:
             return Invalid(OversizeOutput(
                 i, f"payload is {payload_size} bytes, limit {params.max_payload_bytes}"))
-    if tx.is_genesis:
-        return Valid(0)
+    return tuple(resolved)
+
+
+def check_scripts(tx: Transaction, resolved, params: ChainParams):
+    """Run the guarding script of each resolved input of a regular
+    transaction, then check its cost against the block budget.  The
+    outcome depends on nothing but the arguments: Valid(total cost) or
+    Invalid(reason)."""
     # Inputs that share a script which never reads self all get the same
     # value, cost or error, so one evaluation stands for each of them.
     script = resolved[0].script_ref
@@ -252,6 +282,24 @@ def validate_transaction(tx: Transaction, utxo: UtxoSet,
     if total > params.block_budget:
         return Invalid(BudgetExceeded(total, params.block_budget))
     return Valid(total)
+
+
+def validate_transaction(tx: Transaction, utxo: UtxoSet,
+                         params: ChainParams = ChainParams()):
+    """Check every ledger rule that the UTXO set decides: Valid(total
+    cost) or Invalid(reason).  Genesis order is left to the callers that
+    know the previous transaction."""
+    resolved = check_ledger(tx, utxo, params)
+    if isinstance(resolved, Invalid):
+        return resolved
+    return Valid(0) if tx.is_genesis else check_scripts(tx, resolved, params)
+
+
+def _spend_and_add(tx: Transaction, utxo: UtxoSet) -> None:
+    for ref in tx.inputs:
+        utxo.spend(ref)
+    for index, output in enumerate(tx.outputs):
+        utxo.add(tx.ref(index), output)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +347,16 @@ def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
                       params: ChainParams = ChainParams()) -> Valid:
     """Validate, then spend inputs and insert outputs. Atomic on failure.
 
-    A genesis transaction is rejected once the log ends in a regular one;
+    Genesis order is checked against the last transaction in the log;
     since only this function fills the log, that keeps every genesis
     before the first regular transaction.
     """
     last = log.blocks[-1].transactions
-    if tx.is_genesis and last and not last[-1].is_genesis:
-        raise TransactionRejected(MisplacedGenesis())
-    result = validate_transaction(tx, utxo, params)
+    result = check_order(tx, last[-1] if last else None) \
+        or validate_transaction(tx, utxo, params)
     if isinstance(result, Invalid):
         raise TransactionRejected(result.reason)
-    for ref in tx.inputs:
-        utxo.spend(ref)
-    for index, output in enumerate(tx.outputs):
-        utxo.add(tx.ref(index), output)
+    _spend_and_add(tx, utxo)
     log.append(tx, result.total_cost)
     return result
 
@@ -332,24 +376,161 @@ class FirstFailure:
         return f"transaction {self.tx_index}: {self.reason}"
 
 
+# How much of the process's CPU time the script checks of one chain use
+# before a helper is forked to share the rest.  A fork round trip of a
+# 20 MB process took 2-3 ms on a 2-vCPU host, so a needless fork wastes
+# at most a few percent of the work already done.
+FORK_AFTER_S = 0.1
+
+
 def verify_chain(transactions, params: ChainParams = ChainParams(),
                  stored_ids=None):
     """Replay a transaction sequence from scratch.
 
     ``stored_ids`` (when given) are checked against recomputed ids, so a
     tampered payload is caught at the transaction that carries it.
+
+    The first pass stops at the first id, order or ledger failure.  A
+    queued script check that fails comes first only when its transaction
+    does; a transaction's ledger rules come before its scripts, so this
+    is the failure a one-pass replay reports.
     """
     utxo = UtxoSet()
-    log = ChainLog(params.block_budget)
-    total = 0
+    queue = []
+    failure = None
+    previous = None
+    count = 0
     for i, tx in enumerate(transactions):
         if stored_ids is not None:
             computed = tx.tx_id()
             if stored_ids[i] != computed:
-                return FirstFailure(i, TxIdMismatch(stored_ids[i], computed))
+                failure = FirstFailure(i, TxIdMismatch(stored_ids[i], computed))
+                break
+        resolved = check_order(tx, previous) or check_ledger(tx, utxo, params)
+        if isinstance(resolved, Invalid):
+            failure = FirstFailure(i, resolved.reason)
+            break
+        _spend_and_add(tx, utxo)
+        if not tx.is_genesis:
+            queue.append((i, tx, resolved))
+        previous = tx
+        count += 1
+    script_failure, total = _run_checks(queue, params)
+    return script_failure or failure or VerifyOk(transactions=count, total_cost=total)
+
+
+def _run_checks(queue, params: ChainParams):
+    """Run queued ``(index, tx, resolved)`` script checks in chain order:
+    the FirstFailure of the first that fails, or None, and the total
+    cost of the checks before it.  Once they have used ``FORK_AFTER_S``
+    of CPU time and two remain, a helper forked where the system allows
+    takes every other remaining check.  A check it reports failed, or
+    whose result never arrives, runs here."""
+    total = 0
+    spent = 0.0
+    helper = None
+    try:
+        for k, (i, tx, resolved) in enumerate(queue):
+            cost = helper.cost(k) if helper else None
+            if cost is None:
+                if helper is None and spent >= FORK_AFTER_S \
+                        and len(queue) - k >= 2 and _may_fork():
+                    helper = _Helper(queue, k + 1, params)
+                start = time.process_time()
+                result = check_scripts(tx, resolved, params)
+                spent += time.process_time() - start
+                if isinstance(result, Invalid):
+                    return FirstFailure(i, result.reason), total
+                cost = result.total_cost
+            total += cost
+        return None, total
+    finally:
+        if helper is not None:
+            helper.close()
+
+
+def _may_fork() -> bool:
+    """Whether the system can fork, this process may run on two cores,
+    and it runs no other thread: a fork copies only the calling thread,
+    so a lock held by another would stay held in the helper."""
+    threading = sys.modules.get("threading")  # not imported just to ask
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+        and len(os.sched_getaffinity(0)) >= 2 \
+        and (threading is None or threading.active_count() == 1)
+
+
+class _Helper:
+    """A forked process that runs the checks ``start``, ``start + 2``, …
+    of a queue (see ``_serve``).  When the pipe or the fork cannot be
+    made, there is no helper and the parent runs every check."""
+
+    def __init__(self, queue, start, params):
+        self.start = start
+        self.pid = None
+        self.reader = None
         try:
-            result = apply_transaction(tx, utxo, log, params)
-        except TransactionRejected as exc:
-            return FirstFailure(i, exc.reason)
-        total += result.total_cost
-    return VerifyOk(transactions=len(log), total_cost=total)
+            read, write = os.pipe()
+        except OSError:
+            return
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
+        if self.pid == 0:
+            # The helper leaves through os._exit whatever happens: no
+            # traceback, no atexit handler and no flush of the parent's
+            # buffered output.
+            code = 1
+            try:
+                os.close(read)
+                _serve(queue, start, params, write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.reader = open(read, "rb")
+
+    def cost(self, k):
+        """The cost of check ``k`` as the helper found it.  None when the
+        check is not the helper's, failed there, or its result never
+        arrives because the helper is gone; the parent then runs it."""
+        if self.reader is None or (k - self.start) % 2:
+            return None
+        line = self.reader.readline()
+        if line[:1].isdigit():
+            return int(line)
+        # "!" for a failure, or b"" at end of file; either way the helper
+        # has stopped, and writes nothing after
+        self.reader.close()
+        self.reader = None
+        return None
+
+    def close(self):
+        """Kill the helper, wherever it is, and reap it."""
+        if self.reader is not None:
+            self.reader.close()
+            self.reader = None
+        if self.pid:
+            from signal import SIGKILL  # loaded only when a helper ran
+            os.kill(self.pid, SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _serve(queue, start, params, fd):
+    """The helper's work: run the checks ``start``, ``start + 2``, … of a
+    queue in order, writing each one's cost on a line of its own, or
+    ``!`` and the check's number at the first that fails, then stop.  It
+    also stops when its parent is gone."""
+    parent = os.getppid()
+    for k in range(start, len(queue), 2):
+        if os.getppid() != parent:
+            return
+        _, tx, resolved = queue[k]
+        result = check_scripts(tx, resolved, params)
+        if isinstance(result, Invalid):
+            os.write(fd, b"!%d\n" % k)
+            return
+        os.write(fd, b"%d\n" % result.total_cost)

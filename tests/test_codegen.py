@@ -474,6 +474,20 @@ class TestPrecharge:
             assert "for " in loop[0] and not any("_over" in line for line in loop)
             assert source.count("_over") > 1  # the metered loop still charges
 
+    @pytest.mark.parametrize("script", [
+        build_layer_script(),
+        parse("map(2, i -> map(self.layer.size, j -> self.layer[j] = (i < j)) "
+              "= self.layer)"),
+        parse("let t = self.x in map(3, i -> map(2, j -> i < t) = 0b11)"),
+    ], ids=["layer", "nested", "let"])
+    def test_map_bodies_take_only_what_they_read(self, script):
+        for name, (head, *lines) in _functions(
+                interp._Generator().generate(script)).items():
+            params = re.findall(r"\w+", head[head.index("("):])
+            words = set(re.findall(r"\w+", "\n".join(lines)))
+            # the layer body reads the caller's self.layer, not the self slot
+            assert [p for p in params if p not in words] == [], name
+
     @pytest.mark.parametrize("source, static", [
         ("map(3, i -> if i < 1 then true else false)", []),
         ("map(3, i -> (2 pow i mod 5) < 2)", []),

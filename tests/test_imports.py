@@ -91,6 +91,23 @@ def test_run_and_verify_load_neither_dataclasses_nor_inspect(tmp_path):
         assert not {"dataclasses", "inspect"} & (set(modules) - bare)
 
 
+def test_verify_and_render_load_no_process_or_thread_module(tmp_path):
+    # A helper that shares the script checks needs only os.fork and a
+    # pipe; these modules would cost every verify their import time.
+    # The child forks one at the first check.
+    chain = tmp_path / "chain.jsonl"
+    assert main(["run", "--mode", "grid", "--initial", "1", "--steps", "2",
+                 "--chain", str(chain)]) == 0
+    bare = set(modules_after("pass")[1])
+    fork_at_once = "import utxo110.ledger\nutxo110.ledger.FORK_AFTER_S = 0\n"
+    for argv in (["verify", "--chain", chain], ["render", "--chain", chain]):
+        printed, modules = modules_after(fork_at_once + cli_in_child(*argv))
+        assert printed[-1] == "exit 0"
+        loaded = {name.split(".")[0] for name in set(modules) - bare}
+        assert not {"multiprocessing", "concurrent", "pickle", "subprocess",
+                    "threading"} & loaded
+
+
 def test_run_and_verify_load_no_typing_without_site(tmp_path):
     # Under -S, site loads nothing, so whatever typing costs would be
     # paid by the package itself.

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,7 @@ from utxo110.chainio import dump_chain, load_chain
 from utxo110.interp import EvalContext, evaluate
 from utxo110.lang import Bits, Lit, ScriptRef, serialize_script
 from utxo110.ledger import (
-    ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
+    BudgetExceeded, ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
     MisplacedGenesis, MissingInput, OutputExists, OversizeOutput, ScriptError,
     ScriptFalse, TransactionRejected, TxIdMismatch, UtxoSet, Valid, VerifyOk, apply_transaction, validate_transaction, verify_chain,
 )
@@ -502,3 +505,183 @@ class TestConservation:
         txs, _ = drive_layer(Bits.from_text("0100110"), 30, params)
         blobs = {serialize_script(t.outputs[0].script) for t in txs}
         assert len(blobs) == 1
+
+
+# -- script checks shared with a forked helper ---------------------------------
+
+# Guards of the outputs that a split chain spends: each passes, fails or
+# runs over a limit of SPLIT on its own, whoever spends it.
+GUARDS = {
+    "ok": parse("out[0].v = self.v + 1"),
+    "false": parse("out[0].v = self.v + 2"),
+    "error": parse("self.w = 1"),
+    "dear": parse("(map(40, i -> i < 3) = map(40, i -> i < 3)) & (out[0].v = self.v + 1)"),
+    "over": parse("map(200, i -> i < 3) = map(200, i -> i < 3)"),
+}
+SPLIT = ChainParams(cost_limit_per_input=1_000, block_budget=100)
+
+
+def spends(guards, picks=()):
+    """A genesis with one output per guard, v = 0, then one transaction
+    per guard.  Each spends an unspent output, the ``picks[k]``-th
+    (default the oldest), and creates one guarded by "ok" with v one
+    higher.  Returns the transactions and their ids."""
+    genesis = Transaction((), [Output(GUARDS[g], Payload(v=0)) for g in guards],
+                          is_genesis=True)
+    txs = [genesis]
+    unspent = [(genesis.ref(i), out) for i, out in enumerate(genesis.outputs)]
+    for k in range(len(guards)):
+        ref, out = unspent.pop(picks[k] % len(unspent) if k < len(picks) else 0)
+        tx = Transaction([ref], [Output(GUARDS["ok"], Payload(v=out.payload.get("v") + 1))])
+        txs.append(tx)
+        unspent.append((tx.ref(0), tx.outputs[0]))
+    return txs, [tx.tx_id() for tx in txs]
+
+
+def tampered(txs, stored, how, j):
+    """The chain and ids with one line edited at ``j``: a flipped bit of
+    a payload, a wrong stored id, the line dropped or repeated, or a new
+    genesis line put before it."""
+    txs, stored = list(txs), list(stored)
+    j %= len(txs)
+    if how == "flip":
+        tx = txs[j]
+        out = tx.outputs[0]
+        flipped = Output(out.script, Payload(v=out.payload.get("v") ^ 1))
+        txs[j] = Transaction(tx.inputs, (flipped,) + tx.outputs[1:], tx.is_genesis)
+    elif how == "id":
+        stored[j] = bytes(32)
+    elif how == "drop":
+        del txs[j], stored[j]
+    elif how == "repeat":
+        txs.insert(j, txs[j])
+        stored.insert(j, stored[j])
+    elif how == "genesis":
+        extra = Transaction((), [Output(GUARDS["ok"], Payload(v=7))], is_genesis=True)
+        txs.insert(j, extra)
+        stored.insert(j, extra.tx_id())
+    return txs, stored
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper forked while the test runs."""
+    made = []
+
+    class Counted(ledger._Helper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(ledger, "_Helper", Counted)
+    return made
+
+
+def verify_both_ways(txs, params, stored=None):
+    """verify_chain with a helper forked before the first check, and
+    with none; both verdicts must agree in every part."""
+    results = []
+    saved = ledger.FORK_AFTER_S
+    try:
+        for after in (0.0, float("inf")):
+            ledger.FORK_AFTER_S = after
+            results.append(verify_chain(txs, params, stored_ids=stored))
+    finally:
+        ledger.FORK_AFTER_S = saved
+    forked, alone = results
+    assert type(forked) is type(alone)
+    if isinstance(alone, FirstFailure):
+        assert forked.tx_index == alone.tx_index
+        assert str(forked.reason) == str(alone.reason) and forked.reason == alone.reason
+    else:
+        assert (forked.transactions, forked.total_cost) \
+            == (alone.transactions, alone.total_cost)
+    assert_no_child_left()
+    return alone
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitChecks:
+    """Forked at the first check, the parent runs checks 0, 2, 4, … of
+    the queue and the helper 1, 3, 5, …; transaction k + 1 holds check k
+    in a chain from ``spends``."""
+
+    @pytest.mark.parametrize("guards, tamper, index, reason", [
+        ("ok error ok ok ok", None, 2, ScriptError),  # in the helper's share
+        ("ok ok false ok ok", None, 3, ScriptFalse),  # in the parent's
+        # in both shares, the helper's first, then the parent's
+        ("ok over dear ok", None, 2, CostExceeded),
+        ("ok ok dear over", None, 3, BudgetExceeded),
+        # the first pass fails before a script check fails, and after
+        ("ok ok ok ok error", ("repeat", 2), 3, MissingInput),
+        ("ok error ok ok ok", ("genesis", 4), 2, ScriptError),
+    ])
+    def test_first_failure_in_either_share(self, helpers, guards, tamper, index, reason):
+        txs, stored = spends(guards.split())
+        if tamper:
+            txs, stored = tampered(txs, stored, *tamper)
+        got = verify_both_ways(txs, SPLIT, stored)
+        assert len(helpers) == 1 and helpers[0].start == 1
+        assert got.tx_index == index and type(got.reason) is reason
+
+    def test_valid_chain_with_a_helper(self, helpers):
+        txs, stored = spends(["ok"] * 6)
+        assert verify_both_ways(txs, SPLIT, stored) == VerifyOk(7, 54)
+        assert len(helpers) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["ok"] * 4 + sorted(GUARDS)), min_size=1, max_size=8),
+           st.lists(st.integers(0, 7), max_size=8),
+           st.lists(st.tuples(st.sampled_from(["flip", "id", "drop", "repeat", "genesis"]),
+                              st.integers(0, 20)), max_size=2),
+           st.booleans())
+    def test_helper_agrees_with_one_process(self, guards, picks, tampers, with_ids):
+        txs, stored = spends(guards, picks)
+        for how, j in tampers:
+            txs, stored = tampered(txs, stored, how, j)
+        verify_both_ways(txs, SPLIT, stored if with_ids else None)
+
+    def test_helper_takes_every_other_check(self, helpers, monkeypatch):
+        txs, stored = spends(["ok"] * 6)
+        ran = []
+        check = ledger.check_scripts
+        monkeypatch.setattr(ledger, "check_scripts",
+                            lambda tx, *args: ran.append(txs.index(tx)) or check(tx, *args))
+        monkeypatch.setattr(ledger, "FORK_AFTER_S", 0.0)
+        assert verify_chain(txs, SPLIT, stored) == VerifyOk(7, 54)
+        assert len(helpers) == 1 and ran == [1, 3, 5]  # the parent's share
+        assert_no_child_left()
+
+    def test_helper_that_crashes_at_once(self, helpers, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("helper down")
+
+        monkeypatch.setattr(ledger, "_serve", crash)
+        for guards in (["ok"] * 5, ["ok", "ok", "ok", "error", "ok"]):
+            txs, stored = spends(guards)
+            verify_both_ways(txs, SPLIT, stored)
+        assert len(helpers) == 2 and all(h.pid is None for h in helpers)
+
+    def test_no_fork_on_one_core_without_fork_or_with_threads(self, helpers, monkeypatch):
+        txs, stored = spends(["ok", "ok", "error", "ok"])
+        want = verify_chain(txs, SPLIT, stored)
+        monkeypatch.setattr(ledger, "FORK_AFTER_S", 0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert verify_chain(txs, SPLIT, stored) == want
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert verify_chain(txs, SPLIT, stored) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "active_count", lambda: 2)
+            assert verify_chain(txs, SPLIT, stored) == want
+        assert helpers == []
+
+    def test_reference_chains_fork_only_when_checks_are_slow(self, helpers):
+        txs, _ = drive_grid([1], 4)
+        assert isinstance(verify_chain(txs), VerifyOk)
+        assert helpers == []
