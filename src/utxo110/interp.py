@@ -14,7 +14,15 @@ evaluation time is bounded a priori:
   or nested ``map``), charges the same c on every run; when c × n fits
   in what is left of the limit, the generated code charges c × n up
   front and runs the body with no checks.  No charge could then fail,
-  so the value, cost or error is the one of the run-by-run walk.
+  so the value, cost or error is the one of the run-by-run walk.  A
+  static body made only of bool literals, ``!``, ``&``, ``|``, ``^``,
+  ``=``, ``let`` and reads of a value bound before the map at ``i + c``
+  or ``(i + c) mod m`` has a word form instead of that loop: each target
+  is packed into one int, each read is a shift of it (or of its first m
+  bits repeated) and each operator one bitwise operation on all n bits
+  at once.  It runs only when, besides the charge, a test before it
+  shows that no operation can fail (every target Bits, every m a
+  positive int, every read in range); otherwise the metered loop runs.
 
 Boolean operators are strict (both operands always evaluated); only
 ``if`` is lazy.  Costs, receipts and errors are those of a node-by-node
@@ -208,6 +216,20 @@ def _compare(a, b):
     return _as_int(a, "comparison operand") < _as_int(b, "comparison operand")
 
 
+def _cycle(word, size, period, n):
+    """``(t, width)``: a ``width``-bit word, first bit most significant,
+    whose bit j is bit ``j mod period`` of the ``size``-bit ``word``, for
+    j below ``period + n - 1`` at least.  When the period is longer than
+    the word, it is the word itself: a read of it that is in range does
+    not wrap."""
+    if period > size:
+        return word, size
+    t, width = word >> size - period, period
+    while width < period + n:
+        t, width = t << width | t, 2 * width
+    return t, width
+
+
 def _map_length(n, max_width):
     if n < 0:
         raise EvalTypeError("map length must be nonnegative")
@@ -247,7 +269,7 @@ def _output(ref, names, values):
 # The names generated code may use besides its own and the builtins.
 _RUNTIME = {f.__name__: f for f in (
     _over, _unbound, _field, _script_of, _index, _size, _modulus,
-    _pow_domain, _compare, _map_length, _copy_eq_operands, _replace,
+    _pow_domain, _compare, _cycle, _map_length, _copy_eq_operands, _replace,
     _outputs, _output, _as_bool, _as_int, _payload_value, _values_equal)}
 _RUNTIME.update(Bits=Bits, Output=Output)
 
@@ -257,6 +279,11 @@ _CTX = {"self": ("S", "self_input", "output"),
         "out": ("O", "outputs", "output list")}
 _SCALARS = ("bool", "int", "bits", "scriptref")
 _WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+class _Check(str):
+    """A line of a map body that checks a bit read is a bool: it cannot
+    fail when every target the body reads is Bits."""
 
 
 class _Function:
@@ -275,8 +302,19 @@ class _Function:
         # whether every charge is a marker: no 'if', 'pow' or nested 'map'
         self.static = True
         # in a map body: the name of each loop-invariant Bits target's
-        # size, computed once before the loop
+        # size, computed once before the loop, and the values read from
+        # such targets
         self.hoisted = None
+        self.bit_reads = set()
+        # in a map body that may still have a word form (see map_indices):
+        # for each value the body computes, a word when it is a bool, the
+        # offset c when it is i + c, or (c, m) when it is (i + c) mod m;
+        # then the lines computing the words, and the tests under which
+        # no operation of the body can fail
+        self.words = None
+        self.word_lines = []
+        self.guards = []
+        self.packs = {}  # target or (target, m) -> the names of its int
         # What the code so far has established on every path to the next
         # line: the temporary holding each operation's result, and the
         # kind each checked value passed as.  Both are pure facts, so
@@ -303,7 +341,7 @@ class _Function:
     def source(self):
         head = f"def {self.name}({', '.join(self.params + self.free)}):"
         return "\n".join([head] + [
-            line if type(line) is str
+            line if isinstance(line, str)
             else f"{' ' * line[0]}if (s := s + {line[1]}) > L: _over(L)"
             for line in self.lines])
 
@@ -363,6 +401,8 @@ class _Generator:
             return False
         fn.op(f"if type({value}) is not {expected}: "
               f"_as_{expected}({value}, {self.constant(what)})")
+        if expected == "bool" and value in fn.bit_reads:
+            fn.lines[-1] = _Check(fn.lines[-1])
         fn.kinds[value] = expected
         return True
 
@@ -404,9 +444,32 @@ class _Generator:
         method = self.NODES.get(type(e))
         if method is None:
             raise TypeError(f"not a script expression: {type(e).__name__}")
+        fn = self.fn
         if method is not _Generator.pow_mod:
-            self.fn.pending += 1  # every other node is charged before its children
-        return method(self, e, scope)
+            fn.pending += 1  # every other node is charged before its children
+        emitted = len(fn.lines)
+        result = method(self, e, scope)
+        # a map body has a word form only if each of its operations has one
+        if fn.words is not None and len(fn.lines) > emitted and (
+                result is None or self.word_of(result[0]) is None):
+            fn.words = None
+        return result
+
+    def word(self, name, text, *operands):
+        """Record the word of a bool the body computes: ``text`` with the
+        operands' words in place of ``{}``, if each of them has one."""
+        fn = self.fn
+        if fn.words is None or name in fn.words:
+            return
+        words = [self.word_of(a) for a in operands]
+        if all(type(w) is str for w in words):
+            w = fn.words[name] = self.fresh("w")
+            fn.word_lines.append(f"  {w} = {text.format(*words)}")
+
+    def word_of(self, name):
+        """A value's entry in the map body's words; a bool literal's word."""
+        value = self.namespace.get(name)
+        return ("0", "M")[value] if type(value) is bool else self.fn.words.get(name)
 
     def lit(self, e, scope):
         return self.constant(e.value), _kind(e.value)
@@ -460,7 +523,11 @@ class _Generator:
 
     def not_(self, e, scope):
         operand = self.operands(scope, (e.operand, "bool", "'!' operand"))
-        return operand and (self.assign(f"not {operand[0][0]}", False), "bool")
+        if operand is None:
+            return None
+        result = self.assign(f"not {operand[0][0]}", False)
+        self.word(result, "{} ^ M", operand[0][0])
+        return result, "bool"
 
     def index(self, e, scope):
         operands = self.operands(scope, (e.obj, None, None),
@@ -472,9 +539,43 @@ class _Generator:
             return self.assign(f"{a}[{i}] if 0 <= {i} < len({a}) "
                                f"else _index({a}, {i})"), "output"
         guard, size = self.bits_size(a, kind)
-        return self.assign(f"{a}._bits[{i}] == 1 if {guard}0 <= {i} < {size} "
-                           f"else _index({a}, {i})"), \
-            "bool" if kind == "bits" else None
+        result = self.assign(f"{a}._bits[{i}] == 1 if {guard}0 <= {i} < {size} "
+                             f"else _index({a}, {i})")
+        if self.fn.hoisted and a in self.fn.hoisted:
+            self.fn.bit_reads.add(result)
+            self.word_read(result, a, size, i)
+        return result, "bool" if kind == "bits" else None
+
+    def word_read(self, result, a, size, i):
+        """The word of the bits a map body reads at ``i`` from a hoisted
+        target: a shift of the target's packed int, or of its first m bits
+        repeated, with the test that every read is in range."""
+        fn = self.fn
+        form = None if fn.words is None else fn.words.get(i)
+        if type(form) is int and form >= 0:
+            start = self.constant(form)
+            fn.guards.append(f"n + {start} <= {size}")
+            word, width = self.packed(a), size
+        elif type(form) is tuple:
+            c, m = form
+            start = f"{self.constant(c)} % {m}"
+            fn.guards.append(f"min({start} + n, {m}) <= {size}")
+            if (a, m) not in fn.packs:
+                names = fn.packs[a, m] = self.fresh("q"), self.fresh("e")
+                fn.word_lines.append(f"  {', '.join(names)} = _cycle("
+                                     f"{self.packed(a)}, {size}, {m}, n)")
+            word, width = fn.packs[a, m]
+        else:
+            return
+        self.word(result, f"{word} >> {width} - {start} - n & M")
+
+    def packed(self, a):
+        """The name of a hoisted target's packed int."""
+        fn = self.fn
+        if a not in fn.packs:
+            fn.packs[a] = self.fresh("p")
+            fn.word_lines.append(f"  {fn.packs[a]} = {a}.to_int()")
+        return fn.packs[a]
 
     def bits_size(self, a, kind):
         """``(guard, size)``: the test that ``a`` is Bits, and its size.  In
@@ -494,10 +595,29 @@ class _Generator:
         operands = self.operands(scope, (e.left, "int", what), (e.right, "int", what))
         if operands is None:
             return None
-        (a, _), (b, _) = operands
+        (a, _), (b, kind) = operands
         if e.op == "mod":
-            return self.assign(f"{a} % {b} if {b} > 0 else _modulus()"), "int"
-        return self.assign(f"{a} {'+' if e.op == '+' else '-'} {b}", False), "int"
+            result = self.assign(f"{a} % {b} if {b} > 0 else _modulus()")
+        else:
+            result = self.assign(f"{a} {'+' if e.op == '+' else '-'} {b}", False)
+        if self.fn.words is not None:
+            self.offset(e.op, result, a, b, kind)
+        return result, "int"
+
+    def offset(self, op, result, a, b, kind):
+        """Record an int a map body computes as i + c, with c from
+        literals, or as (i + c) mod m, with m the same at every i."""
+        fn = self.fn
+        x, y = fn.words.get(a), fn.words.get(b)
+        j, k = self.namespace.get(a), self.namespace.get(b)  # literal values
+        if op == "mod":
+            if type(x) is int and b not in fn.defined:
+                fn.words[result] = x, b
+                fn.guards += [f"type({b}) is int"] * (kind != "int") + [f"{b} > 0"]
+        elif type(x) is int and type(k) is int:
+            fn.words[result] = x + k if op == "+" else x - k
+        elif op == "+" and type(j) is int and type(y) is int:
+            fn.words[result] = j + y
 
     def cmp(self, e, scope):
         operands = self.operands(scope, (e.left, None, None), (e.right, None, None))
@@ -510,9 +630,12 @@ class _Generator:
             return self.assign(f"{a} < {b} if type({a}) is int and type({b}) "
                                f"is int else _compare({a}, {b})"), "bool"
         if ka == kb and ka in _SCALARS + ("output",):
-            return self.assign(f"{a} == {b}", False), "bool"
-        return self.assign(f"{a} == {b} if type({a}) is type({b}) and type({a}) "
-                           f"is not tuple else _values_equal({a}, {b})"), "bool"
+            result = self.assign(f"{a} == {b}", False)
+        else:
+            result = self.assign(f"{a} == {b} if type({a}) is type({b}) and "
+                                 f"type({a}) is not tuple else _values_equal({a}, {b})")
+        self.word(result, "{} ^ {} ^ M", a, b)
+        return result, "bool"
 
     def bool_op(self, e, scope):
         what = "boolean operand"
@@ -521,7 +644,9 @@ class _Generator:
             return None
         (a, _), (b, _) = operands
         op = {"&": "and", "|": "or", "^": "!="}[e.op]
-        return self.assign(f"{a} {op} {b}", False), "bool"
+        result = self.assign(f"{a} {op} {b}", False)
+        self.word(result, f"{{}} {e.op} {{}}", a, b)
+        return result, "bool"
 
     def pow_mod(self, e, scope):
         # the one node charged after its operands, by the exponent's size
@@ -579,6 +704,7 @@ class _Generator:
         body.values, body.kinds = dict(fn.values), dict(fn.kinds)
         body.hoisted = {}
         var = self.temp()
+        body.words = {var: 0}
         body.indent = 2
         value = self.operands({**scope, e.var: (var, "int")},
                               (e.body, "bool", "map body"))
@@ -590,18 +716,31 @@ class _Generator:
                       for a, size in body.hoisted.items()] + [" b = []"]
         if body.static:
             # Each run charges the same c: when all n runs fit, charge
-            # them up front and run a loop with no checks, where only an
-            # operation can fail, as it would in the walk.
+            # them up front.  Then, if no operation can fail either, each
+            # operator runs once on the words of all n indices; otherwise
+            # a loop runs with no charges, where only an operation can
+            # fail, as it would in the walk.
             c = sum(line[1] for line in loop if type(line) is tuple)
-            body.lines += [f" if s + {c} * n <= L:",
-                           *(" " + line for line in loop if type(line) is str),
-                           f"  return Bits._of(b), s + {c} * n"]
+            charged = f"s + {c} * n"
+            row = value and body.words is not None and self.word_of(value[0][0])
+            if type(row) is str:
+                guards = "".join(f" and {g}" for g in dict.fromkeys(body.guards))
+                body.lines += [f" if {charged} <= L{guards}:", "  M = (1 << n) - 1",
+                               *body.word_lines,
+                               f"  return Bits.from_int({row}, n), {charged}"]
+            else:
+                # when every target is Bits, a bit read is a bool, so the
+                # loop leaves out the _Check lines
+                guards = "".join(f" and {size} >= 0" for size in body.hoisted.values())
+                body.lines += [f" if {charged} <= L{guards}:",
+                               *(" " + line for line in loop if type(line) is str),
+                               f"  return Bits._of(b), {charged}"]
         body.lines += loop + [" return Bits._of(b), s"]
         # An enclosing local is passed in only when a line reads it.  Names
         # and values from the script are namespace constants, so every
         # word of the source is a name the generator made.
         body.free = list(dict.fromkeys(
-            word for line in body.lines if type(line) is str
+            word for line in body.lines if isinstance(line, str)
             for word in _WORD.findall(line)
             if word in body.outer and word not in body.defined))
         self.functions.append(body)

@@ -144,13 +144,27 @@ class Bits:
     def to_text(self) -> str:
         return bytes(self._bits).translate(_BITS_TO_TEXT).decode("ascii")
 
+    def to_int(self) -> int:
+        """The bits as one int, the first bit most significant; 0 when
+        there are none."""
+        if not self._bits:
+            return 0
+        return int(bytes(self._bits).translate(_BITS_TO_TEXT), 2)
+
+    @classmethod
+    def from_int(cls, value: int, nbits: int) -> "Bits":
+        """The ``nbits`` bits of ``0 <= value < 2 ** nbits``, the most
+        significant first: the inverse of ``to_int`` at that width."""
+        if nbits <= 0:
+            return cls._of(b"")
+        return cls._of(format(value, f"0{nbits}b").encode("ascii")
+                       .translate(_TEXT_TO_BITS))
+
     def packed(self) -> bytes:
         """MSB-first packing, zero-padded to a byte boundary."""
         size = (len(self._bits) + 7) // 8
-        if not size:
-            return b""
         pad = 8 * size - len(self._bits)
-        return (int(self.to_text(), 2) << pad).to_bytes(size, "big")
+        return (self.to_int() << pad).to_bytes(size, "big")
 
     @classmethod
     def from_packed(cls, data: bytes, nbits: int) -> "Bits":
@@ -161,8 +175,8 @@ class Bits:
         size = (nbits + 7) // 8
         if len(data) < size:
             raise IndexError("packed bits are shorter than their bit count")
-        value = int.from_bytes(data[:size], "big") >> (8 * size - nbits)
-        return cls.from_text(format(value, f"0{nbits}b"))
+        return cls.from_int(int.from_bytes(data[:size], "big")
+                            >> (8 * size - nbits), nbits)
 
     def __len__(self):
         return len(self._bits)

@@ -25,7 +25,7 @@ from utxo110.lang import (
 )
 from utxo110.model import Output, Payload
 from utxo110.parser import parse
-from utxo110.rule110 import build_layer_script, evolve_cyclic
+from utxo110.rule110 import build_bit_script, build_layer_script, evolve_cyclic
 
 FIELDS = ["val", "x", "n", "mid", "layer", "field_1"]
 ENOUGH = 10**6
@@ -345,12 +345,12 @@ def _functions(source):
     return functions
 
 
-_PRECHARGE = re.compile(r" if s \+ (\d+) \* n <= L:")
+_PRECHARGE = re.compile(r" if s \+ (\d+) \* n <= L(?: and .+)?:")
 
 
 def _fast_loops(source):
-    """Each map body's precharged loop: its lines from the up-front test
-    to its return."""
+    """Each map body's precharged form: its lines from the up-front test
+    to its return, either a loop with no charges or the word form."""
     loops = {}
     for name, lines in _functions(source).items():
         for k, line in enumerate(lines):
@@ -359,6 +359,10 @@ def _fast_loops(source):
                            if lines[j].startswith("  return "))
                 loops[name] = lines[k + 1:end]
     return loops
+
+
+def _is_word_form(lines):
+    return not any(line.lstrip().startswith("for ") for line in lines)
 
 
 def _precharge_limit(script, n):
@@ -471,8 +475,15 @@ class TestPrecharge:
             loops = _fast_loops(source)
             assert len(loops) == 1
             (loop,) = loops.values()
-            assert "for " in loop[0] and not any("_over" in line for line in loop)
+            assert _is_word_form(loop) and not any("_over" in line for line in loop)
             assert source.count("_over") > 1  # the metered loop still charges
+
+    @pytest.mark.parametrize("script", [
+        build_bit_script(), parse("(self.b pow 65537 mod 1000003) = out[0].r"),
+    ], ids=["grid", "modexp"])
+    def test_scripts_without_a_map_get_no_word_form(self, script):
+        source = interp._Generator().generate(script)
+        assert _fast_loops(source) == {} and "to_int" not in source
 
     @pytest.mark.parametrize("script", [
         build_layer_script(),
@@ -500,6 +511,99 @@ class TestPrecharge:
                   else "outer" for name, lines in _functions(source).items()
                   if name != "f"}
         assert [bodies[name] for name in _fast_loops(source)] == static
+
+    @pytest.mark.parametrize("target", ["self.layer", "t"])
+    @pytest.mark.parametrize("layer", [Bits([1, 0, 1, 1]), Bits([])])
+    def test_precharged_reads_are_not_checked(self, target, layer):
+        # the precharged loop runs only when every hoisted target is Bits,
+        # so a bit read there is a bool; the metered loop keeps its check
+        body = f"map({target}.size, i -> {target}[i] & (i < self.x))"
+        script = parse(body if target == "self.layer" else
+                       f"let t = if self.x < 3 then in ++ in else self.layer in {body}")
+        loops = _fast_loops(interp._Generator().generate(script))
+        assert len(loops) == 1
+        (loop,) = loops.values()
+        assert not _is_word_form(loop) and not any("_as_bool" in line for line in loop)
+        for x in (2, 3):  # an output list under 3, the Bits layer from 3
+            me = Output(Lit(True), Payload((("layer", layer), ("x", x))))
+            _every_limit(script, EvalContext(me, (me, me), ()))
+
+
+# Map bodies the word form covers: bool formulas over reads of a target
+# bound before the map, at i ± c or (i ± c) mod m.  The target is Bits, an
+# output list, an int or a missing field; m is the target's size, a
+# literal below, at or above it, 0 or negative, or an int of unknown kind.
+_T, _W, _X = Var("t"), Var("w"), Var("x")
+_offsets = st.integers(0, 3).map(Lit)
+_positions = st.one_of(
+    st.just(Var("i")),
+    st.tuples(st.sampled_from(["+", "-"]), st.just(Var("i")), _offsets)
+      .map(lambda t: Arith(*t)),
+    _offsets.map(lambda c: Arith("+", c, Var("i"))))
+_moduli = st.one_of(st.integers(-1, 8).map(Lit), st.sampled_from([_W, _X]))
+_SELF = CtxRef("self")
+_reads = st.tuples(
+    st.sampled_from([_T] * 6 + [FieldAccess(_SELF, "layer"), FieldAccess(_SELF, "gone")]),
+    st.one_of(_positions, st.tuples(_positions, _moduli).map(lambda t: Arith("mod", *t))),
+).map(lambda t: Index(*t))
+_formulas = st.recursive(
+    st.one_of(_reads, _reads, _reads, st.booleans().map(Lit), st.just(Var("v"))),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(st.sampled_from(["&", "|", "^"]), sub, sub).map(lambda t: BoolOp(*t)),
+        st.tuples(sub, sub).map(lambda t: Cmp("=", *t)),
+        st.tuples(sub, sub).map(lambda t: Let("v", *t))),
+    max_leaves=8)
+# (t, w): w is t's size when it has one
+_targets = st.sampled_from([
+    (FieldAccess(_SELF, "layer"), Size(_T)),
+    (FieldAccess(_SELF, "layer"), Size(_T)),
+    (FieldAccess(_SELF, "layer"), Size(_T)),
+    (If(Lit(True), CtxRef("in"), FieldAccess(_SELF, "layer")), Size(_T)),
+    (FieldAccess(_SELF, "x"), Lit(4)),
+    (FieldAccess(_SELF, "gone"), Lit(4)),
+])
+_lengths = st.one_of(st.sampled_from([0, 1, 2, 5, 6, 7]).map(Lit), st.just(_W))
+_covered_maps = st.tuples(_targets, _lengths, _formulas).map(
+    lambda t: Let("t", t[0][0], Let("w", t[0][1], Let(
+        "x", FieldAccess(_SELF, "x"), MapIndices(t[1], "i", t[2])))))
+
+
+class TestWordForm:
+    """A static map body made only of bit reads and bool operators runs as
+    a few operations on whole-row ints when its run-time test holds, and
+    through the metered loop when it does not: at every limit, the value,
+    receipt or error is the oracle's."""
+
+    @DIFF
+    @given(script=_covered_maps, width=st.integers(0, 6),
+           x=st.one_of(st.integers(-2, 8), st.booleans()))
+    @example(script=parse("let t = self.layer in let w = t.size in let x = self.x in "
+                          "map(w, i -> t[(i - 1) mod w] ^ t[i] & !t[(i + 1) mod w])"),
+             width=6, x=1)
+    def test_same_outcome_as_closure_tree(self, script, width, x):
+        layer = Bits(random.Random(width).getrandbits(1) for _ in range(width))
+        me = Output(Lit(True), Payload((("layer", layer), ("x", x))))
+        _every_limit(script, EvalContext(me, (me,), ()))
+
+    @pytest.mark.parametrize("target", ["self.layer", "if true then in else self.layer",
+                                        "self.x", "self.gone"])
+    @pytest.mark.parametrize("m", ["w", "w - 1", "w + 1", "0", "0 - 1", "x"])
+    @pytest.mark.parametrize("n", ["0", "1", "2", "w", "w + 1"])
+    def test_edges_at_every_limit(self, target, m, n):
+        size = "4" if target in ("self.x", "self.gone") else "t.size"
+        script = parse(f"let t = {target} in let x = self.x in let w = {size} in "
+                       f"let m = {m} in let n = {n} in "
+                       f"map(n, i -> t[(i + 1) mod m] ^ t[i] & !t[(i - 1) mod m])")
+        for x in (3, True):
+            me = Output(Lit(True), Payload((("layer", Bits([1, 1, 0])), ("x", x))))
+            _every_limit(script, EvalContext(me, (me,), ()))
+
+    def test_covered_bodies_get_the_word_form(self):
+        source = interp._Generator().generate(parse(
+            "let t = self.layer in map(t.size, i -> t[(i + 3) mod 2] = !t[1 + i] | false)"))
+        (loop,) = _fast_loops(source).values()
+        assert _is_word_form(loop) and "to_int" in "\n".join(loop)
 
 
 class TestMapResult:

@@ -98,6 +98,19 @@ class TestBitsConversions:
         assert got._bits == _loop_from_packed(data, nbits)._bits
         assert [type(b) for b in got._bits] == [int] * len(got)
 
+    @given(st.integers(0, 300).flatmap(
+        lambda w: st.lists(st.integers(0, 1), min_size=w, max_size=w)))
+    @example([0, 0, 1])
+    @example([1, 0, 0])
+    @example([0] * 300)
+    def test_int_round_trip(self, values):
+        bits = Bits(values)
+        value = bits.to_int()
+        assert value == sum(b << (len(values) - 1 - k) for k, b in enumerate(values))
+        got = Bits.from_int(value, len(values))
+        assert got == bits and got._bits == tuple(values)
+        assert [type(b) for b in got._bits] == [int] * len(values)
+
     def test_from_packed_of_too_few_bytes(self):
         with pytest.raises(IndexError):
             Bits.from_packed(b"\xff", 9)
