@@ -10,19 +10,17 @@ evaluation time is bounded a priori:
 * ``pow .. mod`` costs 1 plus the bit length of the exponent, charged
   after its operands and before the power is taken,
 * ``map`` runs its body once per index, each run metered normally.  A
-  static body, one whose charges are all constants (no ``if``, ``pow``
-  or nested ``map``), charges the same c on every run; when c × n fits
-  in what is left of the limit, the generated code charges c × n up
-  front and runs the body with no checks.  No charge could then fail,
-  so the value, cost or error is the one of the run-by-run walk.  A
-  static body made only of bool literals, ``!``, ``&``, ``|``, ``^``,
-  ``=``, ``let`` and reads of a value bound before the map at ``i + c``
-  or ``(i + c) mod m`` has a word form instead of that loop: each target
-  is packed into one int, each read is a shift of it (or of its first m
-  bits repeated) and each operator one bitwise operation on all n bits
-  at once.  It runs only when, besides the charge, a test before it
-  shows that no operation can fail (every target Bits, every m a
-  positive int, every read in range); otherwise the metered loop runs.
+  body made only of bool literals, ``!``, ``&``, ``|``, ``^``, ``=``,
+  ``let`` and reads of a value bound before the map at ``i + c`` or
+  ``(i + c) mod m`` has a word form: each target is packed into one
+  int, each read is a shift of it (or of its first m bits repeated) and
+  each operator one bitwise operation on all n bits at once.  Such a
+  body charges the same c on every run, and the word form charges
+  c × n up front.  It runs only when that fits in what is left of the
+  limit and a test before it shows that no operation can fail (every
+  target Bits, every m a positive int, every read in range); otherwise
+  the metered loop runs.  Nothing could then fail, so the value, cost
+  or error is the one of the run-by-run walk.
 
 Boolean operators are strict (both operands always evaluated); only
 ``if`` is lazy.  Costs, receipts and errors are those of a node-by-node
@@ -281,11 +279,6 @@ _SCALARS = ("bool", "int", "bits", "scriptref")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
 
-class _Check(str):
-    """A line of a map body that checks a bit read is a bool: it cannot
-    fail when every target the body reads is Bits."""
-
-
 class _Function:
     """Lines of one generated function, with the cost not yet charged."""
 
@@ -295,17 +288,13 @@ class _Function:
         self.defined = set(params)
         self.outer = set()  # the locals of enclosing functions
         self.free = []  # those the lines read, passed in as params
-        # source lines, and (indent, amount) markers for constant charges
         self.lines = []
         self.indent = 1
         self.pending = 0
-        # whether every charge is a marker: no 'if', 'pow' or nested 'map'
-        self.static = True
+        self.charged = 0  # the sum of the constant charges flushed
         # in a map body: the name of each loop-invariant Bits target's
-        # size, computed once before the loop, and the values read from
-        # such targets
+        # size, computed once before the loop
         self.hoisted = None
-        self.bit_reads = set()
         # in a map body that may still have a word form (see map_indices):
         # for each value the body computes, a word when it is a bool, the
         # offset c when it is i + c, or (c, m) when it is (i + c) mod m;
@@ -330,7 +319,8 @@ class _Function:
         between them add up to one check that fails exactly when one of
         theirs would, with the same error."""
         if self.pending:
-            self.lines.append((self.indent, self.pending))
+            self.line(f"if (s := s + {self.pending}) > L: _over(L)")
+            self.charged += self.pending
             self.pending = 0
 
     def op(self, text):
@@ -340,10 +330,7 @@ class _Function:
 
     def source(self):
         head = f"def {self.name}({', '.join(self.params + self.free)}):"
-        return "\n".join([head] + [
-            line if isinstance(line, str)
-            else f"{' ' * line[0]}if (s := s + {line[1]}) > L: _over(L)"
-            for line in self.lines])
+        return "\n".join([head] + self.lines)
 
 
 class _Generator:
@@ -401,8 +388,6 @@ class _Generator:
             return False
         fn.op(f"if type({value}) is not {expected}: "
               f"_as_{expected}({value}, {self.constant(what)})")
-        if expected == "bool" and value in fn.bit_reads:
-            fn.lines[-1] = _Check(fn.lines[-1])
         fn.kinds[value] = expected
         return True
 
@@ -542,7 +527,6 @@ class _Generator:
         result = self.assign(f"{a}._bits[{i}] == 1 if {guard}0 <= {i} < {size} "
                              f"else _index({a}, {i})")
         if self.fn.hoisted and a in self.fn.hoisted:
-            self.fn.bit_reads.add(result)
             self.word_read(result, a, size, i)
         return result, "bool" if kind == "bits" else None
 
@@ -656,7 +640,6 @@ class _Generator:
         if operands is None:
             return None
         (b, _), (x, _), (m, _) = operands
-        self.fn.static = False
         self.fn.op(f"if {x} < 0 or {m} <= 0: _pow_domain({x})")
         self.fn.line(f"if (s := s + 1 + {x}.bit_length()) > L: _over(L)")
         return self.assign(f"pow({b}, {x}, {m})", False), "int"
@@ -668,7 +651,6 @@ class _Generator:
             return None
         result = self.fresh("t")
         kinds = []
-        fn.static = False  # what it charges depends on the branch taken
         pending, values, known = fn.pending, fn.values, fn.kinds
         for keyword, branch in ((f"if {cond[0][0]}:", e.then), ("else:", e.orelse)):
             fn.line(keyword)
@@ -695,7 +677,6 @@ class _Generator:
             return None
         n = length[0][0]
         fn.op(f"if not 0 <= {n} <= W: _map_length({n}, W)")
-        fn.static = False  # what the map charges depends on n
         # The body is a function of its own, so that nested maps never
         # nest blocks in the source.  It starts from what holds at the
         # call, and reads what does not change from index to index once.
@@ -714,34 +695,24 @@ class _Generator:
         loop = [f" for {var} in range(n):"] + body.lines
         body.lines = [f" {size} = len({a}._bits) if type({a}) is Bits else -1"
                       for a, size in body.hoisted.items()] + [" b = []"]
-        if body.static:
-            # Each run charges the same c: when all n runs fit, charge
-            # them up front.  Then, if no operation can fail either, each
-            # operator runs once on the words of all n indices; otherwise
-            # a loop runs with no charges, where only an operation can
-            # fail, as it would in the walk.
-            c = sum(line[1] for line in loop if type(line) is tuple)
-            charged = f"s + {c} * n"
-            row = value and body.words is not None and self.word_of(value[0][0])
-            if type(row) is str:
-                guards = "".join(f" and {g}" for g in dict.fromkeys(body.guards))
-                body.lines += [f" if {charged} <= L{guards}:", "  M = (1 << n) - 1",
-                               *body.word_lines,
-                               f"  return Bits.from_int({row}, n), {charged}"]
-            else:
-                # when every target is Bits, a bit read is a bool, so the
-                # loop leaves out the _Check lines
-                guards = "".join(f" and {size} >= 0" for size in body.hoisted.values())
-                body.lines += [f" if {charged} <= L{guards}:",
-                               *(" " + line for line in loop if type(line) is str),
-                               f"  return Bits._of(b), {charged}"]
+        row = value and body.words is not None and self.word_of(value[0][0])
+        if type(row) is str:
+            # Each run charges the same c, the sum of what flush wrote:
+            # 'if', 'pow' and a nested 'map', whose charges vary, have no
+            # word.  When all n runs fit and no operation can fail, charge
+            # them up front and run each operator once on the words of all
+            # n indices; otherwise the metered loop runs.
+            charged = f"s + {body.charged} * n"
+            guards = "".join(f" and {g}" for g in dict.fromkeys(body.guards))
+            body.lines += [f" if {charged} <= L{guards}:", "  M = (1 << n) - 1",
+                           *body.word_lines,
+                           f"  return Bits.from_int({row}, n), {charged}"]
         body.lines += loop + [" return Bits._of(b), s"]
         # An enclosing local is passed in only when a line reads it.  Names
         # and values from the script are namespace constants, so every
         # word of the source is a name the generator made.
         body.free = list(dict.fromkeys(
-            word for line in body.lines if isinstance(line, str)
-            for word in _WORD.findall(line)
+            word for line in body.lines for word in _WORD.findall(line)
             if word in body.outer and word not in body.defined))
         self.functions.append(body)
         self.fn = fn

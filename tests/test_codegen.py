@@ -349,8 +349,8 @@ _PRECHARGE = re.compile(r" if s \+ (\d+) \* n <= L(?: and .+)?:")
 
 
 def _fast_loops(source):
-    """Each map body's precharged form: its lines from the up-front test
-    to its return, either a loop with no charges or the word form."""
+    """Each map body's word form: its lines from the up-front test to its
+    return."""
     loops = {}
     for name, lines in _functions(source).items():
         for k, line in enumerate(lines):
@@ -361,12 +361,8 @@ def _fast_loops(source):
     return loops
 
 
-def _is_word_form(lines):
-    return not any(line.lstrip().startswith("for ") for line in lines)
-
-
 def _precharge_limit(script, n):
-    """The least limit under which the static body of the script's one
+    """The least limit under which the word form of the script's one
     top-level map is charged up front: the cost charged before the map's
     call plus c × n."""
     source = interp._Generator().generate(script)
@@ -398,22 +394,30 @@ def _every_limit(script, ctx, max_width=8):
 
 
 class TestPrecharge:
-    """A static map body is charged c × n up front when all n runs fit,
-    and is metered run by run when they do not: at every limit on either
-    side, the value, receipt or error is the oracle's."""
+    """A map body with a word form is charged c × n up front when all n
+    runs fit, and is metered run by run when they do not; every other
+    body is always metered: at every limit on either side, the value,
+    receipt or error is the oracle's."""
 
-    @pytest.mark.parametrize("source", [
+    # each body charges the same on every run; whether it has a word form
+    STATIC = {
         "map(self.layer.size, i -> self.layer[(i - 1) mod self.layer.size] "
-        "^ self.layer[i]) = out[0].layer",
-        "(map(self.layer.size, i -> i < self.x) = 0b110000) & true",
-        "map(self.layer.size, i -> !self.layer[i] & (in[0].x = 2)) = self.layer",
-    ])
+        "^ self.layer[i]) = out[0].layer": True,
+        # 'i < self.x' has no word
+        "(map(self.layer.size, i -> i < self.x) = 0b110000) & true": False,
+        # in[0] is first read inside the body
+        "map(self.layer.size, i -> !self.layer[i] & (in[0].x = 2)) = self.layer": False,
+    }
+
+    @pytest.mark.parametrize("source", list(STATIC))
     def test_static_bodies_at_every_limit(self, source):
         script = parse(source)
-        ctx = _layer_ctx(6)
-        at = _precharge_limit(script, 6)
-        top = _every_limit(script, ctx)
-        assert 1 < at < top  # the sweep crosses the up-front test
+        top = _every_limit(script, _layer_ctx(6))
+        if self.STATIC[source]:
+            at = _precharge_limit(script, 6)
+            assert 1 < at < top  # the sweep crosses the up-front test
+        else:
+            assert _fast_loops(interp._Generator().generate(script)) == {}
 
     def test_layer_validator_at_the_boundary(self):
         script = ScriptRef(build_layer_script())
@@ -441,9 +445,6 @@ class TestPrecharge:
         script = parse(source)
         ctx = _layer_ctx(3)
         assert assert_same(script, ctx)[1] is error
-        at = _precharge_limit(script, 4)
-        for limit in (at, at + 1):  # the budget fits: the operation's error
-            assert assert_same(script, ctx, limit)[1] is error
         _every_limit(script, ctx)
 
     @pytest.mark.parametrize("source", [
@@ -458,13 +459,20 @@ class TestPrecharge:
     def test_nested_and_dynamic_bodies(self, source):
         _every_limit(parse(source), _layer_ctx(5))
 
-    @pytest.mark.parametrize("x", [2, 5])
+    @pytest.mark.parametrize("x", [2, 3, 5])
     def test_index_target_of_unknown_kind(self, x):
-        # the same target before the loop is a list or Bits, by self.x
-        script = parse("let t = if self.x < 3 then in ++ in else self.layer in "
-                       "map(2, i -> t[i] = in[0])")
+        # the same target before the loop is a list or Bits, by self.x: an
+        # output list under 3, the layer from 3
+        let = "let t = if self.x < 3 then in ++ in else self.layer in "
         me = Output(Lit(True), Payload((("layer", Bits([1, 0])), ("x", x))))
-        _every_limit(script, EvalContext(me, (me,), ()))
+        _every_limit(parse(let + "map(2, i -> t[i] = in[0])"),
+                     EvalContext(me, (me,), ()))
+        # bodies with no word form: the metered loop checks each bit read
+        for body in ("map(self.layer.size, i -> self.layer[i] & (i < self.x))",
+                     let + "map(t.size, i -> t[i] & (i < self.x))"):
+            for layer in (Bits([1, 0, 1, 1]), Bits([])):
+                me = Output(Lit(True), Payload((("layer", layer), ("x", x))))
+                _every_limit(parse(body), EvalContext(me, (me, me), ()))
 
     def test_validator_fast_loops_charge_nothing(self):
         layer = build_layer_script()
@@ -475,7 +483,8 @@ class TestPrecharge:
             loops = _fast_loops(source)
             assert len(loops) == 1
             (loop,) = loops.values()
-            assert _is_word_form(loop) and not any("_over" in line for line in loop)
+            assert "to_int" in "\n".join(loop)
+            assert not any("_over" in line for line in loop)
             assert source.count("_over") > 1  # the metered loop still charges
 
     @pytest.mark.parametrize("script", [
@@ -502,8 +511,9 @@ class TestPrecharge:
     @pytest.mark.parametrize("source, static", [
         ("map(3, i -> if i < 1 then true else false)", []),
         ("map(3, i -> (2 pow i mod 5) < 2)", []),
-        # only the inner body of nested maps is static
-        ("map(3, i -> map(2, j -> i < j) = 0b01)", ["inner"]),
+        # only the inner body of nested maps can have a word form
+        ("map(3, i -> map(2, j -> i < j) = 0b01)", []),
+        ("let t = self.layer in map(3, i -> map(2, j -> t[j]) = t)", ["inner"]),
     ])
     def test_dynamic_bodies_get_no_fast_loop(self, source, static):
         source = interp._Generator().generate(parse(source))
@@ -511,22 +521,6 @@ class TestPrecharge:
                   else "outer" for name, lines in _functions(source).items()
                   if name != "f"}
         assert [bodies[name] for name in _fast_loops(source)] == static
-
-    @pytest.mark.parametrize("target", ["self.layer", "t"])
-    @pytest.mark.parametrize("layer", [Bits([1, 0, 1, 1]), Bits([])])
-    def test_precharged_reads_are_not_checked(self, target, layer):
-        # the precharged loop runs only when every hoisted target is Bits,
-        # so a bit read there is a bool; the metered loop keeps its check
-        body = f"map({target}.size, i -> {target}[i] & (i < self.x))"
-        script = parse(body if target == "self.layer" else
-                       f"let t = if self.x < 3 then in ++ in else self.layer in {body}")
-        loops = _fast_loops(interp._Generator().generate(script))
-        assert len(loops) == 1
-        (loop,) = loops.values()
-        assert not _is_word_form(loop) and not any("_as_bool" in line for line in loop)
-        for x in (2, 3):  # an output list under 3, the Bits layer from 3
-            me = Output(Lit(True), Payload((("layer", layer), ("x", x))))
-            _every_limit(script, EvalContext(me, (me, me), ()))
 
 
 # Map bodies the word form covers: bool formulas over reads of a target
@@ -603,7 +597,42 @@ class TestWordForm:
         source = interp._Generator().generate(parse(
             "let t = self.layer in map(t.size, i -> t[(i + 3) mod 2] = !t[1 + i] | false)"))
         (loop,) = _fast_loops(source).values()
-        assert _is_word_form(loop) and "to_int" in "\n".join(loop)
+        assert "to_int" in "\n".join(loop)
+
+
+def _assert_two_paths(source):
+    """Each map body function is the metered loop, after at most one word
+    form: one up-front test whose lines up to their return neither loop
+    nor charge."""
+    for name, lines in _functions(source).items():
+        if name == "f":
+            continue
+        loops = [k for k, line in enumerate(lines) if line.lstrip().startswith("for ")]
+        tests = [k for k, line in enumerate(lines)
+                 if re.search(r"if s \+ \d+ \* n <= L", line)]
+        assert len(loops) == 1 and len(tests) <= 1, name
+        for k in tests:
+            end = next(j for j in range(k, len(lines))
+                       if lines[j].startswith("  return "))
+            assert k < end < loops[0], name
+            assert not any("_over" in line for line in lines[k:end + 1]), name
+
+
+class TestTwoPaths:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(_scripts, _covered_maps))
+    @example(parse("map(3, i -> i < 2)"))
+    @example(parse("map(3, i -> map(2, j -> i < j) = 0b01)"))
+    def test_generated_scripts(self, script):
+        _assert_two_paths(interp._Generator().generate(script))
+
+    def test_shipped_scripts(self):
+        layer = build_layer_script()
+        rules = derive_build_rules(layer)
+        (rule,), = [fields for _, _, (fields, _) in rules.cases[0].out_rules]
+        for script in (layer, build_bit_script(), rule[1].expr):
+            _assert_two_paths(interp._Generator().generate(script))
 
 
 class TestMapResult:
