@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "canonical": (
         "CanonicalForm", "CopyRule", "FieldRule", "LookupRule", "NotCanonical",
-        "analyze_canonical", "rules_to_expr",
+        "analyze_canonical",
     ),
     "chainio": ("ChainFormatError", "ChainRecord", "dump_chain", "load_chain"),
     "interp": (

@@ -8,10 +8,10 @@ A script is in canonical form when it is a conjunction of
 
 Such a script doubles as a generation procedure: lookups locate the
 inputs, assignments compute the outputs, and the script itself is the
-final consistency check.  ``analyze_canonical`` extracts that structure
-or reports why a conjunct resists it.  The helpers at the bottom
-(let inlining, branch splitting, structural reduction) are shared with
-the transaction builder, which needs a per-branch view.
+final consistency check.  The transaction builder reads that structure
+off each branch of a script: it splits the branches, reduces each one and
+sorts its conjuncts with ``classify_conjuncts``.  No command uses the
+flat form of a whole script, with its branches left in place.
 """
 
 from __future__ import annotations
@@ -390,7 +390,10 @@ def _try_lookup_rule(conj: Expr):
 
 
 def analyze_canonical(script: Expr):
-    """Extract the flat canonical form of a script, branches left in place."""
+    """Extract the flat canonical form of a script, branches left in place.
+
+    Nothing in this package calls it; it stays while the benchmark's tracer
+    wraps it."""
     try:
         inlined = inline_lets(script)
     except AnalysisError as exc:
@@ -399,31 +402,6 @@ def analyze_canonical(script: Expr):
     for conj in flatten_and(inlined):
         conjuncts.extend(normalize_conjunct(conj))
     return classify_conjuncts(conjuncts)
-
-
-def rules_to_expr(form: CanonicalForm) -> Expr:
-    """Reassemble a canonical form into one boolean expression."""
-    parts = []
-    for rule in form.out_rules:
-        if isinstance(rule, FieldRule):
-            target = Index(CtxRef("out"), Lit(rule.out_index))
-            lhs = ScriptOf(target) if rule.field == SCRIPT_FIELD \
-                else FieldAccess(target, rule.field)
-            parts.append(Cmp("=", lhs, rule.expr))
-        else:
-            parts.append(CopyEq(Index(CtxRef("out"), Lit(rule.out_index)),
-                                Index(CtxRef("out"), Lit(rule.source)),
-                                rule.overrides))
-    for rule in form.in_rules:
-        lhs = FieldAccess(Index(CtxRef("in"), Lit(rule.in_index)), rule.field)
-        parts.append(Cmp("=", lhs, rule.expr))
-    parts.extend(form.residual)
-    if not parts:
-        return Lit(True)
-    expr = parts[0]
-    for p in parts[1:]:
-        expr = BoolOp("&", expr, p)
-    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Subcommands::
     run      build a genesis state and advance the automaton by sweeps
     verify   replay a chain file and report the first failure
     render   draw a verified chain as ASCII or PBM
-    analyze  print the flat canonical form and the builder's cases of a script
+    analyze  print the builder's generation cases of a script and each
+             case's lookups and output rules
 
 Exit codes: 0 success, 1 domain failure (invalid chain, stuck builder,
 stdout closed by its reader), 2 usage, parse or file failure.  All output
@@ -30,7 +31,6 @@ from .model import ChainParams
 TYPE_CHECKING = False  # type checkers read it as True; importing typing costs start-up
 if TYPE_CHECKING:
     from .builder import BuildRules
-    from .canonical import CanonicalForm
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -220,28 +220,6 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _print_form(form: CanonicalForm) -> None:
-    from .canonical import SCRIPT_FIELD, FieldRule
-
-    print(f"out rules: {len(form.out_rules)}")
-    for rule in form.out_rules:
-        if isinstance(rule, FieldRule):
-            slot = f"out[{rule.out_index}].{rule.field}" \
-                if rule.field != SCRIPT_FIELD else f"out[{rule.out_index}].script"
-            print(f"  {slot} <- {script_source(rule.expr)}")
-        else:
-            overrides = ", ".join(f"{n} <- {script_source(x)}"
-                                  for n, x in rule.overrides)
-            print(f"  out[{rule.out_index}] <- copy(out[{rule.source}]"
-                  + (f", {overrides})" if overrides else ")"))
-    print(f"lookup rules: {len(form.in_rules)}")
-    for rule in form.in_rules:
-        print(f"  in[{rule.in_index}].{rule.field} = {script_source(rule.expr)}")
-    print(f"residual checks: {len(form.residual)}")
-    for expr in form.residual:
-        print(f"  {script_source(expr)}")
-
-
 def _print_cases(rules: BuildRules) -> None:
     print(f"generation cases: {len(rules.cases)}")
     for num, case in enumerate(rules.cases, start=1):
@@ -253,11 +231,20 @@ def _print_cases(rules: BuildRules) -> None:
             keys = ", ".join(f"{field} = {script_source(rule.expr)}"
                              for field, rule in per_input)
             print(f"  in[{k}] <- lookup({keys})")
+        for i, kind, data in case.out_rules:
+            if kind == "copy":
+                source, overrides = data
+                args = "".join(f", {name} <- {script_source(rule.expr)}"
+                               for name, rule in overrides)
+                print(f"  out[{i}] <- copy(out[{source}]{args})")
+            else:
+                payload, script = data
+                for field, rule in payload + (("script", script),):
+                    print(f"  out[{i}].{field} <- {script_source(rule.expr)}")
 
 
 def cmd_analyze(args) -> int:
     from .builder import NotBuildable, derive_build_rules
-    from .canonical import NotCanonical, analyze_canonical
     from .parser import ParseError, parse
 
     try:
@@ -272,12 +259,6 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    form = analyze_canonical(script)
-    if isinstance(form, NotCanonical):
-        print(f"not canonical: {form.reason}")
-    else:
-        print("canonical form")
-        _print_form(form)
     rules = derive_build_rules(script)
     if isinstance(rules, NotBuildable):
         print(str(rules))
@@ -315,7 +296,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_limit_flags(render)
     render.set_defaults(func=cmd_render)
 
-    analyze = subs.add_parser("analyze", help="canonical form of a script file")
+    analyze = subs.add_parser("analyze", help="generation cases of a script file")
     analyze.add_argument("--script", required=True, help="script source file")
     analyze.set_defaults(func=cmd_analyze)
 

@@ -26,8 +26,10 @@ one-pass replay.  Only chains of slow scripts reach the threshold.
 
 The chain log groups applied transactions into blocks greedily by cost
 budget.  Blocks are a budgeting device only; the grouping is a pure
-function of the transaction sequence and the budget, so a replay
-reconstructs it exactly.
+function of the transaction sequence and the budget.
+``apply_transaction`` packs them, so ``run`` prints their count;
+``verify_chain`` checks each transaction's cost against the block budget
+but builds no chain log and does not rebuild the blocks.
 """
 
 from __future__ import annotations

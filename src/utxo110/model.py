@@ -29,7 +29,7 @@ class Payload:
     payloads are equal exactly when those bytes are.
     """
 
-    __slots__ = ("_pairs", "_map", "encoded")
+    __slots__ = ("_map", "encoded")
 
     def __init__(self, pairs=(), **kwargs):
         items = tuple(pairs) + tuple(kwargs.items())
@@ -43,7 +43,6 @@ class Payload:
             fields[name] = value
             raw = name.encode("utf-8")
             parts += (_u32(len(raw)), raw, _enc_value(value))
-        object.__setattr__(self, "_pairs", items)
         object.__setattr__(self, "_map", fields)
         object.__setattr__(self, "encoded", b"".join(parts))
 
@@ -57,16 +56,16 @@ class Payload:
         return name in self._map
 
     def items(self):
-        return self._pairs
+        return tuple(self._map.items())
 
     def names(self):
-        return tuple(name for name, _ in self._pairs)
+        return tuple(self._map)
 
     def replace(self, name, value) -> "Payload":
         """Copy with one existing field replaced, order preserved."""
         if name not in self._map:
             raise KeyError(name)
-        return Payload(tuple((n, value if n == name else v) for n, v in self._pairs))
+        return Payload({**self._map, name: value}.items())
 
     def __eq__(self, other):
         if not isinstance(other, Payload):
@@ -80,7 +79,7 @@ class Payload:
         raise AttributeError("Payload is immutable")
 
     def __repr__(self):
-        inner = ", ".join(f"{n}={v!r}" for n, v in self._pairs)
+        inner = ", ".join(f"{n}={v!r}" for n, v in self._map.items())
         return f"Payload({inner})"
 
 

@@ -8,8 +8,9 @@ import time
 from contextlib import contextmanager
 
 from conftest import drive_grid, drive_layer
-from utxo110.builder import build_next, sweep
-from utxo110.canonical import CanonicalForm, NotCanonical, analyze_canonical
+from utxo110.builder import (
+    BuildRules, NotBuildable, build_next, derive_build_rules, sweep,
+)
 from utxo110.cli import main as cli_main
 from utxo110.interp import EvalContext, evaluate
 from utxo110.lang import Bits, serialize_script
@@ -299,10 +300,11 @@ def test_criterion_7_builder_closure_and_determinism(tmp_path):
 
 def test_criterion_8_canonical_analyzer():
     with criterion(8, "analyzer accepts both validators, rejects discrete log"):
-        assert isinstance(analyze_canonical(build_layer_script()), CanonicalForm)
-        assert isinstance(analyze_canonical(build_bit_script()), CanonicalForm)
+        # the analysis the builder uses, read off each branch of a script
+        assert isinstance(derive_build_rules(build_layer_script()), BuildRules)
+        assert isinstance(derive_build_rules(build_bit_script()), BuildRules)
         discrete_log = parse("5 pow out[0].x mod 23 = 13")
-        assert isinstance(analyze_canonical(discrete_log), NotCanonical)
+        assert isinstance(derive_build_rules(discrete_log), NotBuildable)
 
         witnesses = [x for x in range(22) if pow(5, x, 23) == 13]
         assert witnesses == [14]

@@ -1,18 +1,10 @@
-import random
-
-import pytest
-
 from utxo110.canonical import (
     CanonicalForm, CopyRule, FieldRule, NotCanonical, SCRIPT_FIELD,
-    analyze_canonical, inline_lets, rules_to_expr,
+    analyze_canonical, inline_lets,
 )
-from utxo110.interp import EvalContext, EvalError, evaluate
 from utxo110.lang import Lit
-from utxo110.model import Output, Payload
 from utxo110.parser import parse
-from utxo110.rule110 import (
-    build_bit_script, build_layer_script, calc_bit, cell_output,
-)
+from utxo110.rule110 import build_bit_script, build_layer_script
 
 
 def test_layer_script_form():
@@ -97,78 +89,3 @@ def test_inline_lets_respects_shadowing():
     assert form.out_rules[0].expr == Lit(2)
     assert inline_lets(expr) == parse("out[0].n = 2")
 
-
-# ---------------------------------------------------------------------------
-# Soundness: the reassembled rule conjunction is semantically the script.
-
-def _truth(script, ctx):
-    try:
-        value, _ = evaluate(script, ctx, 100_000)
-    except EvalError:
-        return False
-    return value is True
-
-
-def _layer_contexts():
-    script = build_layer_script()
-    rng = random.Random(42)
-    for _ in range(30):
-        w = rng.randint(2, 6)
-        src = [rng.randint(0, 1) for _ in range(w)]
-        nxt = [calc_bit(src[(i - 1) % w], src[i], src[(i + 1) % w])
-               for i in range(w)]
-        if rng.random() < 0.5:  # sometimes corrupt the successor row
-            pos = rng.randrange(w)
-            nxt[pos] ^= 1
-        from utxo110.lang import Bits
-        inp = Output(script, Payload((("layer", Bits(src)),)))
-        out = Output(script, Payload((("layer", Bits(nxt)),)))
-        yield EvalContext(self_input=inp, inputs=(inp,), outputs=(out,))
-
-
-def _grid_contexts():
-    script = build_bit_script()
-    rng = random.Random(43)
-    for _ in range(40):
-        x = rng.randint(-4, -2)
-        n = rng.randint(-8, x)
-        vals = [rng.randint(0, 1) for _ in range(3)]
-        ins = (cell_output(vals[0], x - 1, n, False, script),
-               cell_output(vals[1], x, n, True, script),
-               cell_output(vals[2], x + 1, n, False, script))
-        v = calc_bit(*vals)
-        ox, on = x, n - 1
-        if rng.random() < 0.6:  # random single-field corruption
-            which = rng.randrange(4)
-            if which == 0:
-                v ^= 1
-            elif which == 1:
-                ox += 1
-            elif which == 2:
-                on += 1
-        outs = (cell_output(v, ox, on, False, script),
-                cell_output(v, ox, on, True, script),
-                cell_output(v, ox, on, False, script))
-        yield EvalContext(self_input=ins[0], inputs=ins, outputs=outs)
-
-
-@pytest.mark.parametrize("script_fn,contexts_fn", [
-    (build_layer_script, _layer_contexts),
-    (build_bit_script, _grid_contexts),
-])
-def test_rules_equivalent_to_script(script_fn, contexts_fn):
-    script = script_fn()
-    form = analyze_canonical(script)
-    assert isinstance(form, CanonicalForm)
-    recombined = rules_to_expr(form)
-    seen_true = seen_false = False
-    for ctx in contexts_fn():
-        truth = _truth(script, ctx)
-        assert truth == _truth(recombined, ctx)
-        seen_true |= truth
-        seen_false |= not truth
-    assert seen_true and seen_false  # the sample exercised both sides
-
-
-def test_rules_to_expr_vacuous():
-    assert rules_to_expr(CanonicalForm((), (), ())) == Lit(True)

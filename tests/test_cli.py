@@ -357,28 +357,33 @@ class TestAnalyze:
         path = tmp_path / "layer.script"
         path.write_text(LAYER_SCRIPT_SOURCE)
         assert run_cli("analyze", "--script", path) == 0
-        out = capsys.readouterr().out
-        assert "out rules: 2" in out
-        assert "lookup rules: 0" in out
-        assert "generation cases: 1" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["generation cases: 1", "case 1: 1 input(s), 1 output(s)"]
+        # the rules that compute out[0], its script last
+        assert [line.split(" <- ")[0] for line in lines[2:]] \
+            == ["  out[0].layer", "  out[0].script"]
+        assert lines[-1] == "  out[0].script <- self.script"
 
     def test_bit_script(self, tmp_path, capsys):
         path = tmp_path / "bit.script"
         path.write_text(BIT_SCRIPT_SOURCE)
         assert run_cli("analyze", "--script", path) == 0
         out = capsys.readouterr().out
-        assert "out rules: 7" in out
+        assert out.startswith("generation cases: 6\ncase 1: 3 input(s), 3 output(s)\n")
         # the interior case locates two inputs by lookup
         assert "in[1] <- lookup(" in out
         assert "in[2] <- lookup(" in out
+        # each case computes out[0] field by field and copies it twice
+        assert out.count("  out[0].script <- in[0].script\n") == 6
+        assert out.count("  out[1] <- copy(out[0], mid <- true)\n") == 6
+        assert out.count("  out[2] <- copy(out[0], mid <- false)\n") == 6
+        assert "  out[0].val <- in[0].val & in[1].val & in[2].val ^ " in out
 
     def test_discrete_log_sample(self, capsys):
         assert run_cli("analyze", "--script", SAMPLES / "discrete_log.script") == 0
         lines = capsys.readouterr().out.splitlines()
-        # the flat verdict, then the builder's, which never disagree here
-        assert len(lines) == 2
-        assert lines[0].startswith("not canonical: ")
-        assert lines[1].startswith("not buildable: ")
+        assert len(lines) == 1
+        assert lines[0].startswith("not buildable: ")
 
     def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -401,7 +406,12 @@ class TestAnalyze:
         assert run_cli("analyze", "--script", PACKAGE / "grid_bit.script") == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() \
-            == "5fb7f13ab6342b5073acde6bfc36ff7363b8c7203ac4421716002274993bb60c"
+            == "87659ecff69fe832eddac6c3c09ecbadaf0a2821181216e4f0e793ed885594d1"
+        # the case lines alone, without the output-rule lines
+        cases = "".join(line for line in out.splitlines(keepends=True)
+                        if not line.startswith("  out["))
+        assert hashlib.sha256(cases.encode()).hexdigest() \
+            == "5514d287a9e470fbce79b1d0363204d4461ef0faae736f5a65d84ec952086085"
 
     def test_limit_flags_not_accepted(self):
         with pytest.raises(SystemExit) as err:
@@ -507,13 +517,14 @@ def _exits_one_without_traceback(proc):
 
 
 def test_stdout_closed_after_one_line(tmp_path):
-    # about 118 KB of analysis, more than a pipe and the stdout buffer hold,
+    # about 122 KB of analysis, more than a pipe and the stdout buffer hold,
     # so the writer is still writing when the reader closes
     path = tmp_path / "wide.script"
     path.write_text(_balanced_and(
-        [f"out[0].f{i} = {10**99 + i}" for i in range(1000)]))
+        ["out[0].script = in[0].script"]
+        + [f"in[0].f{i} = {10**99 + i}" for i in range(1000)]))
     proc = _analyze_process(path, subprocess.PIPE)
-    assert proc.stdout.readline() == b"canonical form\n"
+    assert proc.stdout.readline() == b"generation cases: 1\n"
     proc.stdout.close()
     _exits_one_without_traceback(proc)
 
@@ -538,7 +549,7 @@ def test_analyze_refuses_lets_that_inline_too_large(tmp_path, name):
         capture_output=True, text=True, env=env, timeout=30)
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
-    assert [line.split(": ")[0] for line in lines] == ["not canonical", "not buildable"]
+    assert [line.split(": ")[0] for line in lines] == ["not buildable"]
     assert all("with its lets inlined the script" in line for line in lines)
 
 

@@ -332,11 +332,11 @@ def _key(payload):
 
 
 _SCRIPTS = (ScriptRef(Lit(True)), ScriptRef(parse("1 + 1 = 2")))
+_identity_values = st.one_of(st.booleans(), st.integers(-2, 2), st.integers(),
+                             st.lists(st.booleans(), max_size=12).map(Bits),
+                             st.sampled_from(_SCRIPTS))
 _identity_fields = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c"]),
-              st.one_of(st.booleans(), st.integers(-2, 2), st.integers(),
-                        st.lists(st.booleans(), max_size=12).map(Bits),
-                        st.sampled_from(_SCRIPTS))),
+    st.tuples(st.sampled_from(["a", "b", "c"]), _identity_values),
     max_size=3, unique_by=lambda kv: kv[0])
 
 
@@ -356,6 +356,18 @@ def test_payloads_equal_exactly_when_encodings_equal(pairs, data):
     assert (a == b) == (a.encoded == b.encoded) == (_key(a) == _key(b))
     if a == b:
         assert hash(a) == hash(b)
+    # fields keep the order they were given in, and replacing one keeps
+    # its position and leaves every other field as it was
+    assert a.items() == tuple(pairs)
+    assert a.names() == tuple(name for name, _ in pairs)
+    if pairs:
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        value = data.draw(_identity_values)
+        expected = list(pairs)
+        expected[k] = (pairs[k][0], value)
+        replaced = a.replace(pairs[k][0], value)
+        assert replaced.items() == tuple(expected)
+        assert replaced == Payload(expected)
 
 
 def test_payload_identity_cases():
