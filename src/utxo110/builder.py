@@ -32,9 +32,9 @@ from .canonical import (
     AnalysisError, CopyRule, DeadCase, FieldRule,
     NotCanonical, SCRIPT_FIELD, classify_conjuncts,
     flatten_and, inline_lets, normalize_conjunct, reduce_case, scan_refs,
-    split_cases,
+    shared_ref_scan, split_cases,
 )
-from .interp import EvalContext, EvalError, _payload_value, evaluate
+from .interp import EvalContext, EvalError, _payload_value, compiled
 from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size, record
 from .ledger import (
     ChainLog, UtxoSet, Valid, apply_transaction, validate_transaction,
@@ -236,13 +236,14 @@ def derive_build_rules(script: Expr | ScriptRef):
 @functools.cache
 def _derive(ref: ScriptRef):
     try:
-        inlined = inline_lets(ref.expr)
-        raw_cases = split_cases(inlined)
-        cases = []
-        for guards, body in raw_cases:
-            case = _compile_case(guards, body)
-            if case is not None:
-                cases.append(case)
+        with shared_ref_scan():
+            inlined = inline_lets(ref.expr)
+            raw_cases = split_cases(inlined)
+            cases = []
+            for guards, body in raw_cases:
+                case = _compile_case(guards, body)
+                if case is not None:
+                    cases.append(case)
     except AnalysisError as exc:
         return NotBuildable(str(exc))
     if not cases:
@@ -262,18 +263,19 @@ class _CaseFailure(Exception):
 
 # Rule expressions come from let-inlined scripts, which duplicates shared
 # subexpressions, so generation may cost a small factor more than running
-# the original script.  The built transaction is still validated under
-# the real per-input limit, so nothing over budget ever leaves here.
+# the original script.  Each rule runs from its compiled code under this
+# factor times the per-input limit, on a context built once per stage of
+# a case; the built transaction is still validated under the real
+# per-input limit, so nothing over budget ever leaves here.
 _RULE_BUDGET_FACTOR = 4
 
 
-def _eval_rule(rule: ScriptRef, resolved, params):
+def _rule_value(rule: ScriptRef, ctx: EvalContext, limit: int, max_width: int):
     """A rule's value: a payload field, a lookup key, a script or a check,
     so an output or an output list is an EvalError."""
-    ctx = EvalContext(self_input=resolved[0], inputs=resolved, outputs=())
-    value, _ = evaluate(rule, ctx,
-                        _RULE_BUDGET_FACTOR * params.cost_limit_per_input,
-                        max_width=params.max_width)
+    if limit <= 0:  # as interp.evaluate refuses it
+        raise ValueError("cost limit must be positive")
+    value, _ = compiled(rule)(ctx, limit, max_width)
     return _payload_value(value, "a rule's value")
 
 
@@ -282,7 +284,7 @@ def _makes_no_progress(outputs, inputs, utxo: UtxoSet) -> bool:
     copies outside ``inputs`` as ``outputs`` holds."""
     spent = set(inputs)
     for out in outputs:
-        copies = sum(1 for ref in utxo.lookup(out.payload.items())
+        copies = sum(1 for ref in utxo.lookup(out.payload._map.items())
                      if ref not in spent and utxo.resolve(ref) == out)
         if copies < outputs.count(out):
             return False
@@ -291,9 +293,17 @@ def _makes_no_progress(outputs, inputs, utxo: UtxoSet) -> bool:
 
 def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
               seed_output: Output, params: ChainParams):
+    limit = _RULE_BUDGET_FACTOR * params.cost_limit_per_input
+    width = params.max_width
+    # one context per stage: the seed checks and the lookup of in[1] read
+    # the seed alone; each later lookup, and the outputs, read every input
+    # resolved so far
+    resolved_refs = [seed]
+    resolved = [seed_output]
+    ctx = EvalContext(seed_output, resolved, ())
     for check in case.seed_checks:
         try:
-            ok = _eval_rule(check, [seed_output], params)
+            ok = _rule_value(check, ctx, limit, width)
         except EvalError as exc:
             raise _CaseFailure(ConsistencyCheckFailed(str(exc)), seed_stage=True)
         if ok is not True:
@@ -301,13 +311,11 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
                 ConsistencyCheckFailed("seed does not fit this input role"),
                 seed_stage=True)
 
-    resolved_refs = [seed]
-    resolved = [seed_output]
     for k, rules in case.lookups:
         constraints = []
         for field, rule in rules:
             try:
-                value = _eval_rule(rule, resolved, params)
+                value = _rule_value(rule, ctx, limit, width)
             except EvalError as exc:
                 raise _CaseFailure(ConsistencyCheckFailed(str(exc)))
             constraints.append((field, value))
@@ -319,6 +327,7 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
         chosen = matches[0]
         resolved_refs.append(chosen)
         resolved.append(utxo.resolve(chosen))
+        ctx = EvalContext(seed_output, resolved, ())
 
     outputs = []
     for i, kind, data in case.out_rules:
@@ -328,14 +337,14 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
                 base = outputs[source]
                 payload = base.payload
                 for name, rule in overrides:
-                    payload = payload.replace(name, _eval_rule(rule, resolved, params))
+                    payload = payload.replace(name, _rule_value(rule, ctx, limit, width))
                 out = Output(base.script_ref, payload)
             else:
                 payload_rules, script_rule = data
                 pairs = []
                 for field, rule in payload_rules:
-                    pairs.append((field, _eval_rule(rule, resolved, params)))
-                ref = _eval_rule(script_rule, resolved, params)
+                    pairs.append((field, _rule_value(rule, ctx, limit, width)))
+                ref = _rule_value(script_rule, ctx, limit, width)
                 if not isinstance(ref, ScriptRef):
                     raise _CaseFailure(ConsistencyCheckFailed(
                         f"out[{i}] script rule did not produce a script"))

@@ -16,6 +16,9 @@ flat form of a whole script, with its branches left in place.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from .lang import (
     MAX_DEPTH, NODE_FIELDS, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess,
     If, Index, Let, ListConcat, Lit, MapIndices, Not, ScriptOf, Size,
@@ -68,8 +71,9 @@ class NotCanonical:
 # ---------------------------------------------------------------------------
 # Walks over the let-DAG
 #
-# Each walk below maps a node to its result once per call and reuses that
-# result wherever the node appears again.  Inlining leaves a let's value
+# Each walk below maps a node to its result once per call (the reference
+# scan once per ``shared_ref_scan`` block) and reuses that result
+# wherever the node appears again.  Inlining leaves a let's value
 # as one shared object at every use, so the walks take time linear in
 # the distinct nodes of that DAG, where a tree walk would copy and
 # rewrite the value once per use.
@@ -138,8 +142,26 @@ def _merge_refs(a: Refs, b: Refs, bound=None) -> Refs:
                 a.free_vars | (b.free_vars - {bound}))
 
 
+# The scanner that every ``scan_refs`` call shares inside a
+# ``shared_ref_scan`` block, or None outside one.
+_SHARED_SCAN = ContextVar("_SHARED_SCAN", default=None)
+
+
 def scan_refs(expr: Expr) -> Refs:
-    return _ref_scanner()(expr)
+    return (_SHARED_SCAN.get() or _ref_scanner())(expr)
+
+
+@contextmanager
+def shared_ref_scan():
+    """Within the block every ``scan_refs`` call keeps each node's ``Refs``
+    for the later ones, so a shared node is scanned once per block.  A
+    node's ``Refs`` depend on nothing else.  A block inside another shares
+    its memo; the outermost drops it, with the nodes it holds, on exit."""
+    token = _SHARED_SCAN.set(_SHARED_SCAN.get() or _ref_scanner())
+    try:
+        yield
+    finally:
+        _SHARED_SCAN.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +435,9 @@ MAX_CASES = 64
 def _find_splittable_if(expr: Expr):
     """The condition of the first ``if`` in pre-order whose condition has
     no free variables, or None."""
-    scan = _ref_scanner()
 
     def step(e):
-        if isinstance(e, If) and not scan(e.cond).free_vars:
+        if isinstance(e, If) and not scan_refs(e.cond).free_vars:
             return e.cond
         for c in children(e):
             found = find(c)
@@ -456,7 +477,8 @@ def split_cases(expr: Expr):
         go(guards + flatten_and(cond), _take_branch(body, cond, True))
         go(guards + [Not(cond)], _take_branch(body, cond, False))
 
-    go([], expr)
+    with shared_ref_scan():
+        go([], expr)
     return cases
 
 

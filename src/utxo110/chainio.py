@@ -119,7 +119,7 @@ class _ScriptTable:
 def output_to_json(output: Output, scripts: _ScriptTable) -> dict:
     return {
         "script": scripts.to_json(output.script_ref),
-        "payload": {name: value_to_json(v) for name, v in output.payload.items()},
+        "payload": {name: value_to_json(v) for name, v in output.payload._map.items()},
     }
 
 

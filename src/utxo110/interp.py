@@ -88,7 +88,7 @@ class EvalContext:
 
     def __init__(self, self_input: Output, inputs, outputs):
         inputs = tuple(inputs)
-        if not any(self_input is o or self_input == o for o in inputs):
+        if self_input not in inputs:  # identity first, then equality
             raise ValueError("self_input must be one of the inputs")
         object.__setattr__(self, "self_input", self_input)
         object.__setattr__(self, "inputs", inputs)

@@ -76,7 +76,7 @@ class UtxoSet:
 
     def _index_output(self, ref: OutputRef, output: Output) -> None:
         # type(value) keeps True and 1 apart, as the payload encoding does
-        for name, value in output.payload.items():
+        for name, value in output.payload._map.items():
             self._index.setdefault((name, type(value), value), set()).add(ref)
 
     def add(self, ref: OutputRef, output: Output) -> None:
@@ -89,7 +89,7 @@ class UtxoSet:
     def spend(self, ref: OutputRef) -> Output:
         output = self._primary.pop(ref)
         if self._index is not None:
-            for name, value in output.payload.items():
+            for name, value in output.payload._map.items():
                 key = (name, type(value), value)
                 bucket = self._index[key]
                 bucket.discard(ref)

@@ -4,14 +4,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import builder_oracle
 from conftest import OVERSIZED_LETS, drive_grid, drive_layer
 from test_codegen import _untyped
 from test_lang import _exprs
+from utxo110 import builder
 from utxo110.builder import (
     BuildRules, CannotBuild, ConsistencyCheckFailed, LookupMiss, NoProgress,
     NotBuildable, _makes_no_progress, build_next, derive_build_rules, sweep,
 )
 from utxo110.canonical import NotCanonical, analyze_canonical
+from utxo110.interp import EvalContext
 from utxo110.lang import (
     Arith, Bits, Cmp, FieldAccess, If, Lit, Not, ScriptRef, Size, script_source,
 )
@@ -341,6 +344,68 @@ class TestBuildNextNeverRaises:
                 assert isinstance(validate_transaction(result, utxo, params), Valid)
             else:
                 assert isinstance(result, CannotBuild)
+
+
+def _build_outcome(utxo, seed, params):
+    """``build_next``'s transaction, its reason's class and text, or the
+    ValueError a nonpositive cost limit raises."""
+    try:
+        result = build_next(utxo, seed, params)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    if isinstance(result, Transaction):
+        return result
+    return type(result.reason), str(result.reason)
+
+
+class TestCompiledCases:
+    """Each stage of a case runs its rules on one context, against the
+    per-rule ``evaluate`` path kept in ``builder_oracle``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from([
+               # TestBuildNextNeverRaises's two shapes
+               "(out[0].f = RULE) & (out[0].script = in[0].script)",
+               "(in[1].f = RULE) & (out[0].g = 1) & (out[0].script = in[0].script)",
+               # later stages read the inputs that earlier lookups found
+               "(in[1].f = RULE) & (in[2].f = in[1].g) & (out[0].g = in[2].g) "
+               "& (out[0].script = in[0].script)",
+               # a seed check, then an output copied with an override
+               "(in[0].g = RULE) & (out[0].f = in[0].f) & (out[0].g = 1) "
+               "& (out[0].script = in[0].script) & copyEq(out[1], out[0], f <- RULE)"]),
+           rule=_rule_exprs,
+           payloads=st.lists(st.tuples(_field_values, _field_values),
+                             min_size=1, max_size=3),
+           limit=st.sampled_from([ChainParams.cost_limit_per_input, 2, 0]))
+    def test_same_transaction_or_reason_as_the_per_rule_oracle(
+            self, shape, rule, payloads, limit):
+        script = parse(shape.replace("RULE", f"({script_source(rule)})"))
+        genesis = Transaction(inputs=(), outputs=tuple(
+            Output(script, Payload(f=f, g=g)) for f, g in payloads), is_genesis=True)
+        utxo = UtxoSet()
+        apply_transaction(genesis, utxo, ChainLog(ChainParams.block_budget))
+        params = ChainParams(cost_limit_per_input=limit)
+        run_case, contexts = builder._run_case, []
+
+        def counted_context(*args):
+            contexts.append(args)
+            return EvalContext(*args)
+
+        def counted_run_case(case, *args):
+            contexts.clear()
+            try:
+                return run_case(case, *args)
+            finally:
+                assert len(contexts) <= case.input_count + 1
+
+        for seed in utxo.refs():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(builder, "EvalContext", counted_context)
+                patch.setattr(builder, "_run_case", counted_run_case)
+                got = _build_outcome(utxo, seed, params)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(builder, "_run_case", builder_oracle.run_case)
+                assert got == _build_outcome(utxo, seed, params)
 
 
 class TestOrderIndependence:

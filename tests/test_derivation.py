@@ -9,6 +9,9 @@ interned ``ScriptRef``s.  The work test pins the point of the change:
 the nodes rebuilt grow with the script, not with its inlined tree.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -163,6 +166,29 @@ def test_ref_walk_reaches_the_grid_validators_rules():
     # on empty lists if _script_refs stopped descending into records.
     rules = builder._derive.__wrapped__(ScriptRef(build_bit_script()))
     assert _script_refs(rules)
+
+
+@pytest.mark.parametrize("script", [
+    build_bit_script(),
+    parse("(in.size = 2) & (out[0].x = in[1].x)"),  # in[1] has no lookup rule
+])
+def test_one_ref_scan_per_derivation_dropped_when_it_returns(script, monkeypatch):
+    want = oracle_derive(ScriptRef(script))
+    scanners = []
+    make = canonical._ref_scanner
+
+    def recorded():
+        scan = make()
+        scanners.append(weakref.ref(scan))
+        return scan
+
+    monkeypatch.setattr(canonical, "_ref_scanner", recorded)
+    assert builder._derive.__wrapped__(ScriptRef(script)) == want
+    # every scan_refs call of the derivation shared one memo, and nothing
+    # holds it, or the nodes it maps, once the derivation has returned
+    assert len(scanners) == 1
+    gc.collect()
+    assert scanners[0]() is None
 
 
 def doubling_lets(count: int):

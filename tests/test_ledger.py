@@ -377,12 +377,66 @@ def test_payload_identity_cases():
         Payload(x="text")
 
 
+_replace_values = st.one_of(_identity_values, st.integers(-2 ** 70, 2 ** 70),
+                           st.lists(st.booleans(), max_size=40).map(Bits))
+_replace_fields = st.lists(
+    st.tuples(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+              .filter(lambda name: name not in ("size", "script")), _replace_values),
+    max_size=5, unique_by=lambda kv: kv[0])
+_NOT_PAYLOAD_VALUES = ("text", 1.5, None, Output(Lit(True), Payload()))
+
+
+class _NoRegex:
+    def fullmatch(self, name):
+        raise AssertionError(f"field name {name!r} checked again")
+
+
+def _replace_outcome(build):
+    try:
+        payload = build()
+    except (KeyError, TypeError) as exc:
+        return type(exc), str(exc)
+    return payload.encoded, payload.items(), payload.names(), hash(payload), payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replace_fields, st.data())
+def test_replace_is_the_rebuilt_payload(pairs, data):
+    """``replace`` against building the payload again from its fields."""
+    payload = Payload(pairs)
+    value = data.draw(st.one_of(_replace_values, st.sampled_from(_NOT_PAYLOAD_VALUES)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_FIELD_NAME_RE", _NoRegex())
+        with pytest.raises(KeyError, match="'_{10}'"):
+            payload.replace("_" * 10, value)
+        if not pairs:
+            return
+        name = data.draw(st.sampled_from([n for n, _ in pairs]))
+        got = _replace_outcome(lambda: payload.replace(name, value))
+    assert got == _replace_outcome(lambda: Payload({**payload._map, name: value}.items()))
+
+
+@pytest.mark.parametrize("fields, name, value", [
+    ({"x": 1, "y": 2}, "x", True),
+    ({"x": True, "y": 2}, "x", 1),
+    ({"a": Bits.from_text("101"), "b": 0}, "a", Bits.from_text("1" * 17)),
+    ({"a": 5, "s": ScriptRef(Lit(True)), "b": -3}, "s", ScriptRef(parse("1 + 1 = 2"))),
+])
+def test_replace_keeps_the_kind_of_the_new_value(fields, name, value):
+    payload = Payload(fields.items())
+    replaced = payload.replace(name, value)
+    assert replaced == Payload({**fields, name: value}.items())
+    assert replaced.get(name) is value and replaced.names() == payload.names()
+    assert replaced != payload
+    assert payload == Payload(fields.items())
+
+
 def test_verify_encodes_each_payload_once_and_builds_no_index(tmp_path, monkeypatch):
     txs, _ = drive_grid([1], 6)
     chain = tmp_path / "chain.jsonl"
     dump_chain(txs, chain)
-    encodings, fields = [], []
-    enc_value, init = model._enc_value, Payload.__init__
+    encodings, fields, replaced = [], [], []
+    enc_value, init, replace = model._enc_value, Payload.__init__, Payload.replace
 
     def counted_enc_value(value):
         encodings.append(value)
@@ -391,6 +445,10 @@ def test_verify_encodes_each_payload_once_and_builds_no_index(tmp_path, monkeypa
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         fields.append(len(self.items()))
+
+    def counted_replace(self, name, value):
+        replaced.append(name)
+        return replace(self, name, value)
 
     utxos = []
 
@@ -401,6 +459,7 @@ def test_verify_encodes_each_payload_once_and_builds_no_index(tmp_path, monkeypa
 
     monkeypatch.setattr(model, "_enc_value", counted_enc_value)
     monkeypatch.setattr(Payload, "__init__", counted_init)
+    monkeypatch.setattr(Payload, "replace", counted_replace)
     monkeypatch.setattr(ledger, "UtxoSet", Recorded)
     records = load_chain(chain)
     # loading builds each output's payload, and encodes each field once
@@ -412,8 +471,10 @@ def test_verify_encodes_each_payload_once_and_builds_no_index(tmp_path, monkeypa
     assert result == verify_chain(txs)
     assert result.transactions == len(txs)
     # tx ids and limits reuse those bytes; only the outputs the grid
-    # validator synthesizes are built, and encoded, while verifying
-    assert len(encodings) == sum(fields)
+    # validator synthesizes are built, and encoded, while verifying, and
+    # each replace in copyEq encodes only the field it replaces
+    assert replaced
+    assert len(encodings) == sum(fields) + len(replaced)
     assert len(utxos) == 2 and all(u._index is None for u in utxos)
 
 
