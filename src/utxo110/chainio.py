@@ -3,7 +3,7 @@
 Chain file: one JSON object per line::
 
     {"txId": hex, "isGenesis": bool,
-     "inputs":  [{"txId": hex, "index": int}, ...],
+     "inputs":  [[k, index] or {"txId": hex, "index": int}, ...],
      "outputs": [{"script": base64 canonical bytes or int,
                   "payload": {field: {"t": kind, "v": value}, ...}}, ...]}
 
@@ -19,9 +19,21 @@ about tenfold.  The numbers live only in the file: tx ids hash the
 script bytes as before.  Any prefix of a file is a valid chain, and a
 reference must name a script defined on an earlier output.
 
-Files from earlier versions wrote every script in full, or also held each
-script's printed source under a key that is now ignored.  They still load,
-with the same tx ids.
+An input that spends an output of an earlier transaction in the same
+file is written ``[k, index]``: ``k`` is that transaction's 0-based
+position among the file's transactions, the number ``verify`` names in
+``verification failed at transaction k``.  Loading resolves it to the id
+computed for transaction ``k``, not the one stored on its line, so
+``verify`` still reports a tampered line at its own position.  An input
+naming any other transaction keeps the ``{"txId", "index"}`` form.  A
+back-reference must name an earlier transaction, so any prefix of a file
+is still a valid chain.
+
+Files from earlier versions wrote every script in full and every input
+as a ``{"txId", "index"}`` object, or also held each script's printed
+source under a key that is now ignored.  They still load, with the same
+tx ids.  Files written now do not load in versions before input
+back-references.
 """
 
 from __future__ import annotations
@@ -150,12 +162,21 @@ def _hex_id(text) -> bytes:
     return raw
 
 
-def transaction_to_json(tx: Transaction, scripts: _ScriptTable) -> dict:
+def input_to_json(ref: OutputRef, positions: dict):
+    """``[k, index]`` when transaction ``k`` of the file so far has the
+    spent id, else the ``{"txId", "index"}`` object."""
+    k = positions.get(ref.tx_id)
+    if k is not None:
+        return [k, ref.index]
+    return {"txId": ref.tx_id.hex(), "index": ref.index}
+
+
+def transaction_to_json(tx: Transaction, scripts: _ScriptTable,
+                        positions: dict) -> dict:
     return {
         "txId": tx.tx_id().hex(),
         "isGenesis": tx.is_genesis,
-        "inputs": [{"txId": ref.tx_id.hex(), "index": ref.index}
-                   for ref in tx.inputs],
+        "inputs": [input_to_json(ref, positions) for ref in tx.inputs],
         "outputs": [output_to_json(o, scripts) for o in tx.outputs],
     }
 
@@ -166,7 +187,28 @@ class ChainRecord:
     tx: Transaction
 
 
-def transaction_from_json(obj, scripts: _ScriptTable) -> ChainRecord:
+def _input_index(index) -> int:
+    if type(index) is not int or not 0 <= index <= MAX_INDEX:
+        raise ChainFormatError(f"bad input index: {index!r}")
+    return index
+
+
+def input_from_json(entry, earlier: list) -> OutputRef:
+    """The output ``entry`` spends; ``earlier`` holds the records before it."""
+    if type(entry) is list and len(entry) == 2 and type(entry[0]) is int:
+        k, index = entry
+        if not 0 <= k < len(earlier):
+            raise ChainFormatError(
+                f"input {entry!r} does not name one of the "
+                f"{len(earlier)} transactions before it")
+        return OutputRef(earlier[k].tx.tx_id(), _input_index(index))
+    if not isinstance(entry, dict) or "txId" not in entry or "index" not in entry:
+        raise ChainFormatError(f"malformed input record: {entry!r}")
+    index = _input_index(entry["index"])
+    return OutputRef(_hex_id(entry["txId"]), index)
+
+
+def transaction_from_json(obj, scripts: _ScriptTable, earlier: list) -> ChainRecord:
     if not isinstance(obj, dict):
         raise ChainFormatError("transaction record must be an object")
     try:
@@ -179,15 +221,7 @@ def transaction_from_json(obj, scripts: _ScriptTable) -> ChainRecord:
     if not isinstance(is_genesis, bool) or not isinstance(inputs_obj, list) \
             or not isinstance(outputs_obj, list):
         raise ChainFormatError("malformed transaction record")
-    inputs = []
-    for entry in inputs_obj:
-        if not isinstance(entry, dict) or "txId" not in entry or "index" not in entry:
-            raise ChainFormatError(f"malformed input record: {entry!r}")
-        index = entry["index"]
-        if not isinstance(index, int) or isinstance(index, bool) \
-                or not 0 <= index <= MAX_INDEX:
-            raise ChainFormatError(f"bad input index: {index!r}")
-        inputs.append(OutputRef(_hex_id(entry["txId"]), index))
+    inputs = [input_from_json(entry, earlier) for entry in inputs_obj]
     outputs = [output_from_json(o, scripts) for o in outputs_obj]
     try:
         tx = Transaction(inputs=inputs, outputs=outputs, is_genesis=is_genesis)
@@ -198,11 +232,13 @@ def transaction_from_json(obj, scripts: _ScriptTable) -> ChainRecord:
 
 def dump_chain(transactions, path) -> None:
     scripts = _ScriptTable()
+    positions = {}  # tx id -> its position among the transactions written
     with open(path, "w", encoding="utf-8") as fh:
-        for tx in transactions:
-            fh.write(json.dumps(transaction_to_json(tx, scripts),
+        for k, tx in enumerate(transactions):
+            fh.write(json.dumps(transaction_to_json(tx, scripts, positions),
                                 separators=(",", ":")))
             fh.write("\n")
+            positions.setdefault(tx.tx_id(), k)
 
 
 def load_chain(path) -> list:
@@ -220,7 +256,7 @@ def load_chain(path) -> list:
                 except (ValueError, RecursionError) as exc:
                     raise ChainFormatError(f"line {lineno}: {exc}") from None
                 try:
-                    records.append(transaction_from_json(obj, scripts))
+                    records.append(transaction_from_json(obj, scripts, records))
                 except ChainFormatError as exc:
                     raise ChainFormatError(f"line {lineno}: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -160,21 +160,24 @@ class TestChainFiles:
         (2**32 - 1, True), (2**32, False), (2**64, False), (-1, False),
     ])
     def test_input_index_is_a_u32(self, tmp_path, params, index, ok):
+        """In both input forms: a back-reference and a spelled-out id."""
         txs, _ = drive_layer(Bits.from_text("01"), 1, params)
         path = tmp_path / "chain.jsonl"
         dump_chain(txs, path)
         lines = path.read_text().splitlines()
         obj = json.loads(lines[1])
-        obj["inputs"][0]["index"] = index
-        lines[1] = json.dumps(obj)
-        path.write_text("\n".join(lines) + "\n")
-        if ok:
-            (_, record) = load_chain(path)
-            assert record.tx.inputs[0].index == index
-            assert record.tx.tx_id() != record.stored_id  # the u32 maximum hashes
-        else:
-            with pytest.raises(ChainFormatError, match="line 2: bad input index"):
-                load_chain(path)
+        assert obj["inputs"] == [[0, 0]]
+        for entry in ([0, index], {"txId": txs[0].tx_id().hex(), "index": index}):
+            obj["inputs"] = [entry]
+            lines[1] = json.dumps(obj)
+            path.write_text("\n".join(lines) + "\n")
+            if ok:
+                (_, record) = load_chain(path)
+                assert record.tx.inputs[0] == txs[0].ref(index)
+                assert record.tx.tx_id() != record.stored_id  # the u32 maximum hashes
+            else:
+                with pytest.raises(ChainFormatError, match="line 2: bad input index"):
+                    load_chain(path)
 
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "chain.jsonl"
@@ -227,8 +230,8 @@ def _expand_script_numbers(lines):
     return out
 
 
-def _verify(path, capsys):
-    code = main(["verify", "--chain", str(path)])
+def _printed(command, path, capsys):
+    code = main([command, "--chain", str(path)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -275,9 +278,9 @@ class TestScriptNumbers:
         records = load_chain(numbered)
         assert load_chain(inline) == records
         assert [r.stored_id for r in records] == [t.tx_id() for t in txs]
-        ok = _verify(numbered, capsys)
+        ok = _printed("verify", numbered, capsys)
         assert ok[0] == 0 and ok[1].startswith("ok: ")
-        assert _verify(inline, capsys) == ok
+        assert _printed("verify", inline, capsys) == ok
 
     def test_inline_repeat_takes_no_number(self, tmp_path):
         a, b = parse("1 = 1"), parse("2 = 2")
@@ -308,6 +311,152 @@ class TestScriptNumbers:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ChainFormatError, match=f"line {line}: script"):
             load_chain(path)
-        code, out, err = _verify(path, capsys)
+        code, out, err = _printed("verify", path, capsys)
         assert (code, out) == (2, "")
         assert f"line {line}: script" in err and "Traceback" not in err
+
+
+def _expand_back_refs(lines):
+    """The chain lines with every ``[k, index]`` input spelled out as a
+    ``{"txId", "index"}`` object naming the id stored on line ``k``, as
+    files were written before inputs were back-references."""
+    objs = [json.loads(line) for line in lines]
+    for obj in objs:
+        obj["inputs"] = [{"txId": objs[e[0]]["txId"], "index": e[1]}
+                         if isinstance(e, list) else e for e in obj["inputs"]]
+    return [json.dumps(obj, separators=(",", ":")) for obj in objs]
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestInputBackRefs:
+    """An input spending an earlier transaction of the same file is
+    written ``[k, index]``, with ``k`` that transaction's position."""
+
+    @pytest.mark.parametrize("mode", ["grid", "layer"])
+    def test_spelled_out_inputs_load_to_the_same_chain(self, tmp_path, params,
+                                                       capsys, mode):
+        if mode == "grid":
+            txs, _ = drive_grid([0, 1, 1], 4, params)
+        else:
+            txs, _ = drive_layer(Bits.from_text("0110"), 4, params)
+        refs = tmp_path / "refs.jsonl"
+        dump_chain(txs, refs)
+        lines = refs.read_text().splitlines()
+        for tx, line in zip(txs, lines):
+            entries = json.loads(line)["inputs"]
+            assert [txs[k].ref(i) for k, i in entries] == list(tx.inputs)
+        objects = tmp_path / "objects.jsonl"
+        _write_lines(objects, _expand_back_refs(lines))
+        assert "[[" not in objects.read_text()
+        assert objects.stat().st_size > refs.stat().st_size
+        records = load_chain(refs)
+        assert load_chain(objects) == records
+        assert [r.stored_id for r in records] == [t.tx_id() for t in txs]
+        assert [r.tx.tx_id() for r in records] == [t.tx_id() for t in txs]
+        for command in ("verify", "render"):
+            printed = _printed(command, refs, capsys)
+            assert printed[0] == 0 and printed[1]
+            assert _printed(command, objects, capsys) == printed
+
+    def test_inputs_outside_the_file_keep_the_object_form(self, tmp_path, params):
+        txs, _ = drive_grid([1, 0, 1], 2, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs[1:], path)  # without the genesis they spend
+        entries = [e for line in path.read_text().splitlines()
+                   for e in json.loads(line)["inputs"]]
+        outside = [e for e in entries if isinstance(e, dict)]
+        assert outside and len(outside) < len(entries)
+        assert {e["txId"] for e in outside} == {txs[0].tx_id().hex()}
+        records = load_chain(path)
+        assert [r.tx for r in records] == txs[1:]
+        assert [r.stored_id for r in records] == [t.tx_id() for t in txs[1:]]
+
+    def test_every_prefix_is_a_chain(self, tmp_path, params, capsys):
+        txs, _ = drive_grid([1], 3, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        lines = path.read_text().splitlines()
+        for n in range(1, len(lines) + 1):
+            _write_lines(path, lines[:n])
+            code, out, _ = _printed("verify", path, capsys)
+            assert code == 0 and out.startswith(f"ok: {n} transactions, ")
+
+    @pytest.mark.parametrize("entry", [
+        [True, 0], [0, True], [False, 0], [0.0, 0], [0, 0.0], [0], [], [0, 0, 0],
+        [-1, 0], "self", "forward", [2**64, 0], [0, -1], [0, 2**32], [0, 2**64],
+    ], ids=lambda e: json.dumps(e))
+    def test_bad_back_reference(self, tmp_path, params, capsys, entry):
+        txs, _ = drive_grid([1], 2, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        lines = path.read_text().splitlines()
+        line = len(lines)
+        if entry in ("self", "forward"):
+            entry = [line - 1 if entry == "self" else line, 0]
+        obj = json.loads(lines[-1])
+        obj["inputs"][0] = entry
+        lines[-1] = json.dumps(obj)
+        _write_lines(path, lines)
+        with pytest.raises(ChainFormatError, match=f"line {line}: "):
+            load_chain(path)
+        code, out, err = _printed("verify", path, capsys)
+        assert (code, out) == (2, "")
+        assert f"cannot parse chain: line {line}: " in err
+        assert "Traceback" not in err
+
+    def test_index_past_the_outputs_is_a_missing_input(self, tmp_path, params, capsys):
+        """Not a format error: the ledger reports it, as for an object."""
+        txs, _ = drive_grid([1, 0, 1], 2, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        lines = path.read_text().splitlines()
+        j = len(lines) - 1
+        obj = json.loads(lines[j])
+        k = obj["inputs"][0][0]
+        printed = []
+        for entry in ([k, 99], {"txId": txs[k].tx_id().hex(), "index": 99}):
+            obj["inputs"][0] = entry
+            lines[j] = json.dumps(obj)
+            _write_lines(path, lines)
+            obj["txId"] = load_chain(path)[j].tx.tx_id().hex()  # so the ledger judges it
+            lines[j] = json.dumps(obj)
+            _write_lines(path, lines)
+            printed.append(_printed("verify", path, capsys))
+        assert printed[0] == printed[1] == (
+            1, f"verification failed at transaction {j}: "
+               f"missing input {txs[k].ref(99)}\n", "")
+
+    @pytest.mark.parametrize("tamper", ["payload", "txId"])
+    def test_tampered_spent_line_fails_at_its_position(self, tmp_path, params,
+                                                       capsys, tamper):
+        """A grid twin of the benchmark's layer negative control: whether a
+        later line names line k by position or by id, an edit to line k
+        is reported at transaction k, with the same line.  A position
+        resolves to the id computed for line k, so an edited stored id
+        changes no transaction."""
+        txs, _ = drive_grid([1, 0, 1], 3, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        lines = path.read_text().splitlines()
+        spent = sorted({e[0] for line in lines for e in json.loads(line)["inputs"]})
+        assert len(spent) > 3
+        for k in spent:
+            printed, loaded = [], []
+            for form in (lines, _expand_back_refs(lines)):
+                obj = json.loads(form[k])
+                if tamper == "payload":
+                    value = obj["outputs"][0]["payload"]["val"]
+                    value["v"] = not value["v"]
+                else:
+                    obj["txId"] = "%x" % (int(obj["txId"][0], 16) ^ 1) + obj["txId"][1:]
+                _write_lines(path, form[:k] + [json.dumps(obj)] + form[k + 1:])
+                printed.append(_printed("verify", path, capsys))
+                loaded.append([r.tx for r in load_chain(path)])
+            assert printed[0] == printed[1]
+            if tamper == "txId":
+                assert loaded[0] == loaded[1] == txs
+            assert printed[0][0] == 1
+            assert printed[0][1].startswith(f"verification failed at transaction {k}: ")

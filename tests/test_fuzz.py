@@ -26,8 +26,11 @@ from utxo110.rule110 import (
     BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE, GridRow, genesis_grid, genesis_layer,
 )
 
-# the fuzzed chain defines one script, so 1 is a script number past it
-HOSTILE_VALUES = (0, 1, -1, 2**64, 0.5, True, None, "", [], {})
+# the fuzzed chain defines one script, so 1 is a script number past it;
+# the ints, bools, floats and lists also stand in for an input's [k, index]
+# pair or one of its two numbers
+HOSTILE_VALUES = (0, 1, -1, 2**32, 2**64, 0.0, 0.5, True, False, None, "",
+                  [], [0], [0, 0], [1, 0], [0, 0, 0], {})
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -122,6 +125,7 @@ def verify_both_ways(path) -> int:
 def test_unmutated_files_are_accepted(files):
     base, chain = files
     assert b'"script":0,' in chain  # the mutations also hit script numbers
+    assert b'"inputs":[[0,' in chain  # and input back-references
     assert verify_exit(base / "chain.jsonl") == 0
 
 
@@ -136,12 +140,16 @@ def test_verify_survives_byte_mutations(files, edits):
 
 
 @FUZZ
-@given(data=st.data())
-def test_verify_survives_value_mutations(files, data):
+@given(data=st.data(), inputs_only=st.booleans())
+def test_verify_survives_value_mutations(files, data, inputs_only):
+    """Half the cases aim at the inputs, whose paths are few among the
+    payloads' many."""
     base, chain = files
     records = [json.loads(line) for line in chain.decode().splitlines()]
-    paths = list(value_paths(records))
-    path_to = data.draw(st.sampled_from(paths[1:]))
+    paths = list(value_paths(records))[1:]
+    if inputs_only:
+        paths = [p for p in paths if "inputs" in p[1:2]]
+    path_to = data.draw(st.sampled_from(paths))
     value = data.draw(st.sampled_from(HOSTILE_VALUES))
     replace_at(records, path_to, value)
     path = base / "values.jsonl"

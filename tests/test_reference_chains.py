@@ -5,15 +5,17 @@ lowercase hex id per line in file order; it does not depend on how the
 file spells a transaction, so it holds across file-format changes.  The
 tx-id pins were recorded before the builder's no-progress guard moved
 onto the UTXO index, and still held when chain files began to write each
-distinct script once.  A builder change that alters seed order, case
-choice, lookup choice or block packing changes both pins.  The first pin
-is the sha256 of the file bytes, so it also moves with the file format;
-it was last recorded when scripts became back-references.
+distinct script once and then each input as a back-reference.  A builder
+change that alters seed order, case choice, lookup choice or block
+packing changes both pins.  The first pin is the sha256 of the file
+bytes, so it also moves with the file format; it was last recorded when
+inputs became back-references.
 """
 
 import base64
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,29 +25,34 @@ from utxo110.cli import main
 # grid rows x 10 sweeps: the three reference rows plus one row of each
 # width 1-8 ("1" serves width 1, "1011" width 4)
 GRID_SHA256 = {
-    "1": ("28d27b1f7f2b58407d05bf0e02eb6df01f03d7fa4454f607fb02d2d84c713cb9",
+    "1": ("6177346900beb74ef81fc3fadb31a473de2afa0a8478ad4ce7c9cc5308f585e5",
           "4adf4106f73a662e79d6ff957d8850441e8897a3ca74579f7a2a4ff1d221a5ed"),
-    "1011": ("ecb6a9b60aede242e23733e8305ac1dcc663a071038c235204b68466e455f2be",
+    "1011": ("f8ff883b4ed09e5ff95d958b5011fb4cc463fe579d77f1a9e11893b793cb082d",
              "960e1e77cfdfbe10711726c5e8bec5f556ed5078a79b5cbed28fa37de39a9c21"),
-    "0110101": ("445aeaac5b63ff398787bc58dc227a6cb66f22f21ce92b1ea293d87a552b6aeb",
+    "0110101": ("e033023bc1f56f390666b7c0fc523be978b2ebc6a09ada0f163ac7788d7c775a",
                 "b6a6445e2e65f6d99f007ec5c5f7644a865c29dcfadd31ad072c2d540ebef6c6"),
-    "10": ("253cebf523f7357c5b3f7cee8873f07bf800e9d97ddca7960f4de6537709aa4c",
+    "10": ("52f6ef1214b5306b373cb72139a3ad05321db583ad04617e57906cee953c2077",
            "70507529d02209e7f7b1cf607befe4168db16c2fc1cc23e2af0a98a227f6f8f6"),
-    "011": ("2260029412b8a8fbccbec31318904de8a63ef52d745603b8938584714bb5ded9",
+    "011": ("782b527b9c59c434d0ef21d6a6cc415d8280717cf614ccb05101e4d1c2ec5fb0",
             "0dbe4fa72b72fbed435127be4b6d43e3ef8baa791e501ff0e7b468a63480aa26"),
-    "01001": ("f7073cb0d55ba31d7dc70fa94f17317d765d9838526c6744580b2263147f2e6a",
+    "01001": ("700605ed954291302d110f1379cf65658aee3e78e64e4e6c2f56bec65d8a3a0f",
               "ad796b01707cdd9842384caf76f5e69e65d5a38347ff34c7a6f92d2a00853fa1"),
-    "110110": ("343c09473ec7a42011f562dbd0105d35f9b1bf1a8eebc6f8f1a13e12ad9c5db7",
+    "110110": ("b585fbe020a39d26ee561446f34591d57735c95dcc3efada056291eb2662fc2a",
                "7cb87fe5586025bc1a54d7f87a1fdf05e2cc27ace55a0da112595d90b1dd9908"),
-    "0100111": ("d21e8ee3b2fedad826a39d44ce32fb62e6ef85bf491d8b63d5f1fd37bcacb1e3",
+    "0100111": ("f077b04999593b5eda42ab9348183b63c89f958fe2e925f4d4e0d7d66ad91aa4",
                 "ed0997f878f772290f457a4f55a09efb8de85d4388ab3302f7db3dfd5cb5be05"),
-    "10110001": ("095a94b388395b4da58b8671e6bdbbc5c45efe57735144e502f0da38b2784be6",
+    "10110001": ("7803ad248837a2430f51c7e9c8c1e0d25d0aedb2fb3f05e8aa8eea9158b75ab9",
                  "46855ca514621be1a3f932f509a265a9624a6a87275adb0586f7cc534656a793"),
 }
 
+# grid "1" x 4, written before inputs became back-references: every input
+# spells out the spent tx id
+OBJECT_FORM_SAMPLE = (Path(__file__).resolve().parent.parent
+                      / "samples" / "grid-1x4-hex-inputs.jsonl")
+
 # a seeded 256-cell row x 100 layer steps
 LAYER_ROW = format(random.Random(110).getrandbits(256), "0256b")
-LAYER_SHA256 = ("0b86738221a4dd657cb9f8d8663dd4facd36de84e3ed3f27cd9f3bb3f61958da",
+LAYER_SHA256 = ("262fab32e2d9113f5dd54d40fafca3b45a50927679a2d28618ecee1a0671c01d",
                 "e9cf5bb3a4e90772a42148927933857295a1f5a084fd175e5e5274dd90845049")
 
 
@@ -78,3 +85,16 @@ def test_layer_chain_bytes_are_pinned(tmp_path, capsys):
     file_pin, ids_pin = _run_pins(tmp_path, capsys, "layer", LAYER_ROW, 100)
     assert ids_pin == LAYER_SHA256[1]
     assert file_pin == LAYER_SHA256[0]
+
+
+def test_object_form_sample_loads_to_the_run_chain(tmp_path, capsys):
+    chain = tmp_path / "chain.jsonl"
+    assert main(["run", "--mode", "grid", "--initial", "1", "--steps", "4",
+                 "--chain", str(chain)]) == 0
+    capsys.readouterr()
+    assert "[[" not in OBJECT_FORM_SAMPLE.read_text() and "[[" in chain.read_text()
+    old = load_chain(OBJECT_FORM_SAMPLE)
+    assert old == load_chain(chain)
+    assert [r.stored_id for r in old] == [r.tx.tx_id() for r in old]
+    assert main(["verify", "--chain", str(OBJECT_FORM_SAMPLE)]) == 0
+    assert capsys.readouterr().out == "ok: 15 transactions, total cost 6841\n"
