@@ -352,6 +352,7 @@ class _Generator:
         self.functions = []
         self.fn = None
         self.ctx_used = set()
+        self.unpriced_pow = False
 
     def fresh(self, prefix):
         self.count += 1
@@ -634,6 +635,9 @@ class _Generator:
 
     def pow_mod(self, e, scope):
         # the one node charged after its operands, by the exponent's size
+        modulus = e.modulus.value if type(e.modulus) is Lit else None
+        if not (type(modulus) is int and modulus.bit_length() <= 64):
+            self.unpriced_pow = True
         operands = self.operands(scope, (e.base, "int", "pow base"),
                                  (e.exponent, "int", "pow exponent"),
                                  (e.modulus, "int", "pow modulus"))
@@ -790,6 +794,7 @@ def compiled(script: ScriptRef):
     exec(compile(source, "<script>", "exec"), gen.namespace)
     function = gen.namespace["f"]
     function.reads_self = _CTX["self"][0] in gen.ctx_used
+    function.unpriced_pow = gen.unpriced_pow
     return function
 
 
@@ -797,6 +802,15 @@ def compiled(script: ScriptRef):
 def reads_self(script: ScriptRef) -> bool:
     """Whether a script's outcome can depend on which input is ``self``."""
     return compiled(script).reads_self
+
+
+@functools.cache
+def unpriced_pow(script: ScriptRef) -> bool:
+    """Whether a script holds a ``pow`` whose modulus is not an int
+    literal of at most 64 bits.  Its charge, ``1 + bitlen(E)``, tracks its
+    time only while the modulus is one limb; a wider one takes about the
+    square of its limbs longer.  A ``pow`` on any branch counts."""
+    return compiled(script).unpriced_pow
 
 
 def evaluate(script: Expr | ScriptRef, ctx: EvalContext, limit: int,

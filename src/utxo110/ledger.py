@@ -17,12 +17,14 @@ before.
 transaction in order under every rule that the UTXO set decides, and
 queues the script checks of each regular one.  Once the UTXO set before
 a transaction is fixed, its script checks depend on nothing else, so the
-second pass may run them in any process.  When they have used 0.1 s of
-CPU time (``FORK_AFTER_S``), and ``_may_fork`` allows it, a forked
-helper takes every other remaining check.  The results are merged in chain
-order, and a check that failed in the helper is run again in the
-parent, so the verdict, counts, total and reason text are those of a
-one-pass replay.  Only chains of slow scripts reach the threshold.
+second pass may run them in any process.  Where ``_may_fork`` allows
+it, a forked helper takes every other remaining check once they have
+used 0.1 s of CPU time (``FORK_AFTER_S``), or before the first check
+whose script holds a ``pow`` that its charge does not price
+(``interp.unpriced_pow``), as no cost tells how long it will take.
+The results are merged in chain order, and a check that failed in the
+helper is run again in the parent, so the verdict, counts, total and
+reason text are those of a one-pass replay.
 
 The chain log groups applied transactions into blocks greedily by cost
 budget.  Blocks are a budgeting device only; the grouping is a pure
@@ -39,7 +41,7 @@ import sys
 import time
 
 from .interp import (
-    CostLimitExceeded, EvalContext, EvalError, evaluate, reads_self,
+    CostLimitExceeded, EvalContext, EvalError, evaluate, reads_self, unpriced_pow,
 )
 from .lang import record
 from .model import (
@@ -425,9 +427,10 @@ def _run_checks(queue, params: ChainParams):
     """Run queued ``(index, tx, resolved)`` script checks in chain order:
     the FirstFailure of the first that fails, or None, and the total
     cost of the checks before it.  Once they have used ``FORK_AFTER_S``
-    of CPU time and two remain, a helper forked where the system allows
-    takes every other remaining check.  A check it reports failed, or
-    whose result never arrives, runs here."""
+    of CPU time, or before the first whose script takes a ``pow`` that no
+    charge prices, and two remain, a helper forked where the system
+    allows takes every other remaining check.  A check it reports
+    failed, or whose result never arrives, runs here."""
     total = 0
     spent = 0.0
     helper = None
@@ -435,10 +438,12 @@ def _run_checks(queue, params: ChainParams):
         for k, (i, tx, resolved) in enumerate(queue):
             cost = helper.cost(k) if helper else None
             if cost is None:
-                if helper is None and spent >= FORK_AFTER_S \
-                        and len(queue) - k >= 2 and _may_fork():
+                start = time.process_time()  # compiling for the test counts
+                if helper is None and len(queue) - k >= 2 and (
+                        spent >= FORK_AFTER_S
+                        or any(unpriced_pow(o.script_ref) for o in resolved)) \
+                        and _may_fork():
                     helper = _Helper(queue, k + 1, params)
-                start = time.process_time()
                 result = check_scripts(tx, resolved, params)
                 spent += time.process_time() - start
                 if isinstance(result, Invalid):

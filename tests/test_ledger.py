@@ -1,14 +1,16 @@
 import os
+import random
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import drive_grid, drive_layer, step_transaction, \
     step_with_oversize_output
-from utxo110 import ledger, model
+from utxo110 import cli, ledger, model
 from utxo110.chainio import dump_chain, load_chain
-from utxo110.interp import EvalContext, evaluate
+from utxo110.interp import EvalContext, evaluate, unpriced_pow
 from utxo110.lang import Bits, Lit, ScriptRef, serialize_script
 from utxo110.ledger import (
     BudgetExceeded, ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
@@ -116,6 +118,19 @@ class TestValidate:
                             lambda *args, **kw: calls.append(1) or evaluate(*args, **kw))
         assert validate_transaction(tx, utxo, params) == (want or Valid(total))
         assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("source, unpriced", [
+        ("out[0].v = self.v + 1", False),
+        ("5 pow self.v mod 23 = 1", False),
+        (f"5 pow self.v mod {2**64 - 1} = 1", False),
+        (f"5 pow self.v mod {2**64} = 1", True),
+        ("5 pow self.v mod self.m = 1", True),
+        ("let m = 23 in 5 pow self.v mod m = 1", True),
+        (f"if false then 5 pow 3 mod {2**64} = 1 else true", True),
+    ])
+    def test_unpriced_pow_is_a_pow_whose_modulus_is_no_one_limb_literal(
+            self, source, unpriced):
+        assert unpriced_pow(ScriptRef(parse(source))) is unpriced
 
     def test_genesis_always_valid(self, params):
         gen = genesis_layer(Bits.from_text("1"), params)
@@ -590,6 +605,10 @@ GUARDS = {
     "error": parse("self.w = 1"),
     "dear": parse("(map(40, i -> i < 3) = map(40, i -> i < 3)) & (out[0].v = self.v + 1)"),
     "over": parse("map(200, i -> i < 3) = map(200, i -> i < 3)"),
+    # a pow whose modulus is a 100-bit literal, and one of one limb
+    "wide": parse(f"((3 pow 5 mod {2**99 + 7}) = (3 pow 5 mod {2**99 + 7})) "
+                  "& (out[0].v = self.v + 1)"),
+    "limb": parse("(5 pow self.v mod 23 < 23) & (out[0].v = self.v + 1)"),
 }
 SPLIT = ChainParams(cost_limit_per_input=1_000, block_budget=100)
 
@@ -654,13 +673,13 @@ def verify_both_ways(txs, params, stored=None):
     """verify_chain with a helper forked before the first check, and
     with none; both verdicts must agree in every part."""
     results = []
-    saved = ledger.FORK_AFTER_S
+    saved = ledger.FORK_AFTER_S, ledger._may_fork
     try:
-        for after in (0.0, float("inf")):
-            ledger.FORK_AFTER_S = after
+        for after, may_fork in ((0.0, saved[1]), (float("inf"), lambda: False)):
+            ledger.FORK_AFTER_S, ledger._may_fork = after, may_fork
             results.append(verify_chain(txs, params, stored_ids=stored))
     finally:
-        ledger.FORK_AFTER_S = saved
+        ledger.FORK_AFTER_S, ledger._may_fork = saved
     forked, alone = results
     assert type(forked) is type(alone)
     if isinstance(alone, FirstFailure):
@@ -676,6 +695,32 @@ def verify_both_ways(txs, params, stored=None):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+MODEXP_SAMPLE = Path(__file__).resolve().parent.parent / "samples" / "modexp-3x256.jsonl"
+
+
+def modexp_sample():
+    """The chain in MODEXP_SAMPLE: a genesis output per spend guarded by
+    ``(self.b pow E mod M) = out[0].r`` with 256-bit operands drawn from
+    a seeded generator, and three transactions that spend them, each
+    creating ``r = b^E mod M`` under a distinct ``nonce = nonce`` script.
+    Each spend costs 9 node visits plus 1 + 256 for its pow."""
+    rng = random.Random("modexp-3x256")
+    top = 1 << 255
+    specs = []
+    for _ in range(3):
+        modulus = rng.getrandbits(256) | top | 1
+        exponent = rng.getrandbits(256) | top
+        base = rng.randrange(2, modulus)
+        specs.append((base, exponent, modulus, rng.getrandbits(64)))
+    genesis = Transaction((), [Output(parse(f"(self.b pow {e} mod {m}) = out[0].r"),
+                                      Payload(b=b)) for b, e, m, _ in specs],
+                          is_genesis=True)
+    return [genesis] + [
+        Transaction([genesis.ref(i)], [Output(parse(f"{nonce} = {nonce}"),
+                                              Payload(r=pow(b, e, m)))])
+        for i, (b, e, m, nonce) in enumerate(specs)]
 
 
 class TestSplitChecks:
@@ -757,4 +802,41 @@ class TestSplitChecks:
     def test_reference_chains_fork_only_when_checks_are_slow(self, helpers):
         txs, _ = drive_grid([1], 4)
         assert isinstance(verify_chain(txs), VerifyOk)
+        # a seeded 256-cell row x 100 layer steps: no pow, cheap checks
+        row = Bits.from_text(format(random.Random(110).getrandbits(256), "0256b"))
+        txs, _ = drive_layer(row, 100)
+        assert isinstance(verify_chain(txs), VerifyOk)
         assert helpers == []
+
+    @pytest.mark.parametrize("guards, helpers_at_each_check", [
+        (["wide"] * 4, [1, 1]),
+        (["ok", "ok", "wide", "ok"], [0, 0, 1]),
+    ])
+    def test_forks_before_a_check_with_a_wide_pow(
+            self, helpers, monkeypatch, guards, helpers_at_each_check):
+        # under the default FORK_AFTER_S: the parent has a helper by the
+        # time it runs the first check whose script holds a wide pow
+        txs, stored = spends(guards)
+        seen = []
+        check = ledger.check_scripts
+        monkeypatch.setattr(ledger, "check_scripts",
+                            lambda *args: seen.append(len(helpers)) or check(*args))
+        got = verify_chain(txs, SPLIT, stored)
+        assert seen == helpers_at_each_check
+        assert helpers[0].start == guards.index("wide") + 1
+        assert_no_child_left()
+        assert got == verify_both_ways(txs, SPLIT, stored)
+
+    @pytest.mark.parametrize("guards", [["limb"] * 6, ["wide"], ["ok"] * 5 + ["wide"]])
+    def test_no_fork_for_one_limb_pows_or_one_check_left(self, helpers, guards):
+        txs, stored = spends(guards)
+        assert isinstance(verify_chain(txs, SPLIT, stored), VerifyOk)
+        assert helpers == []
+
+    def test_modexp_sample_forks_and_verifies(self, helpers, capsys, tmp_path):
+        dump_chain(modexp_sample(), tmp_path / "chain.jsonl")
+        assert (tmp_path / "chain.jsonl").read_bytes() == MODEXP_SAMPLE.read_bytes()
+        assert cli.main(["verify", "--chain", str(MODEXP_SAMPLE)]) == 0
+        assert capsys.readouterr().out == "ok: 4 transactions, total cost 798\n"
+        assert len(helpers) == 1 and helpers[0].start == 1
+        assert_no_child_left()
