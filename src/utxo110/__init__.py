@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "lang": (
         "Bits", "ScriptRef", "deserialize_script", "script_source",
-        "serialize_script", "static_cost",
+        "serialize_script",
     ),
     "ledger": (
         "ChainLog", "FirstFailure", "Invalid", "TransactionRejected", "UtxoSet",

@@ -12,9 +12,9 @@ evaluation time is bounded a priori:
 * ``map`` runs its body once per index, each run metered normally.  A
   body made only of bool literals, ``!``, ``&``, ``|``, ``^``, ``=``,
   ``let`` and reads of a value bound before the map at ``i + c`` or
-  ``(i + c) mod m`` has a word form: each target is packed into one
-  int, each read is a shift of it (or of its first m bits repeated) and
-  each operator one bitwise operation on all n bits at once.  Such a
+  ``(i + c) mod m`` has a word form: it reads each target's int, each
+  read is a shift of it (or of its first m bits repeated) and each
+  operator one bitwise operation on all n bits at once.  Such a
   body charges the same c on every run, and the word form charges
   c × n up front.  It runs only when that fits in what is left of the
   limit and a test before it shows that no operation can fail (every
@@ -292,8 +292,8 @@ class _Function:
         self.indent = 1
         self.pending = 0
         self.charged = 0  # the sum of the constant charges flushed
-        # in a map body: the name of each loop-invariant Bits target's
-        # size, computed once before the loop
+        # in a map body: for each loop-invariant Bits target, the names of
+        # its size, its int and its digit string, read once per call
         self.hoisted = None
         # in a map body that may still have a word form (see map_indices):
         # for each value the body computes, a word when it is a bool, the
@@ -303,7 +303,7 @@ class _Function:
         self.words = None
         self.word_lines = []
         self.guards = []
-        self.packs = {}  # target or (target, m) -> the names of its int
+        self.cycles = {}  # (int, m) -> the names of its first m bits repeated
         # What the code so far has established on every path to the next
         # line: the temporary holding each operation's result, and the
         # kind each checked value passed as.  Both are pure facts, so
@@ -524,56 +524,47 @@ class _Generator:
         if kind == "output list":
             return self.assign(f"{a}[{i}] if 0 <= {i} < len({a}) "
                                f"else _index({a}, {i})"), "output"
-        guard, size = self.bits_size(a, kind)
-        result = self.assign(f"{a}._bits[{i}] == 1 if {guard}0 <= {i} < {size} "
+        fn = self.fn
+        if fn.hoisted is None or a in fn.defined:
+            guard = "" if kind == "bits" else f"type({a}) is Bits and "
+            size, word = f"{a}._width", None
+            bit = f"{a}._int >> {size} - 1 - {i} & 1 == 1"
+        else:
+            # In a map body, a target that is the same at every index is
+            # read once, before the loop: its size (-1 when it is not
+            # Bits), its int, and for the metered loop its digits.
+            if a not in fn.hoisted:
+                fn.hoisted[a] = self.fresh("h"), self.fresh("p"), self.fresh("d")
+            guard, (size, word, digits) = "", fn.hoisted[a]
+            bit = f"{digits}[{i}] == '1'"
+        result = self.assign(f"{bit} if {guard}0 <= {i} < {size} "
                              f"else _index({a}, {i})")
-        if self.fn.hoisted and a in self.fn.hoisted:
-            self.word_read(result, a, size, i)
+        if word:
+            self.word_read(result, size, word, i)
         return result, "bool" if kind == "bits" else None
 
-    def word_read(self, result, a, size, i):
+    def word_read(self, result, size, word, i):
         """The word of the bits a map body reads at ``i`` from a hoisted
-        target: a shift of the target's packed int, or of its first m bits
+        target: a shift of the target's int, or of its first m bits
         repeated, with the test that every read is in range."""
         fn = self.fn
         form = None if fn.words is None else fn.words.get(i)
         if type(form) is int and form >= 0:
             start = self.constant(form)
             fn.guards.append(f"n + {start} <= {size}")
-            word, width = self.packed(a), size
+            width = size
         elif type(form) is tuple:
             c, m = form
             start = f"{self.constant(c)} % {m}"
             fn.guards.append(f"min({start} + n, {m}) <= {size}")
-            if (a, m) not in fn.packs:
-                names = fn.packs[a, m] = self.fresh("q"), self.fresh("e")
+            if (word, m) not in fn.cycles:
+                names = fn.cycles[word, m] = self.fresh("q"), self.fresh("e")
                 fn.word_lines.append(f"  {', '.join(names)} = _cycle("
-                                     f"{self.packed(a)}, {size}, {m}, n)")
-            word, width = fn.packs[a, m]
+                                     f"{word}, {size}, {m}, n)")
+            word, width = fn.cycles[word, m]
         else:
             return
         self.word(result, f"{word} >> {width} - {start} - n & M")
-
-    def packed(self, a):
-        """The name of a hoisted target's packed int."""
-        fn = self.fn
-        if a not in fn.packs:
-            fn.packs[a] = self.fresh("p")
-            fn.word_lines.append(f"  {fn.packs[a]} = {a}.to_int()")
-        return fn.packs[a]
-
-    def bits_size(self, a, kind):
-        """``(guard, size)``: the test that ``a`` is Bits, and its size.  In
-        a map body, the size of a target that is the same at every index
-        is read once, before the loop, as -1 when the target is not Bits."""
-        fn = self.fn
-        if fn.hoisted is None or a in fn.defined:
-            guard = "" if kind == "bits" else f"type({a}) is Bits and "
-            return guard, f"len({a}._bits)"
-        size = fn.hoisted.get(a)
-        if size is None:
-            size = fn.hoisted[a] = self.fresh("h")
-        return "", size
 
     def arith(self, e, scope):
         what = "arithmetic operand"
@@ -695,10 +686,11 @@ class _Generator:
                               (e.body, "bool", "map body"))
         if value is not None:
             body.flush()
-            body.line(f"b.append({value[0][0]})")
+            body.line(f"b.append('1' if {value[0][0]} else '0')")
         loop = [f" for {var} in range(n):"] + body.lines
-        body.lines = [f" {size} = len({a}._bits) if type({a}) is Bits else -1"
-                      for a, size in body.hoisted.items()] + [" b = []"]
+        body.lines = [f" {size}, {word} = ({a}._width, {a}._int) if type({a}) "
+                      f"is Bits else (-1, 0)"
+                      for a, (size, word, _) in body.hoisted.items()]
         row = value and body.words is not None and self.word_of(value[0][0])
         if type(row) is str:
             # Each run charges the same c, the sum of what flush wrote:
@@ -711,7 +703,10 @@ class _Generator:
             body.lines += [f" if {charged} <= L{guards}:", "  M = (1 << n) - 1",
                            *body.word_lines,
                            f"  return Bits.from_int({row}, n), {charged}"]
-        body.lines += loop + [" return Bits._of(b), s"]
+        body.lines += [f" {digits} = format({word}, 'b').zfill({size})"
+                       for size, word, digits in body.hoisted.values()]
+        body.lines += [" b = []", *loop,
+                       ' return Bits.from_int(int("".join(b) or "0", 2), n), s']
         # An enclosing local is passed in only when a line reads it.  Names
         # and values from the script are namespace constants, so every
         # word of the source is a name the generator made.

@@ -104,67 +104,61 @@ def _immutable(self, *args):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-# bytes.translate tables between bit values 0/1 and their text
-_TEXT_TO_BITS = bytes(
-    {ord("0"): 0, ord("."): 0, ord("1"): 1, ord("#"): 1}.get(c, 0xFF)
-    for c in range(256))
-_BITS_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
+_MARKS = str.maketrans(".#", "01")
 
 
 class Bits:
-    """Immutable sequence of bits (0/1), usable as a payload value."""
+    """Immutable sequence of bits (0/1), usable as a payload value.
 
-    __slots__ = ("_bits",)
+    A ``Bits`` holds its bits as one int, the first bit most significant,
+    and its width, the number of bits: ``Bits.from_text("0110")`` holds
+    6 and 4.  The int is below ``2 ** width``, so equal bits have equal
+    ints.  Indexing, iteration, text and packing all read that int, and
+    ``to_int``/``from_int`` hand it over unconverted.
+    """
+
+    __slots__ = ("_int", "_width")
 
     def __init__(self, bits=()):
-        vals = tuple(int(b) for b in bits)
+        vals = [int(b) for b in bits]
         if any(b not in (0, 1) for b in vals):
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "_bits", vals)
-
-    @classmethod
-    def _of(cls, values) -> "Bits":
-        """Bits from 0/1 ints, bools or bytes that the caller has already
-        checked, without the public constructor's check of each value."""
-        bits = object.__new__(cls)
-        object.__setattr__(bits, "_bits", tuple(bytes(values)))
-        return bits
+        object.__setattr__(self, "_int", int("".join(map(str, vals)) or "0", 2))
+        object.__setattr__(self, "_width", len(vals))
 
     @classmethod
     def from_text(cls, text: str) -> "Bits":
         """Parse '0'/'1' or '.'/'#' notation."""
         text = text.strip()
-        if text.isascii():
-            values = text.encode("ascii").translate(_TEXT_TO_BITS)
-            if 0xFF not in values:
-                return cls._of(values)
-        bad = next(ch for ch in text if ch not in "01.#")
-        raise ValueError(f"invalid bit character {bad!r}")
+        digits = text.translate(_MARKS)
+        if digits.count("0") + digits.count("1") != len(digits):
+            bad = next(ch for ch in text if ch not in "01.#")
+            raise ValueError(f"invalid bit character {bad!r}")
+        return cls.from_int(int(digits or "0", 2), len(digits))
 
     def to_text(self) -> str:
-        return bytes(self._bits).translate(_BITS_TO_TEXT).decode("ascii")
+        return format(self._int, "b").zfill(self._width) if self._width else ""
 
     def to_int(self) -> int:
         """The bits as one int, the first bit most significant; 0 when
         there are none."""
-        if not self._bits:
-            return 0
-        return int(bytes(self._bits).translate(_BITS_TO_TEXT), 2)
+        return self._int
 
     @classmethod
     def from_int(cls, value: int, nbits: int) -> "Bits":
         """The ``nbits`` bits of ``0 <= value < 2 ** nbits``, the most
         significant first: the inverse of ``to_int`` at that width."""
-        if nbits <= 0:
-            return cls._of(b"")
-        return cls._of(format(value, f"0{nbits}b").encode("ascii")
-                       .translate(_TEXT_TO_BITS))
+        if nbits < 0 or value < 0 or value >> nbits:
+            raise ValueError(f"value out of range for {nbits} bits")
+        bits = object.__new__(cls)
+        object.__setattr__(bits, "_int", value)
+        object.__setattr__(bits, "_width", nbits)
+        return bits
 
     def packed(self) -> bytes:
         """MSB-first packing, zero-padded to a byte boundary."""
-        size = (len(self._bits) + 7) // 8
-        pad = 8 * size - len(self._bits)
-        return (self.to_int() << pad).to_bytes(size, "big")
+        size = (self._width + 7) // 8
+        return (self._int << 8 * size - self._width).to_bytes(size, "big")
 
     @classmethod
     def from_packed(cls, data: bytes, nbits: int) -> "Bits":
@@ -179,21 +173,25 @@ class Bits:
                             >> (8 * size - nbits), nbits)
 
     def __len__(self):
-        return len(self._bits)
+        return self._width
 
     def __iter__(self):
-        return iter(self._bits)
+        return map(int, self.to_text())
 
     def __getitem__(self, i):
-        return self._bits[i]
+        if i < 0:
+            i += self._width
+        if not 0 <= i < self._width:
+            raise IndexError("Bits index out of range")
+        return self._int >> self._width - 1 - i & 1
 
     def __eq__(self, other):
         if not isinstance(other, Bits):
             return NotImplemented
-        return self._bits == other._bits
+        return self._int == other._int and self._width == other._width
 
     def __hash__(self):
-        return hash(("Bits", self._bits))
+        return hash(("Bits", self._width, self._int))
 
     def __setattr__(self, name, value):
         raise AttributeError("Bits is immutable")
@@ -404,11 +402,6 @@ def children(expr: Expr) -> tuple:
         elif holds == "pairs":
             out.extend(e for _, e in getattr(expr, name))
     return tuple(out)
-
-
-def static_cost(expr: Expr) -> int:
-    """Structural weight: total node count. Strictly monotone under containment."""
-    return 1 + sum(static_cost(c) for c in children(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from utxo110.builder import sweep
-from utxo110.lang import Bits, Lit
+from utxo110.lang import Bits, Lit, children
 from utxo110.ledger import ChainLog, UtxoSet, apply_transaction
 from utxo110.model import ChainParams, Output, Payload, Transaction
 from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
@@ -10,6 +10,11 @@ from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
 # an int with a leading zero byte, and a Bits value with a padding bit set.
 NON_CANONICAL_SCRIPTS = ("010121000000020001", "0101220000000181")
 
+
+def node_count(expr) -> int:
+    """The number of nodes in a script tree, strictly more than in any of
+    its sub-expressions."""
+    return 1 + sum(node_count(c) for c in children(expr))
 
 
 def let_chain(count: int, value) -> str:

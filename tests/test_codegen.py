@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import closure_oracle
-from conftest import drive_grid, drive_layer
+from bits_oracle import TupleBits
+from conftest import drive_grid, drive_layer, node_count
 from test_lang import _extend, _leaf
 from utxo110 import interp
 from utxo110.builder import derive_build_rules
@@ -21,7 +22,7 @@ from utxo110.interp import EvalContext
 from utxo110.lang import (
     MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, If,
     Index, Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf,
-    ScriptRef, Size, SyntheticOutput, Var, serialize_script, static_cost,
+    ScriptRef, Size, SyntheticOutput, Var, serialize_script,
 )
 from utxo110.model import Output, Payload
 from utxo110.parser import parse
@@ -175,7 +176,7 @@ class TestDifferential:
         full = assert_same(script, ctx, ENOUGH, max_width)
         # limits from 1 to the full cost, so that running out of budget
         # meets every other failure the script can hit
-        top = full[3].total_cost if full[0] == "value" else 4 * static_cost(script)
+        top = full[3].total_cost if full[0] == "value" else 4 * node_count(script)
         limit = data.draw(st.integers(1, max(top, 1)), label="limit")
         assert_same(script, ctx, limit, max_width)
 
@@ -239,7 +240,7 @@ def test_every_node_over_every_operand_kind(node):
         for b in _OPERANDS:
             script = _NODES[node](a, b)
             full = assert_same(script, ctx, ENOUGH, 4)
-            top = full[3].total_cost if full[0] == "value" else static_cost(script)
+            top = full[3].total_cost if full[0] == "value" else node_count(script)
             for limit in range(1, top):
                 assert_same(script, ctx, limit, 4)
 
@@ -361,6 +362,20 @@ def _fast_loops(source):
     return loops
 
 
+_HOISTED = re.compile(r" (h\d+), (p\d+) = \((t\d+)\._width, \3\._int\) "
+                      r"if type\(\3\) is Bits else \(-1, 0\)")
+
+
+def _assert_reads_hoisted_ints(source, loop):
+    """The word form reads the int that each target's hoisted line bound
+    before its up-front test, and the source calls neither ``to_int`` nor
+    ``_of``."""
+    ints = {m[2] for m in _HOISTED.finditer(source)}
+    words = set(re.findall(r"\w+", "\n".join(loop)))
+    assert ints and ints <= words
+    assert not re.search(r"\bto_int\(|\b_of\(", source)
+
+
 def _precharge_limit(script, n):
     """The least limit under which the word form of the script's one
     top-level map is charged up front: the cost charged before the map's
@@ -387,7 +402,7 @@ def _every_limit(script, ctx, max_width=8):
     """The same outcome as the oracle at every limit from 1 to two past
     the full cost; returns the full cost."""
     full = assert_same(script, ctx, ENOUGH, max_width)
-    top = full[3].total_cost if full[0] == "value" else 4 * static_cost(script)
+    top = full[3].total_cost if full[0] == "value" else 4 * node_count(script)
     for limit in range(1, top + 3):
         assert_same(script, ctx, limit, max_width)
     return top
@@ -483,7 +498,7 @@ class TestPrecharge:
             loops = _fast_loops(source)
             assert len(loops) == 1
             (loop,) = loops.values()
-            assert "to_int" in "\n".join(loop)
+            _assert_reads_hoisted_ints(source, loop)
             assert not any("_over" in line for line in loop)
             assert source.count("_over") > 1  # the metered loop still charges
 
@@ -597,7 +612,7 @@ class TestWordForm:
         source = interp._Generator().generate(parse(
             "let t = self.layer in map(t.size, i -> t[(i + 3) mod 2] = !t[1 + i] | false)"))
         (loop,) = _fast_loops(source).values()
-        assert "to_int" in "\n".join(loop)
+        _assert_reads_hoisted_ints(source, loop)
 
 
 def _assert_two_paths(source):
@@ -637,20 +652,23 @@ class TestTwoPaths:
 
 class TestMapResult:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 256).flatmap(
+    @given(st.integers(0, 300).flatmap(
         lambda w: st.lists(st.booleans(), min_size=w, max_size=w)))
+    @example([])
+    @example([True] * 300)
     def test_same_bits_as_the_public_constructor(self, bools):
         want = Bits(bools)
         ctx = _ctx(layer=want)
+        # the word form, then a body only the metered loop runs
         for source in ("map(self.layer.size, i -> self.layer[i])",
                        "map(self.layer.size, i -> if self.layer[i] then true "
                        "else false)"):
-            got = interp.evaluate(parse(source), ctx, ENOUGH, 256)[0]
+            got = interp.evaluate(parse(source), ctx, ENOUGH, 300)[0]
             assert type(got) is Bits
-            assert [type(b) for b in got._bits] == [int] * len(bools)
-            assert got._bits == want._bits
+            assert len(got) == len(bools) and 0 <= got.to_int() < 2 ** len(bools)
             assert got == want and hash(got) == hash(want)
-            assert got.to_text() == want.to_text()
+            assert list(got) == list(TupleBits(bools))
+            assert got.to_text() == TupleBits(bools).to_text()
             assert Payload((("layer", got),)).encoded \
                 == Payload((("layer", want),)).encoded
 
@@ -667,14 +685,14 @@ class TestGeneratedSize:
     @example(parse("if true then 1 else if false then 2 else 3"))
     def test_lines_linear_in_nodes(self, script):
         source = interp._Generator().generate(script)
-        assert len(source.splitlines()) <= self.LINES_PER_NODE * static_cost(script)
+        assert len(source.splitlines()) <= self.LINES_PER_NODE * node_count(script)
         compile(source, "<script>", "exec")
 
     def test_largest_script(self):
         script = untaken_branches(16_384)
         assert len(serialize_script(script)) <= 16_384
         source = interp._Generator().generate(script)
-        assert len(source.splitlines()) <= self.LINES_PER_NODE * static_cost(script)
+        assert len(source.splitlines()) <= self.LINES_PER_NODE * node_count(script)
         assert assert_same(script, _ctx(), 10_000, 256)[2] is True
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import derivation_oracle as oracle
-from conftest import OVERSIZED_LETS, doubling, let_chain
+from conftest import OVERSIZED_LETS, doubling, let_chain, node_count
 from test_lang import _exprs, _extend, _leaf
 from utxo110 import builder, canonical
 from utxo110.builder import BuildRules
@@ -24,7 +24,7 @@ from utxo110.canonical import (
     MAX_INLINED_NODES, AnalysisError, DeadCase, analyze_canonical,
     inline_lets, inlined_size, reduce_case, scan_refs, split_cases,
 )
-from utxo110.lang import MAX_DEPTH, Let, ScriptRef, Var, static_cost
+from utxo110.lang import MAX_DEPTH, Let, ScriptRef, Var
 from utxo110.parser import _node_depth, parse
 from utxo110.rule110 import build_bit_script, build_layer_script
 
@@ -147,7 +147,7 @@ def test_rewrites_agree_with_the_tree_oracle(expr):
     assert new == old
     if not isinstance(old[0], tuple):
         assert scan_refs(new[0]) == oracle.scan_refs(old[0])
-        assert inlined_size(expr) == (static_cost(old[0]), _node_depth(old[0]))
+        assert inlined_size(expr) == (node_count(old[0]), _node_depth(old[0]))
 
 
 @CHECK

@@ -5,9 +5,10 @@ from utxo110.lang import (
     MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, Index, If,
     Lit, Not, PowMod, ScriptFormatError, ScriptOf, ScriptRef,
     Size, SyntheticOutput, deserialize_script, script_source,
-    serialize_script, static_cost,
+    serialize_script,
 )
-from conftest import NON_CANONICAL_SCRIPTS
+from bits_oracle import TupleBits
+from conftest import NON_CANONICAL_SCRIPTS, node_count
 from utxo110.parser import parse
 from utxo110.rule110 import build_bit_script, build_layer_script
 
@@ -37,83 +38,114 @@ class TestBits:
             b.something = 1
 
 
-# The per-bit loops the Bits conversions replaced, kept as their oracle.
-def _loop_from_text(text):
-    mapping = {"0": 0, "1": 1, ".": 0, "#": 1}
-    try:
-        return Bits(mapping[ch] for ch in text.strip())
-    except KeyError as exc:
-        raise ValueError(f"invalid bit character {exc.args[0]!r}") from None
-
-
-def _loop_to_text(bits):
-    return "".join(str(b) for b in bits._bits)
-
-
-def _loop_packed(bits):
-    out = bytearray((len(bits._bits) + 7) // 8)
-    for i, b in enumerate(bits._bits):
-        if b:
-            out[i // 8] |= 0x80 >> (i % 8)
-    return bytes(out)
-
-
-def _loop_from_packed(data, nbits):
-    return Bits([(data[i // 8] >> (7 - i % 8)) & 1 for i in range(nbits)])
-
-
 def _outcome(function, *args):
+    """What a call gives, comparable across the two Bits classes: its
+    bits as text and its width, or its error's type and message."""
     try:
-        return "value", function(*args)
-    except ValueError as exc:
-        return "raised", str(exc)
+        value = function(*args)
+    except (ValueError, IndexError) as exc:
+        return "raised", type(exc), str(exc)
+    return "value", value.to_text(), len(value)
 
 
-_bit_lists = st.lists(st.integers(0, 1), max_size=300).map(Bits)
+_widths = st.integers(0, 300)  # past the default max_width of 256
+_bit_lists = _widths.flatmap(
+    lambda w: st.lists(st.integers(0, 1), min_size=w, max_size=w))
 
 
 class TestBitsConversions:
+    """Every Bits operation gives the value or error of the tuple
+    implementation it replaced, ``bits_oracle.TupleBits``."""
+
     @settings(max_examples=300)
     @given(st.text(alphabet=st.one_of(st.sampled_from("01.#01.# \t\n"),
-                                      st.characters()), max_size=40))
+                                      st.characters()), max_size=320))
     @example("01é")
-    @example(" 1# ")
+    @example(" 1#\u2003")  # Unicode whitespace is stripped too
     @example("0" * 300)
     @example("x")
+    @example("0b1")
+    @example("1_0")
+    # str <-> int conversion limits exempt base 2: pin that
+    @example("10" * 2_500)
     def test_from_text(self, text):
         got = _outcome(Bits.from_text, text)
-        assert got == _outcome(_loop_from_text, text)
+        assert got == _outcome(TupleBits.from_text, text)
         if got[0] == "value":
-            assert [type(b) for b in got[1]._bits] == [int] * len(got[1])
+            bits = Bits.from_text(text)
+            assert Bits.from_text(bits.to_text()) == bits
+            assert bits.to_text() == text.strip().translate(str.maketrans(".#", "01"))
 
     @given(_bit_lists)
-    def test_to_text_and_packed(self, bits):
-        assert bits.to_text() == _loop_to_text(bits)
-        assert bits.packed() == _loop_packed(bits)
+    def test_to_text_and_packed(self, values):
+        bits, want = Bits(values), TupleBits(values)
+        assert bits.to_text() == want.to_text()
+        assert bits.packed() == want.packed()
+        assert repr(bits) == repr(want)
 
     @given(st.binary(max_size=40), st.data())
     def test_from_packed_ignores_padding(self, data, draw):
-        nbits = draw.draw(st.integers(-2, 8 * len(data)), label="nbits")
-        got = Bits.from_packed(data, nbits)
-        assert got._bits == _loop_from_packed(data, nbits)._bits
-        assert [type(b) for b in got._bits] == [int] * len(got)
+        nbits = draw.draw(st.integers(-2, 8 * len(data) + 9), label="nbits")
+        got = _outcome(Bits.from_packed, data, nbits)
+        assert got == _outcome(TupleBits.from_packed, data, nbits)
+        if got[0] == "value" and nbits % 8 == 0:
+            assert Bits.from_packed(data, nbits).packed() == data[:nbits // 8]
 
-    @given(st.integers(0, 300).flatmap(
-        lambda w: st.lists(st.integers(0, 1), min_size=w, max_size=w)))
-    @example([0, 0, 1])
-    @example([1, 0, 0])
-    @example([0] * 300)
-    def test_int_round_trip(self, values):
-        bits = Bits(values)
+    @given(_bit_lists, st.integers(-3, 3))
+    @example([0, 0, 1], 0)
+    @example([1, 0, 0], 0)
+    @example([0] * 300, 0)
+    @example([], -1)
+    def test_int_round_trip(self, values, off):
+        bits, want = Bits(values), TupleBits(values)
         value = bits.to_int()
+        assert value == want.to_int()
         assert value == sum(b << (len(values) - 1 - k) for k, b in enumerate(values))
-        got = Bits.from_int(value, len(values))
-        assert got == bits and got._bits == tuple(values)
-        assert [type(b) for b in got._bits] == [int] * len(values)
+        assert Bits.from_int(value, len(values)) == bits
+        assert _outcome(Bits.from_int, value, len(values)) \
+            == _outcome(TupleBits.from_int, value, len(values))
+        # outside 0 <= value < 2 ** nbits, and at a negative width, it raises
+        for v, n in ((value + off * 2 ** len(values), len(values)),
+                     (-1 - value, len(values)), (0, -1 - abs(off))):
+            if not 0 <= v < 2 ** n:
+                with pytest.raises(ValueError):
+                    Bits.from_int(v, n)
 
     def test_from_packed_of_too_few_bytes(self):
         with pytest.raises(IndexError):
             Bits.from_packed(b"\xff", 9)
+
+    @given(_bit_lists)
+    def test_indexing_and_iteration(self, values):
+        bits, want = Bits(values), TupleBits(values)
+        assert len(bits) == len(want)
+        items = list(bits)
+        assert items == list(want) and [type(b) for b in items] == [int] * len(items)
+        for i in range(-len(values) - 2, len(values) + 2):
+            try:
+                expected = want[i]
+            except IndexError:
+                with pytest.raises(IndexError):
+                    bits[i]
+            else:
+                got = bits[i]
+                assert got == expected and type(got) is int
+
+    @given(_bit_lists, st.data())
+    def test_equality_and_hash(self, values, data):
+        # the other value is mostly close to the first: the same bits, one
+        # flipped, one more or one less
+        other = data.draw(st.one_of(
+            st.just(values), _bit_lists,
+            st.integers(0, max(len(values) - 1, 0)).map(
+                lambda k: [b ^ (j == k) for j, b in enumerate(values)]),
+            st.just(values + [0]), st.just([0] + values), st.just(values[1:])))
+        a, b = Bits(values), Bits(other)
+        assert (a == b) == (TupleBits(values) == TupleBits(other))
+        assert (a != b) == (TupleBits(values) != TupleBits(other))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert a != tuple(values) and a != a.to_int() and a != a.to_text()
 
 
 class TestSerialization:
@@ -177,7 +209,7 @@ class TestSerialization:
 
 class TestStaticCost:
     def test_single_node(self):
-        assert static_cost(Lit(True)) == 1
+        assert node_count(Lit(True)) == 1
 
     def test_strict_monotonicity_under_containment(self):
         for source in ("1 + 2", "map(3, i -> in[0].layer[i])",
@@ -188,7 +220,7 @@ class TestStaticCost:
                 node = queue.pop()
                 from utxo110.lang import children
                 for child in children(node):
-                    assert static_cost(node) > static_cost(child)
+                    assert node_count(node) > node_count(child)
                     queue.append(child)
 
 
