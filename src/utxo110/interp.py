@@ -793,13 +793,11 @@ def compiled(script: ScriptRef):
     return function
 
 
-@functools.cache
 def reads_self(script: ScriptRef) -> bool:
     """Whether a script's outcome can depend on which input is ``self``."""
     return compiled(script).reads_self
 
 
-@functools.cache
 def unpriced_pow(script: ScriptRef) -> bool:
     """Whether a script holds a ``pow`` whose modulus is not an int
     literal of at most 64 bits.  Its charge, ``1 + bitlen(E)``, tracks its

@@ -3,8 +3,11 @@
 A guarding script is a loop-free expression tree evaluated against a
 spending transaction.  This module defines the value types, the AST, the
 canonical byte serialization (the authoritative notion of script
-equality), and a source printer.  Parsing lives in ``parser``; evaluation
-in ``interp``.
+equality), and a source printer.  One table, ``_WIRE``, gives each node
+class's tag and field layout; encoding, decoding and the AST walks all
+read it.  AST equality is byte equality: a literal's value type counts,
+so ``Lit(True) != Lit(1)``.  Parsing lives in ``parser``; evaluation in
+``interp``.
 
 The only repetition construct is ``MapIndices`` whose length is capped at
 runtime, so every script terminates in a statically bounded number of
@@ -47,7 +50,8 @@ def record(cls=None, *, frozen=True, order=False):
     assignment and deletion; a mutable one is unhashable.  ``order`` adds
     ``<``, ``<=``, ``>``, ``>=`` over the field tuples.  The field-wise
     methods are generated as source and compiled by one ``exec`` per
-    class.  ``__record_fields__`` holds the field names.
+    class.  A method the class body defines itself is kept, as
+    ``dataclasses`` keeps it.  ``__record_fields__`` holds the field names.
     """
     if cls is None:
         return lambda cls: record(cls, frozen=frozen, order=order)
@@ -80,17 +84,17 @@ def record(cls=None, *, frozen=True, order=False):
                    " if other.__class__ is self.__class__:",
                    f"  return {mine} {op} {theirs}",
                    " return NotImplemented"]
+    methods = {"__repr__": _record_repr}
     if frozen:
         source += ["def __hash__(self):", f" return hash({mine})"]
-        cls.__setattr__ = cls.__delattr__ = _immutable
+        methods["__setattr__"] = methods["__delattr__"] = _immutable
     else:
-        cls.__hash__ = None
-    methods = {}
+        methods["__hash__"] = None
     exec("\n".join(source), env, methods)
     for method, function in methods.items():
-        setattr(cls, method, function)
+        if method not in cls.__dict__:
+            setattr(cls, method, function)
     cls.__record_fields__ = names
-    cls.__repr__ = _record_repr
     return cls
 
 
@@ -263,6 +267,16 @@ def _intern(expr, data: bytes) -> ScriptRef:
 class Lit:
     value: object  # bool | int | Bits | ScriptRef
 
+    # as their bytes do, literals differ in their value's type: True == 1
+    # in Python, but Lit(True) != Lit(1)
+    def __eq__(self, other):
+        if other.__class__ is not Lit:
+            return NotImplemented
+        return type(self.value) is type(other.value) and self.value == other.value
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
+
 
 @record
 class Var:
@@ -375,22 +389,52 @@ Expr = (
     | ListConcat | SyntheticOutput
 )
 
-_NODE_TYPES = (
-    Lit, Var, CtxRef, FieldAccess, ScriptOf, Index, Size, Arith, PowMod,
-    Cmp, BoolOp, Not, MapIndices, Let, If, CopyEq, ListConcat,
-    SyntheticOutput,
-)
+# ---------------------------------------------------------------------------
+# The wire format.  Canonical bytes are a one-byte format version, then the
+# root node: its tag byte, then its fields in the order ``_WIRE`` lists
+# them, each written as its kind says (lengths are big-endian):
+#   "expr"   a node, in this same form
+#   "value"  a literal value, as ``_enc_value`` writes it
+#   "name"   a string: u32 length, then UTF-8
+#   a tuple  one byte, the index of the field's value in the tuple
+#   "count"  the u32 number of the field's (name, expr) pairs
+#   "pairs"  that many pairs, each a "name" then an "expr"
+# The encoder, the decoder, ``NODE_FIELDS`` and ``children`` all read it.
 
-
-# Per node class, its fields in order as (name, what it holds): "expr"
-# one expression, "pairs" a tuple of (name, expression) pairs, None no
-# expression.  Read from each record's annotations once here, not on
-# every node a walk visits.
-NODE_FIELDS = {
-    cls: tuple((name, {"'Expr'": "expr", "tuple": "pairs"}.get(
-        cls.__annotations__[name])) for name in cls.__record_fields__)
-    for cls in _NODE_TYPES
+_WIRE = {
+    Lit: (0x01, (("value", "value"),)),
+    Var: (0x02, (("name", "name"),)),
+    CtxRef: (0x03, (("kind", ("self", "in", "out")),)),
+    FieldAccess: (0x04, (("field", "name"), ("obj", "expr"))),
+    ScriptOf: (0x05, (("obj", "expr"),)),
+    Index: (0x06, (("obj", "expr"), ("index", "expr"))),
+    Size: (0x07, (("obj", "expr"),)),
+    Arith: (0x08, (("op", ("+", "-", "mod")), ("left", "expr"), ("right", "expr"))),
+    PowMod: (0x09, (("base", "expr"), ("exponent", "expr"), ("modulus", "expr"))),
+    Cmp: (0x0A, (("op", ("=", "<")), ("left", "expr"), ("right", "expr"))),
+    BoolOp: (0x0B, (("op", ("&", "|", "^")), ("left", "expr"), ("right", "expr"))),
+    Not: (0x0C, (("operand", "expr"),)),
+    MapIndices: (0x0D, (("var", "name"), ("length", "expr"), ("body", "expr"))),
+    Let: (0x0E, (("name", "name"), ("value", "expr"), ("body", "expr"))),
+    If: (0x0F, (("cond", "expr"), ("then", "expr"), ("orelse", "expr"))),
+    CopyEq: (0x10, (("overrides", "count"), ("target", "expr"), ("source", "expr"),
+                    ("overrides", "pairs"))),
+    ListConcat: (0x11, (("left", "expr"), ("right", "expr"))),
+    SyntheticOutput: (0x12, (("fields", "count"), ("fields", "pairs"), ("script", "expr"))),
 }
+
+_BY_TAG = {tag: (cls, layout) for cls, (tag, layout) in _WIRE.items()}
+
+
+def _node_fields(cls, layout) -> tuple:
+    holds = {name: kind for name, kind in layout if kind in ("expr", "pairs")}
+    return tuple((name, holds.get(name)) for name in cls.__record_fields__)
+
+
+# Per node class, its fields in declared order as (name, what it holds):
+# "expr" one expression, "pairs" a tuple of (name, expression) pairs,
+# None no expression.
+NODE_FIELDS = {cls: _node_fields(cls, layout) for cls, (_, layout) in _WIRE.items()}
 
 
 def children(expr: Expr) -> tuple:
@@ -402,27 +446,6 @@ def children(expr: Expr) -> tuple:
         elif holds == "pairs":
             out.extend(e for _, e in getattr(expr, name))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Canonical serialization: tag-length-value, big-endian lengths.
-#
-# Node tags
-#   0x01 Lit           0x02 Var           0x03 CtxRef (+kind byte)
-#   0x04 FieldAccess   0x05 ScriptOf      0x06 Index
-#   0x07 Size          0x08 Arith (+op)   0x09 PowMod
-#   0x0A Cmp (+op)     0x0B BoolOp (+op)  0x0C Not
-#   0x0D MapIndices    0x0E Let           0x0F If
-#   0x10 CopyEq        0x11 ListConcat    0x12 SyntheticOutput
-# Value tags
-#   0x20 Bool  0x21 Int  0x22 Bits  0x23 ScriptRef
-#
-# The whole serialization is prefixed with a one-byte format version.
-
-_CTX_KINDS = ("self", "in", "out")
-_ARITH_OPS = ("+", "-", "mod")
-_CMP_OPS = ("=", "<")
-_BOOL_OPS = ("&", "|", "^")
 
 
 class ScriptFormatError(ValueError):
@@ -464,58 +487,35 @@ def _value_end(data: bytes, pos: int) -> int:
     return pos + 5 + ((n + 7) // 8 if tag == 0x22 else n)
 
 
-def _encode(e: Expr) -> bytes:
-    if isinstance(e, Lit):
-        return b"\x01" + _enc_value(e.value)
-    if isinstance(e, Var):
-        return b"\x02" + _enc_str(e.name)
-    if isinstance(e, CtxRef):
-        return b"\x03" + bytes([_CTX_KINDS.index(e.kind)])
-    if isinstance(e, FieldAccess):
-        return b"\x04" + _enc_str(e.field) + _encode(e.obj)
-    if isinstance(e, ScriptOf):
-        return b"\x05" + _encode(e.obj)
-    if isinstance(e, Index):
-        return b"\x06" + _encode(e.obj) + _encode(e.index)
-    if isinstance(e, Size):
-        return b"\x07" + _encode(e.obj)
-    if isinstance(e, Arith):
-        return b"\x08" + bytes([_ARITH_OPS.index(e.op)]) + _encode(e.left) + _encode(e.right)
-    if isinstance(e, PowMod):
-        return b"\x09" + _encode(e.base) + _encode(e.exponent) + _encode(e.modulus)
-    if isinstance(e, Cmp):
-        return b"\x0a" + bytes([_CMP_OPS.index(e.op)]) + _encode(e.left) + _encode(e.right)
-    if isinstance(e, BoolOp):
-        return b"\x0b" + bytes([_BOOL_OPS.index(e.op)]) + _encode(e.left) + _encode(e.right)
-    if isinstance(e, Not):
-        return b"\x0c" + _encode(e.operand)
-    if isinstance(e, MapIndices):
-        return b"\x0d" + _enc_str(e.var) + _encode(e.length) + _encode(e.body)
-    if isinstance(e, Let):
-        return b"\x0e" + _enc_str(e.name) + _encode(e.value) + _encode(e.body)
-    if isinstance(e, If):
-        return b"\x0f" + _encode(e.cond) + _encode(e.then) + _encode(e.orelse)
-    if isinstance(e, CopyEq):
-        parts = [b"\x10", _u32(len(e.overrides)), _encode(e.target), _encode(e.source)]
-        for name, expr in e.overrides:
-            parts.append(_enc_str(name))
-            parts.append(_encode(expr))
-        return b"".join(parts)
-    if isinstance(e, ListConcat):
-        return b"\x11" + _encode(e.left) + _encode(e.right)
-    if isinstance(e, SyntheticOutput):
-        parts = [b"\x12", _u32(len(e.fields))]
-        for name, expr in e.fields:
-            parts.append(_enc_str(name))
-            parts.append(_encode(expr))
-        parts.append(_encode(e.script))
-        return b"".join(parts)
-    raise TypeError(f"not a script expression: {type(e).__name__}")
+def _encode(e: Expr, out: bytearray) -> None:
+    wire = _WIRE.get(type(e))
+    if wire is None:
+        raise TypeError(f"not a script expression: {type(e).__name__}")
+    tag, layout = wire
+    out.append(tag)
+    for name, kind in layout:
+        value = getattr(e, name)
+        if kind == "expr":
+            _encode(value, out)
+        elif kind == "value":
+            out += _enc_value(value)
+        elif kind == "name":
+            out += _enc_str(value)
+        elif kind == "count":
+            out += _u32(len(value))
+        elif kind == "pairs":
+            for field, x in value:
+                out += _enc_str(field)
+                _encode(x, out)
+        else:
+            out.append(kind.index(value))
 
 
 def serialize_script(expr: Expr) -> bytes:
     """Canonical bytes for a script. Byte equality is script equality."""
-    return bytes([FORMAT_VERSION]) + _encode(expr)
+    out = bytearray([FORMAT_VERSION])
+    _encode(expr, out)
+    return bytes(out)
 
 
 class _Reader:
@@ -566,13 +566,6 @@ def _dec_value(r: _Reader):
     raise ScriptFormatError(f"unknown value tag 0x{tag:02x}")
 
 
-def _dec_enum(r: _Reader, table):
-    b = r.u8()
-    if b >= len(table):
-        raise ScriptFormatError("bad enum byte")
-    return table[b]
-
-
 def _decode(r: _Reader) -> Expr:
     if r.depth >= MAX_DEPTH:
         raise ScriptFormatError(f"script nests deeper than {MAX_DEPTH} nodes")
@@ -584,61 +577,28 @@ def _decode(r: _Reader) -> Expr:
 
 def _decode_node(r: _Reader) -> Expr:
     tag = r.u8()
-    if tag == 0x01:
-        return Lit(_dec_value(r))
-    if tag == 0x02:
-        return Var(r.string())
-    if tag == 0x03:
-        return CtxRef(_dec_enum(r, _CTX_KINDS))
-    if tag == 0x04:
-        field = r.string()
-        return FieldAccess(_decode(r), field)
-    if tag == 0x05:
-        return ScriptOf(_decode(r))
-    if tag == 0x06:
-        return Index(_decode(r), _decode(r))
-    if tag == 0x07:
-        return Size(_decode(r))
-    if tag == 0x08:
-        op = _dec_enum(r, _ARITH_OPS)
-        return Arith(op, _decode(r), _decode(r))
-    if tag == 0x09:
-        return PowMod(_decode(r), _decode(r), _decode(r))
-    if tag == 0x0A:
-        op = _dec_enum(r, _CMP_OPS)
-        return Cmp(op, _decode(r), _decode(r))
-    if tag == 0x0B:
-        op = _dec_enum(r, _BOOL_OPS)
-        return BoolOp(op, _decode(r), _decode(r))
-    if tag == 0x0C:
-        return Not(_decode(r))
-    if tag == 0x0D:
-        var = r.string()
-        return MapIndices(_decode(r), var, _decode(r))
-    if tag == 0x0E:
-        name = r.string()
-        return Let(name, _decode(r), _decode(r))
-    if tag == 0x0F:
-        return If(_decode(r), _decode(r), _decode(r))
-    if tag == 0x10:
-        n = r.u32()
-        target = _decode(r)
-        source = _decode(r)
-        overrides = []
-        for _ in range(n):
-            name = r.string()
-            overrides.append((name, _decode(r)))
-        return CopyEq(target, source, tuple(overrides))
-    if tag == 0x11:
-        return ListConcat(_decode(r), _decode(r))
-    if tag == 0x12:
-        n = r.u32()
-        flds = []
-        for _ in range(n):
-            name = r.string()
-            flds.append((name, _decode(r)))
-        return SyntheticOutput(tuple(flds), _decode(r))
-    raise ScriptFormatError(f"unknown node tag 0x{tag:02x}")
+    wire = _BY_TAG.get(tag)
+    if wire is None:
+        raise ScriptFormatError(f"unknown node tag 0x{tag:02x}")
+    cls, layout = wire
+    fields = {}
+    for name, kind in layout:
+        if kind == "expr":
+            fields[name] = _decode(r)
+        elif kind == "value":
+            fields[name] = _dec_value(r)
+        elif kind == "name":
+            fields[name] = r.string()
+        elif kind == "count":
+            count = r.u32()
+        elif kind == "pairs":
+            fields[name] = tuple((r.string(), _decode(r)) for _ in range(count))
+        else:
+            b = r.u8()
+            if b >= len(kind):
+                raise ScriptFormatError("bad enum byte")
+            fields[name] = kind[b]
+    return cls(**fields)
 
 
 def deserialize_script(data: bytes, depth: int = 0) -> Expr:

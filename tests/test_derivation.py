@@ -24,7 +24,7 @@ from utxo110.canonical import (
     MAX_INLINED_NODES, AnalysisError, DeadCase, analyze_canonical,
     inline_lets, inlined_size, reduce_case, scan_refs, split_cases,
 )
-from utxo110.lang import MAX_DEPTH, Let, ScriptRef, Var
+from utxo110.lang import MAX_DEPTH, Let, Lit, ScriptRef, Var
 from utxo110.parser import _node_depth, parse
 from utxo110.rule110 import build_bit_script, build_layer_script
 
@@ -166,6 +166,19 @@ def test_ref_walk_reaches_the_grid_validators_rules():
     # on empty lists if _script_refs stopped descending into records.
     rules = builder._derive.__wrapped__(ScriptRef(build_bit_script()))
     assert _script_refs(rules)
+
+
+def test_a_condition_on_true_is_not_one_on_1():
+    # the two conditions differ only in a literal's type: each is a branch
+    expr = parse("if in[0].x = 1 then (out[0].x = 1) & (out[0].script = self.script) "
+                 "else if in[0].x = true then (out[0].x = 2) & (out[0].script = self.script) "
+                 "else (out[0].x = 3) & (out[0].script = self.script)")
+    rules = builder._derive.__wrapped__(ScriptRef(expr))
+    assert len(rules.cases) == 3
+    assert [rule.expr for case in rules.cases
+            for _, _, (payload, _) in case.out_rules
+            for _, rule in payload] == [Lit(1), Lit(2), Lit(3)]
+    assert_same_rules(ScriptRef(expr))
 
 
 @pytest.mark.parametrize("script", [

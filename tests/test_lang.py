@@ -2,10 +2,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from utxo110.lang import (
-    MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, FieldAccess, Index, If,
-    Lit, Not, PowMod, ScriptFormatError, ScriptOf, ScriptRef,
-    Size, SyntheticOutput, deserialize_script, script_source,
-    serialize_script,
+    MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess,
+    Index, If, Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptFormatError,
+    ScriptOf, ScriptRef, Size, SyntheticOutput, Var, children,
+    _WIRE, deserialize_script, script_source, serialize_script,
 )
 from bits_oracle import TupleBits
 from conftest import NON_CANONICAL_SCRIPTS, node_count
@@ -207,6 +207,81 @@ class TestSerialization:
             deserialize_script(bytes([1, 0x7F]))
 
 
+def _every_node_kind():
+    """One script holding every node kind, every enum value, and literals
+    of every value kind: both bools, ints 0, -1 and a three-byte one,
+    empty and 9-bit ``Bits``, and a nested script."""
+    inner = ScriptRef(Cmp("=", Size(CtxRef("in")), Lit(1)))
+    return Let("k", Lit(0), If(
+        BoolOp("&", Cmp("<", Arith("-", Var("k"), Lit(-1)), Lit(70000)),
+               BoolOp("|", Not(Lit(False)), BoolOp("^", Lit(True), Lit(False)))),
+        CopyEq(Index(CtxRef("out"), Lit(1)), Index(CtxRef("out"), Lit(0)),
+               (("x", Arith("mod", PowMod(Lit(3), FieldAccess(CtxRef("self"), "x"),
+                                          Lit(7)), Lit(5))),
+                ("mid", Lit(Bits.from_text("100000001"))))),
+        Cmp("=", ListConcat(CtxRef("in"), CtxRef("out")),
+            ListConcat(MapIndices(Lit(2), "i", Arith("+", Var("i"), Lit(1))),
+                       SyntheticOutput((("layer", Lit(Bits())), ("n", Lit(-1))),
+                                       ScriptOf(Lit(inner)))))))
+
+
+# The canonical bytes of ``_every_node_kind()``: this pins each node tag,
+# value tag and enum byte of the wire format, and the order of fields.
+_GOLDEN_HEX = (
+    "010e000000016b0121000000000f0b000a01080102000000016b012100000001"
+    "ff0121000000030111700b010c0120000b020120010120001000000002060302"
+    "0121000000010106030201210000000000000001780802090121000000010304"
+    "000000017803000121000000010701210000000105000000036d696401220000"
+    "000980800a001103010302110d00000001690121000000010208000200000001"
+    "69012100000001011200000002000000056c6179657201220000000000000001"
+    "6e012100000001ff0501230000000c0a0007030101210000000101"
+)
+
+
+class TestGoldenBytes:
+    def test_wire_table_writes_every_field_of_every_node(self):
+        assert set(_WIRE) == set(Expr.__args__)
+        assert len({tag for tag, _ in _WIRE.values()}) == len(_WIRE)
+        for cls, (_, layout) in _WIRE.items():
+            names = [name for name, kind in layout if kind != "count"]
+            assert sorted(names) == sorted(cls.__record_fields__)
+            counted = [name for name, kind in layout if kind == "count"]
+            paired = [name for name, kind in layout if kind == "pairs"]
+            assert counted == paired
+            if counted:  # the count comes first
+                assert layout.index((counted[0], "count")) \
+                    < layout.index((paired[0], "pairs"))
+
+    def test_script_of_every_node_kind(self):
+        expr = _every_node_kind()
+        data = serialize_script(expr)
+        assert data.hex() == _GOLDEN_HEX
+        assert deserialize_script(data) == expr
+        assert ScriptRef.from_bytes(data).expr == expr
+
+    def test_golden_script_covers_the_format(self):
+        nodes, queue = [], [_every_node_kind()]
+        while queue:  # into the nested script too
+            node = queue.pop()
+            nodes.append(node)
+            queue.extend(children(node))
+            if isinstance(node, Lit) and type(node.value) is ScriptRef:
+                queue.append(node.value.expr)
+        assert {type(n) for n in nodes} == set(Expr.__args__)
+        assert len(Expr.__args__) == 18
+        values = [n.value for n in nodes if isinstance(n, Lit)]
+        assert {True, False} <= set(v for v in values if type(v) is bool)
+        ints = {v for v in values if type(v) is int}
+        assert {0, -1} <= ints and any(v.bit_length() > 16 for v in ints)
+        assert {len(v) for v in values if type(v) is Bits} == {0, 9}
+        assert any(type(v) is ScriptRef for v in values)
+        ops = {(type(n), getattr(n, name)) for n in nodes
+               for name in ("op", "kind") if hasattr(n, name)}
+        assert ops == {(Arith, "+"), (Arith, "-"), (Arith, "mod"), (Cmp, "="),
+                       (Cmp, "<"), (BoolOp, "&"), (BoolOp, "|"), (BoolOp, "^"),
+                       (CtxRef, "self"), (CtxRef, "in"), (CtxRef, "out")}
+
+
 class TestStaticCost:
     def test_single_node(self):
         assert node_count(Lit(True)) == 1
@@ -273,9 +348,10 @@ class TestSourcePrinter:
 
     @settings(max_examples=150, deadline=None)
     @given(_exprs, _exprs)
+    @example(Lit(True), Lit(1))
+    @example(Not(Lit(False)), Not(Lit(0)))
     def test_serialization_injective(self, a, b):
-        if a != b:
-            assert serialize_script(a) != serialize_script(b)
+        assert (a == b) == (serialize_script(a) == serialize_script(b))
 
     def test_pow_as_the_left_operand_of_mod(self):
         expr = Arith("mod", PowMod(Lit(2), Lit(3), Lit(5)), Lit(4))

@@ -168,3 +168,29 @@ def test_a_list_default_is_copied_for_each_instance():
     a.items.append(2)
     assert (a.items, b.items, Bag.items) == ([1, 2], [1], [1])
     assert Bag(name="x") == Bag([1], "x")
+
+
+def test_methods_the_class_defines_are_kept():
+    @record
+    class Pair:
+        a: int
+        b: int
+
+        def __eq__(self, other):
+            return "own"
+
+        def __hash__(self):
+            return 7
+
+        def __repr__(self):
+            return "pair"
+
+    assert (Pair(1, 2) == Pair(3, 4)) == "own"
+    assert hash(Pair(1, 2)) == 7 and repr(Pair(1, 2)) == "pair"
+    assert Pair(1, b=2).b == 2
+
+
+def test_literals_of_different_value_types_differ():
+    assert Lit(True) != Lit(1) and Lit(False) != Lit(0)
+    assert Lit(1) == Lit(1) and hash(Lit(1)) == hash(Lit(1))
+    assert len({Lit(True), Lit(1), Lit(False), Lit(0)}) == 4
