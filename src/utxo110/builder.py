@@ -363,12 +363,23 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
     return tx
 
 
-def build_next(utxo: UtxoSet, seed: OutputRef, params: ChainParams = ChainParams()):
+NO_INPUT_ROLE = ConsistencyCheckFailed("seed does not match any input role of the script")
+
+
+def build_next(utxo: UtxoSet, seed: OutputRef, params: ChainParams = ChainParams(),
+               seed_failures: dict | None = None):
     """Build the transaction spending ``seed`` under its script's rules.
 
     Returns a validated Transaction or CannotBuild.  Branches are tried
     in decreasing input count, so a seed takes the most specific role
     still open given the current unspent set.
+
+    A case's seed checks read the seed alone, so once they fail for a
+    seed they fail for as long as it is unspent.  ``seed_failures``
+    (when given) keeps, across calls, a bit mask per seed of the cases
+    whose seed checks failed, and those cases are not run again.  Their
+    reasons need no keeping: a seed-stage failure is reported only as
+    ``NO_INPUT_ROLE``, when every case failed there.
     """
     seed_output = utxo.get(seed)
     if seed_output is None:
@@ -378,43 +389,56 @@ def build_next(utxo: UtxoSet, seed: OutputRef, params: ChainParams = ChainParams
     if isinstance(rules, NotBuildable):
         return CannotBuild(rules)
 
-    failures = []
-    for case in rules.cases:
+    failed = seed_failures.get(seed, 0) if seed_failures is not None else 0
+    reasons = []  # of the cases that got past their seed checks
+    for number, case in enumerate(rules.cases):
+        if failed >> number & 1:
+            continue
         try:
             return _run_case(case, utxo, seed, seed_output, params)
         except _CaseFailure as exc:
-            failures.append(exc)
+            if exc.seed_stage:
+                failed |= 1 << number
+            else:
+                reasons.append(exc.reason)
+    if seed_failures is not None and failed:
+        seed_failures[seed] = failed
 
-    for exc in failures:
-        if isinstance(exc.reason, NoProgress):
-            return CannotBuild(exc.reason)
-    for exc in failures:
-        if not exc.seed_stage:
-            return CannotBuild(exc.reason)
-    return CannotBuild(ConsistencyCheckFailed(
-        "seed does not match any input role of the script"))
+    for reason in reasons:
+        if isinstance(reason, NoProgress):
+            return CannotBuild(reason)
+    return CannotBuild(reasons[0] if reasons else NO_INPUT_ROLE)
 
 
 def sweep(utxo: UtxoSet, log: ChainLog, params: ChainParams = ChainParams(),
-          retired: set | None = None) -> list:
+          retired: set | None = None, seed_failures: dict | None = None) -> list:
     """One builder pass over the current unspent set.
 
     Seeds are the references unspent when the pass starts, visited in
     deterministic order; every built transaction is validated and applied
     before the next seed is considered.  Seeds whose only buildable
-    transaction makes no progress are added to ``retired`` and skipped by
-    later sweeps.
+    transaction makes no progress, and seeds that fit no input role, are
+    added to ``retired`` and skipped by later sweeps.  ``seed_failures``
+    is ``build_next``'s memory of failed seed checks; the caller keeps it
+    from one sweep to the next, as it keeps ``retired``, and a seed
+    leaves both once it is spent.
     """
     if retired is None:
         retired = set()
+    if seed_failures is None:
+        seed_failures = {}
     built = []
     for seed in utxo.refs():
         if seed not in utxo or seed in retired:
             continue
-        result = build_next(utxo, seed, params)
+        result = build_next(utxo, seed, params, seed_failures)
         if isinstance(result, Transaction):
             apply_transaction(result, utxo, log, params)
             built.append(result)
-        elif isinstance(result.reason, NoProgress):
+            for ref in result.inputs:
+                retired.discard(ref)
+                seed_failures.pop(ref, None)
+        elif isinstance(result.reason, NoProgress) or result.reason == NO_INPUT_ROLE:
             retired.add(seed)
+            seed_failures.pop(seed, None)
     return built

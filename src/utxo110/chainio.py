@@ -2,10 +2,16 @@
 
 Chain file: one JSON object per line::
 
-    {"txId": hex, "isGenesis": bool,
+    {"txId": hex,
      "inputs":  [[k, index] or {"txId": hex, "index": int}, ...],
      "outputs": [{"script": base64 canonical bytes or int,
-                  "payload": {field: {"t": kind, "v": value}, ...}}, ...]}
+                  "payload": {field: value record, ...}}, ...]}
+
+A transaction with no inputs is a genesis transaction.  A value record
+is ``{"v": true}`` or ``{"v": -3}`` for a bool or an int, told apart by
+JSON's own literals, and ``{"t": "bits", "v": "0110"}`` or ``{"t":
+"script", "v": base64 canonical bytes}`` for the two kinds that JSON
+writes as strings.
 
 The base64 script bytes are the script: they must be its canonical
 encoding, and bytes that do not re-encode to themselves are rejected.
@@ -29,11 +35,13 @@ naming any other transaction keeps the ``{"txId", "index"}`` form.  A
 back-reference must name an earlier transaction, so any prefix of a file
 is still a valid chain.
 
-Files from earlier versions wrote every script in full and every input
-as a ``{"txId", "index"}`` object, or also held each script's printed
-source under a key that is now ignored.  They still load, with the same
-tx ids.  Files written now do not load in versions before input
-back-references.
+Files from earlier versions wrote every script in full, every input as
+a ``{"txId", "index"}`` object, every bool and int with a ``"t"`` tag
+and every line with an ``isGenesis`` bool, or also held each script's
+printed source under a key that is now ignored.  They still load, with
+the same tx ids; a stated ``isGenesis`` that contradicts the inputs is
+rejected.  Files written now do not load in versions before untagged
+values.
 """
 
 from __future__ import annotations
@@ -53,10 +61,8 @@ MAX_INDEX = 2**32 - 1  # output indices are u32 in the tx-id preimage
 
 
 def value_to_json(value):
-    if isinstance(value, bool):
-        return {"t": "bool", "v": value}
-    if isinstance(value, int):
-        return {"t": "int", "v": value}
+    if isinstance(value, int):  # bool too: JSON's true and 1 tell the kinds apart
+        return {"v": value}
     if isinstance(value, Bits):
         return {"t": "bits", "v": value.to_text()}
     if isinstance(value, ScriptRef):
@@ -66,9 +72,14 @@ def value_to_json(value):
 
 def value_from_json(obj):
     try:
-        kind, raw = obj["t"], obj["v"]
+        raw = obj["v"]
     except (TypeError, KeyError):
         raise ChainFormatError(f"malformed value record: {obj!r}") from None
+    if "t" not in obj:
+        if type(raw) in (bool, int):  # not a float, string, list or null
+            return raw
+        raise ChainFormatError(f"malformed value record: {obj!r}")
+    kind = obj["t"]
     if kind == "bool" and isinstance(raw, bool):
         return raw
     if kind == "int" and isinstance(raw, int) and not isinstance(raw, bool):
@@ -175,7 +186,6 @@ def transaction_to_json(tx: Transaction, scripts: _ScriptTable,
                         positions: dict) -> dict:
     return {
         "txId": tx.tx_id().hex(),
-        "isGenesis": tx.is_genesis,
         "inputs": [input_to_json(ref, positions) for ref in tx.inputs],
         "outputs": [output_to_json(o, scripts) for o in tx.outputs],
     }
@@ -213,13 +223,16 @@ def transaction_from_json(obj, scripts: _ScriptTable, earlier: list) -> ChainRec
         raise ChainFormatError("transaction record must be an object")
     try:
         stored_id = _hex_id(obj["txId"])
-        is_genesis = obj["isGenesis"]
         inputs_obj = obj["inputs"]
         outputs_obj = obj["outputs"]
     except KeyError as exc:
         raise ChainFormatError(f"missing key {exc.args[0]!r}") from None
-    if not isinstance(is_genesis, bool) or not isinstance(inputs_obj, list) \
-            or not isinstance(outputs_obj, list):
+    if not isinstance(inputs_obj, list) or not isinstance(outputs_obj, list):
+        raise ChainFormatError("malformed transaction record")
+    # earlier files state what the inputs say; Transaction rejects a
+    # statement that contradicts them
+    is_genesis = obj.get("isGenesis", not inputs_obj)
+    if not isinstance(is_genesis, bool):
         raise ChainFormatError("malformed transaction record")
     inputs = [input_from_json(entry, earlier) for entry in inputs_obj]
     outputs = [output_from_json(o, scripts) for o in outputs_obj]

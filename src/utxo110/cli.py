@@ -25,7 +25,7 @@ import sys
 from .chainio import ChainFormatError, dump_chain, load_chain
 from .lang import Bits, script_source
 from .ledger import ChainLog, FirstFailure, TransactionRejected, UtxoSet, \
-    apply_transaction, verify_chain
+    apply_transaction, utxo_digest, verify_chain
 from .model import ChainParams
 
 TYPE_CHECKING = False  # type checkers read it as True; importing typing costs start-up
@@ -104,8 +104,9 @@ def cmd_run(args) -> int:
     if created is None:
         return EXIT_USAGE
     retired: set = set()
+    seed_failures: dict = {}
     for step in range(args.steps):
-        built = sweep(utxo, log, params, retired)
+        built = sweep(utxo, log, params, retired, seed_failures)
         error = None
         if not built:
             error = f"no transaction could be built at step {step + 1}"
@@ -128,6 +129,7 @@ def cmd_run(args) -> int:
     print(f"blocks: {len(log.blocks)}")
     print(f"total cost: {total_cost}")
     print(f"utxo size: {len(utxo)}")
+    print(f"utxo digest: {utxo_digest(utxo).hex()}")
     if args.render is not None:
         from .render import render_chain
         if not _write_render(args.render, render_chain(transactions, args.format)):
@@ -191,6 +193,9 @@ def cmd_verify(args) -> int:
         print(f"verification failed at {result}")
         return EXIT_DOMAIN
     print(f"ok: {result.transactions} transactions, total cost {result.total_cost}")
+    print(f"blocks: {result.blocks}")
+    print(f"utxo size: {result.utxo_size}")
+    print(f"utxo digest: {result.utxo_digest.hex()}")
     return EXIT_OK
 
 

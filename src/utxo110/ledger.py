@@ -29,13 +29,14 @@ reason text are those of a one-pass replay.
 The chain log groups applied transactions into blocks greedily by cost
 budget.  Blocks are a budgeting device only; the grouping is a pure
 function of the transaction sequence and the budget.
-``apply_transaction`` packs them, so ``run`` prints their count;
-``verify_chain`` checks each transaction's cost against the block budget
-but builds no chain log and does not rebuild the blocks.
+``apply_transaction`` packs them as it goes; ``verify_chain`` packs them
+once every cost is known.  ``utxo_digest`` hashes an unspent set, so
+``run`` and ``verify`` can show that they hold the same state.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import time
@@ -43,9 +44,9 @@ import time
 from .interp import (
     CostLimitExceeded, EvalContext, EvalError, evaluate, reads_self, unpriced_pow,
 )
-from .lang import record
+from .lang import _u32, record
 from .model import (
-    ChainParams, Output, OutputRef, Transaction,
+    ChainParams, Output, OutputRef, Transaction, output_bytes,
 )
 
 
@@ -119,6 +120,18 @@ class UtxoSet:
         for b in buckets[1:]:
             result &= b
         return sorted(result)
+
+
+def utxo_digest(utxo: UtxoSet) -> bytes:
+    """sha256 over every unspent output in reference order: the
+    reference's tx id and u32 index, then the output's canonical bytes.
+    It depends on the set alone, not on the order it was built in."""
+    h = hashlib.sha256()
+    for ref in utxo.refs():
+        h.update(ref.tx_id)
+        h.update(_u32(ref.index))
+        h.update(output_bytes(utxo.resolve(ref)))
+    return h.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +334,14 @@ class ChainLog:
 
     def __init__(self, block_budget: int):
         self.block_budget = block_budget
-        self.blocks: list[Block] = [Block(block_budget)]
+        self.blocks: list[Block] = []
 
     def append(self, tx: Transaction, cost: int) -> None:
         if cost > self.block_budget:
             raise ValueError("transaction cost exceeds the whole block budget")
+        if not self.blocks or self.blocks[-1].cost_used + cost > self.block_budget:
+            self.blocks.append(Block(self.block_budget))
         block = self.blocks[-1]
-        if block.cost_used + cost > block.budget and block.transactions:
-            block = Block(self.block_budget)
-            self.blocks.append(block)
         block.transactions.append(tx)
         block.cost_used += cost
 
@@ -355,9 +367,8 @@ def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
     since only this function fills the log, that keeps every genesis
     before the first regular transaction.
     """
-    last = log.blocks[-1].transactions
-    result = check_order(tx, last[-1] if last else None) \
-        or validate_transaction(tx, utxo, params)
+    previous = log.blocks[-1].transactions[-1] if log.blocks else None
+    result = check_order(tx, previous) or validate_transaction(tx, utxo, params)
     if isinstance(result, Invalid):
         raise TransactionRejected(result.reason)
     _spend_and_add(tx, utxo)
@@ -367,8 +378,14 @@ def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
 
 @record
 class VerifyOk:
+    """A chain that verified, and the state its replay rebuilt: the
+    blocks ``ChainLog`` packs it into and the final unspent set."""
+
     transactions: int
     total_cost: int
+    blocks: int
+    utxo_size: int
+    utxo_digest: bytes
 
 
 @record
@@ -419,19 +436,27 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
             queue.append((i, tx, resolved))
         previous = tx
         count += 1
-    script_failure, total = _run_checks(queue, params)
-    return script_failure or failure or VerifyOk(transactions=count, total_cost=total)
+    script_failure, costs = _run_checks(queue, params)
+    if script_failure or failure:
+        return script_failure or failure
+    log = ChainLog(params.block_budget)
+    regular = iter(costs)  # one per regular transaction, in chain order
+    for tx in transactions:
+        log.append(tx, 0 if tx.is_genesis else next(regular))
+    return VerifyOk(transactions=count, total_cost=sum(costs),
+                    blocks=len(log.blocks), utxo_size=len(utxo),
+                    utxo_digest=utxo_digest(utxo))
 
 
 def _run_checks(queue, params: ChainParams):
     """Run queued ``(index, tx, resolved)`` script checks in chain order:
-    the FirstFailure of the first that fails, or None, and the total
-    cost of the checks before it.  Once they have used ``FORK_AFTER_S``
+    the FirstFailure of the first that fails, or None, and the costs of
+    the checks before it.  Once they have used ``FORK_AFTER_S``
     of CPU time, or before the first whose script takes a ``pow`` that no
     charge prices, and two remain, a helper forked where the system
     allows takes every other remaining check.  A check it reports
     failed, or whose result never arrives, runs here."""
-    total = 0
+    costs = []
     spent = 0.0
     helper = None
     try:
@@ -447,10 +472,10 @@ def _run_checks(queue, params: ChainParams):
                 result = check_scripts(tx, resolved, params)
                 spent += time.process_time() - start
                 if isinstance(result, Invalid):
-                    return FirstFailure(i, result.reason), total
+                    return FirstFailure(i, result.reason), costs
                 cost = result.total_cost
-            total += cost
-        return None, total
+            costs.append(cost)
+        return None, costs
     finally:
         if helper is not None:
             helper.close()

@@ -16,6 +16,15 @@ from utxo110.parser import parse
 from utxo110.rule110 import build_bit_script
 
 
+# a bool or an int is written untagged; these are neither, or carry a
+# tag that does not fit their value
+MALFORMED_VALUES = [
+    {"v": "12"}, {"v": 1.0}, {"v": None}, {"v": [1]}, {"v": {}}, {"v": "01"}, {},
+    {"t": "int", "v": "12"}, {"t": "bool", "v": 1}, {"t": "int", "v": True},
+    {"t": "bits"}, {"t": "float", "v": 1},
+]
+
+
 class TestValues:
     @pytest.mark.parametrize("value", [
         True, False, 0, -12, 2 ** 80, Bits.from_text("01101"), Bits(),
@@ -27,14 +36,37 @@ class TestValues:
         assert again == value
 
     def test_bool_int_tags_differ(self):
-        assert value_to_json(True)["t"] == "bool"
-        assert value_to_json(1)["t"] == "int"
+        # JSON's own literals tell the kinds apart, so neither carries a tag
+        assert json.dumps(value_to_json(True)) == '{"v": true}'
+        assert json.dumps(value_to_json(1)) == '{"v": 1}'
+        assert type(value_from_json({"v": True})) is bool
+        assert type(value_from_json({"v": 1})) is int
+
+    @pytest.mark.parametrize("obj, value", [
+        ({"t": "bool", "v": True}, True), ({"t": "int", "v": 1}, 1),
+        ({"t": "int", "v": -7}, -7), ({"t": "bits", "v": "01"}, Bits([0, 1])),
+    ])
+    def test_tagged_values_of_earlier_files(self, obj, value):
+        again = value_from_json(obj)
+        assert type(again) is type(value) and again == value
 
     def test_malformed(self):
-        with pytest.raises(ChainFormatError):
-            value_from_json({"t": "int", "v": "12"})
-        with pytest.raises(ChainFormatError):
-            value_from_json({"v": 1})
+        for obj in MALFORMED_VALUES + [[], None, 1, "v"]:
+            with pytest.raises(ChainFormatError):
+                value_from_json(obj)
+
+    @pytest.mark.parametrize("obj", MALFORMED_VALUES)
+    def test_malformed_value_is_a_parse_error(self, tmp_path, params, capsys, obj):
+        txs, _ = drive_layer(Bits.from_text("01"), 0, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        record = json.loads(path.read_text())
+        record["outputs"][0]["payload"]["layer"] = obj
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["verify", "--chain", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse chain: line 1: ")
+        assert "Traceback" not in err
 
 
 class TestChainFiles:
@@ -460,3 +492,81 @@ class TestInputBackRefs:
                 assert loaded[0] == loaded[1] == txs
             assert printed[0][0] == 1
             assert printed[0][1].startswith(f"verification failed at transaction {k}: ")
+
+
+def _tagged_form(lines):
+    """The chain lines as files were written before booleans and integers
+    lost their kind tags: every value tagged, every line with its
+    ``isGenesis`` key."""
+    out = []
+    for line in lines:
+        obj = json.loads(line)
+        tagged = {"txId": obj.pop("txId"), "isGenesis": obj["inputs"] == [], **obj}
+        for rec in tagged["outputs"]:
+            for value in rec["payload"].values():
+                if "t" not in value:
+                    value["t"] = "bool" if isinstance(value["v"], bool) else "int"
+        out.append(json.dumps(tagged, separators=(",", ":")))
+    return out
+
+
+class TestUntaggedValues:
+    """Booleans and integers are written as bare JSON literals, and no
+    line states ``isGenesis``: a transaction is genesis when it has no
+    inputs.  Files that state both still load."""
+
+    def test_new_files_hold_no_kind_tag_but_bits(self, tmp_path, params):
+        for txs in (drive_grid([1, 0], 2, params)[0],
+                    drive_layer(Bits.from_text("0110"), 2, params)[0]):
+            dump_chain(txs, tmp_path / "chain.jsonl")
+            text = (tmp_path / "chain.jsonl").read_text()
+            assert "isGenesis" not in text
+            assert '"t":"bool"' not in text and '"t":"int"' not in text
+        assert '"layer":{"t":"bits","v":"' in text
+
+    @pytest.mark.parametrize("mode", ["grid", "layer"])
+    def test_tagged_form_loads_to_the_same_chain(self, tmp_path, params, capsys, mode):
+        if mode == "grid":
+            txs, _ = drive_grid([0, 1, 1], 3, params)
+        else:
+            txs, _ = drive_layer(Bits.from_text("01101"), 3, params)
+        new = tmp_path / "new.jsonl"
+        dump_chain(txs, new)
+        old = tmp_path / "old.jsonl"
+        _write_lines(old, _tagged_form(new.read_text().splitlines()))
+        assert old.stat().st_size > new.stat().st_size
+        records = load_chain(old)
+        assert records == load_chain(new)
+        assert [r.stored_id for r in records] == [t.tx_id() for t in txs]
+        printed = _printed("verify", new, capsys)
+        assert printed[0] == 0 and "utxo digest: " in printed[1]
+        assert _printed("verify", old, capsys) == printed
+
+    @pytest.mark.parametrize("line, value", [
+        (1, 1), (1, "true"), (1, None), (2, 0), (2, [])], ids=str)
+    def test_stated_genesis_that_is_not_a_bool(self, tmp_path, params, capsys,
+                                               line, value):
+        self._check_stated_genesis(tmp_path, params, capsys, line, value,
+                                   "malformed transaction record")
+
+    @pytest.mark.parametrize("line, value, reason", [
+        (1, False, "non-genesis transaction needs at least one input"),
+        (2, True, "genesis transaction cannot have inputs"),
+    ])
+    def test_stated_genesis_that_contradicts_the_inputs(self, tmp_path, params,
+                                                        capsys, line, value, reason):
+        self._check_stated_genesis(tmp_path, params, capsys, line, value, reason)
+
+    @staticmethod
+    def _check_stated_genesis(tmp_path, params, capsys, line, value, reason):
+        txs, _ = drive_layer(Bits.from_text("01"), 1, params)
+        path = tmp_path / "chain.jsonl"
+        dump_chain(txs, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[line - 1])
+        obj["isGenesis"] = value
+        lines[line - 1] = json.dumps(obj)
+        _write_lines(path, lines)
+        code, out, err = _printed("verify", path, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse chain: line {line}: {reason}\n"

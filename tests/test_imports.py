@@ -66,7 +66,10 @@ def test_verify_loads_only_what_validation_needs(tmp_path, capsys):
                  "--chain", str(chain)]) == 0
     capsys.readouterr()
     printed, modules = loaded_after(cli_in_child("verify", "--chain", chain))
-    assert printed == ["ok: 6 transactions, total cost 1796", "exit 0"]
+    assert printed == [
+        "ok: 6 transactions, total cost 1796", "blocks: 1", "utxo size: 11",
+        "utxo digest: 0ebf7485f36d9a0df03e8a4e99cce49586ddca8e6ba921c5902319957a008f9c",
+        "exit 0"]
     assert modules == package(*VERIFY_MODULES)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import threading
@@ -15,7 +16,7 @@ from utxo110.lang import Bits, Lit, ScriptRef, serialize_script
 from utxo110.ledger import (
     BudgetExceeded, ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
     MisplacedGenesis, MissingInput, OutputExists, OversizeOutput, ScriptError,
-    ScriptFalse, TransactionRejected, TxIdMismatch, UtxoSet, Valid, VerifyOk, apply_transaction, validate_transaction, verify_chain,
+    ScriptFalse, TransactionRejected, TxIdMismatch, UtxoSet, Valid, VerifyOk, apply_transaction, utxo_digest, validate_transaction, verify_chain,
 )
 from utxo110.model import ChainParams, Output, OutputRef, Payload, Transaction
 from utxo110.parser import parse
@@ -505,7 +506,8 @@ class TestVerify:
         assert isinstance(verify_chain(txs, params), VerifyOk)
 
     def test_empty_chain_ok(self, params):
-        assert verify_chain([], params) == VerifyOk(0, 0)
+        assert verify_chain([], params) == VerifyOk(
+            0, 0, blocks=0, utxo_size=0, utxo_digest=hashlib.sha256().digest())
 
     def test_edited_payload_fails_at_that_index(self, params):
         txs, _ = drive_layer(Bits.from_text("0111"), 5, params)
@@ -593,6 +595,54 @@ class TestConservation:
         txs, _ = drive_layer(Bits.from_text("0100110"), 30, params)
         blobs = {serialize_script(t.outputs[0].script) for t in txs}
         assert len(blobs) == 1
+
+
+class TestUtxoDigest:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=4),
+           st.integers(0, 3), st.booleans())
+    def test_verify_rebuilds_the_replayed_state(self, bits, steps, grid):
+        if grid:
+            txs, utxo = drive_grid(bits, steps)
+        else:
+            txs, utxo = drive_layer(Bits(bits), steps)
+        assert utxo_digest(utxo) == digest_of(utxo.items())
+        assert verify_chain(txs) == replayed(txs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_insertion_order_does_not_matter(self, rng):
+        _, utxo = drive_grid([1, 0, 1], 2)
+        pairs = utxo.items()
+        rng.shuffle(pairs)
+        again = UtxoSet()
+        for ref, out in pairs:
+            again.add(ref, out)
+        assert utxo_digest(again) == utxo_digest(utxo)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_any_one_output_change_changes_it(self, data):
+        _, utxo = drive_grid([1, 1], 2)
+        pairs = utxo.items()
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        ref, out = pairs[k]
+        how = data.draw(st.sampled_from(["payload", "script", "index", "drop"]))
+        if how == "payload":
+            name = data.draw(st.sampled_from(out.payload.names()))
+            value = out.payload.get(name)
+            other = not value if isinstance(value, bool) else value + 1
+            pairs[k] = (ref, Output(out.script_ref, out.payload.replace(name, other)))
+        elif how == "script":
+            pairs[k] = (ref, Output(Lit(True), out.payload))
+        elif how == "index":
+            pairs[k] = (OutputRef(ref.tx_id, ref.index + 1000), out)
+        else:
+            del pairs[k]
+        changed = UtxoSet()
+        for pair in pairs:
+            changed.add(*pair)
+        assert utxo_digest(changed) != utxo_digest(utxo)
 
 
 # -- script checks shared with a forked helper ---------------------------------
@@ -686,10 +736,30 @@ def verify_both_ways(txs, params, stored=None):
         assert forked.tx_index == alone.tx_index
         assert str(forked.reason) == str(alone.reason) and forked.reason == alone.reason
     else:
-        assert (forked.transactions, forked.total_cost) \
-            == (alone.transactions, alone.total_cost)
+        assert forked == alone == replayed(txs, params)
     assert_no_child_left()
     return alone
+
+
+def digest_of(pairs) -> bytes:
+    """The UTXO digest, computed here: sha256 over each (reference,
+    output) pair in (tx id, index) order, the id, the index as a
+    big-endian u32, then the output's canonical bytes."""
+    h = hashlib.sha256()
+    for ref, out in sorted(pairs, key=lambda pair: (pair[0].tx_id, pair[0].index)):
+        h.update(ref.tx_id + ref.index.to_bytes(4, "big") + model.output_bytes(out))
+    return h.digest()
+
+
+def replayed(txs, params=ChainParams()) -> VerifyOk:
+    """What ``verify_chain`` should find for a valid chain, from a plain
+    ``apply_transaction`` replay into a ``ChainLog``."""
+    utxo, log = UtxoSet(), ChainLog(params.block_budget)
+    for tx in txs:
+        apply_transaction(tx, utxo, log, params)
+    return VerifyOk(len(txs), sum(block.cost_used for block in log.blocks),
+                    blocks=len(log.blocks), utxo_size=len(utxo),
+                    utxo_digest=digest_of(utxo.items()))
 
 
 def assert_no_child_left():
@@ -748,7 +818,8 @@ class TestSplitChecks:
 
     def test_valid_chain_with_a_helper(self, helpers):
         txs, stored = spends(["ok"] * 6)
-        assert verify_both_ways(txs, SPLIT, stored) == VerifyOk(7, 54)
+        result = verify_both_ways(txs, SPLIT, stored)
+        assert (result.transactions, result.total_cost, result.blocks) == (7, 54, 1)
         assert len(helpers) == 1
 
     @settings(max_examples=60, deadline=None)
@@ -765,12 +836,13 @@ class TestSplitChecks:
 
     def test_helper_takes_every_other_check(self, helpers, monkeypatch):
         txs, stored = spends(["ok"] * 6)
+        want = replayed(txs, SPLIT)
         ran = []
         check = ledger.check_scripts
         monkeypatch.setattr(ledger, "check_scripts",
                             lambda tx, *args: ran.append(txs.index(tx)) or check(tx, *args))
         monkeypatch.setattr(ledger, "FORK_AFTER_S", 0.0)
-        assert verify_chain(txs, SPLIT, stored) == VerifyOk(7, 54)
+        assert verify_chain(txs, SPLIT, stored) == want
         assert len(helpers) == 1 and ran == [1, 3, 5]  # the parent's share
         assert_no_child_left()
 
@@ -837,6 +909,10 @@ class TestSplitChecks:
         dump_chain(modexp_sample(), tmp_path / "chain.jsonl")
         assert (tmp_path / "chain.jsonl").read_bytes() == MODEXP_SAMPLE.read_bytes()
         assert cli.main(["verify", "--chain", str(MODEXP_SAMPLE)]) == 0
-        assert capsys.readouterr().out == "ok: 4 transactions, total cost 798\n"
+        assert capsys.readouterr().out == (
+            "ok: 4 transactions, total cost 798\n"
+            "blocks: 1\n"
+            "utxo size: 3\n"
+            "utxo digest: 51d402ecade108bab1582643c91e0f9c8c5a6891d1ec25128d9baa39eb7a7af3\n")
         assert len(helpers) == 1 and helpers[0].start == 1
         assert_no_child_left()
