@@ -37,8 +37,7 @@ _EXPORTS = {
     "model": ("ChainParams", "Output", "OutputRef", "Payload", "Transaction"),
     "parser": ("ParseError", "parse"),
     "rule110": (
-        "GridRow", "build_bit_script", "build_layer_script", "calc_bit",
-        "evolve_cyclic", "evolve_grid", "genesis_grid", "genesis_layer",
+        "build_bit_script", "build_layer_script", "genesis_grid", "genesis_layer",
     ),
 }
 

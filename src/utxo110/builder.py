@@ -411,34 +411,30 @@ def build_next(utxo: UtxoSet, seed: OutputRef, params: ChainParams = ChainParams
 
 
 def sweep(utxo: UtxoSet, log: ChainLog, params: ChainParams = ChainParams(),
-          retired: set | None = None, seed_failures: dict | None = None) -> list:
+          seed_failures: dict | None = None) -> list:
     """One builder pass over the current unspent set.
 
     Seeds are the references unspent when the pass starts, visited in
     deterministic order; every built transaction is validated and applied
-    before the next seed is considered.  Seeds whose only buildable
-    transaction makes no progress, and seeds that fit no input role, are
-    added to ``retired`` and skipped by later sweeps.  ``seed_failures``
-    is ``build_next``'s memory of failed seed checks; the caller keeps it
-    from one sweep to the next, as it keeps ``retired``, and a seed
-    leaves both once it is spent.
+    before the next seed is considered.  ``seed_failures`` is
+    ``build_next``'s memory of failed seed checks, which the caller keeps
+    from one sweep to the next.  A seed whose only buildable transaction
+    makes no progress, or that fits no input role, is retired: its mask
+    becomes -1, as if every case had failed, and later sweeps skip it.
+    A seed leaves the memory once it is spent.
     """
-    if retired is None:
-        retired = set()
     if seed_failures is None:
         seed_failures = {}
     built = []
     for seed in utxo.refs():
-        if seed not in utxo or seed in retired:
+        if seed not in utxo or seed_failures.get(seed) == -1:
             continue
         result = build_next(utxo, seed, params, seed_failures)
         if isinstance(result, Transaction):
             apply_transaction(result, utxo, log, params)
             built.append(result)
             for ref in result.inputs:
-                retired.discard(ref)
                 seed_failures.pop(ref, None)
         elif isinstance(result.reason, NoProgress) or result.reason == NO_INPUT_ROLE:
-            retired.add(seed)
-            seed_failures.pop(seed, None)
+            seed_failures[seed] = -1
     return built

@@ -95,7 +95,7 @@ def _per_node(step):
 # ---------------------------------------------------------------------------
 # Reference analysis
 
-@record(frozen=False)
+@record
 class Refs:
     uses_out: bool = False
     uses_self: bool = False

@@ -70,7 +70,7 @@ def _render_overwrites_chain(args) -> bool:
 
 def cmd_run(args) -> int:
     from .builder import sweep
-    from .rule110 import GridRow, genesis_grid, genesis_layer
+    from .rule110 import genesis_grid, genesis_layer
 
     if _render_overwrites_chain(args):
         return EXIT_USAGE
@@ -91,7 +91,7 @@ def cmd_run(args) -> int:
     if args.mode == "layer":
         genesis = genesis_layer(bits, params)
     else:
-        genesis = genesis_grid(GridRow.from_bits(bits), params)
+        genesis = genesis_grid(bits, params)
     utxo = UtxoSet()
     log = ChainLog(params.block_budget)
     try:
@@ -103,10 +103,9 @@ def cmd_run(args) -> int:
     created = _create_outputs({"chain": args.chain, "render": args.render})
     if created is None:
         return EXIT_USAGE
-    retired: set = set()
     seed_failures: dict = {}
     for step in range(args.steps):
-        built = sweep(utxo, log, params, retired, seed_failures)
+        built = sweep(utxo, log, params, seed_failures)
         error = None
         if not built:
             error = f"no transaction could be built at step {step + 1}"
@@ -118,16 +117,15 @@ def cmd_run(args) -> int:
                 os.remove(path)
             return EXIT_DOMAIN
 
-    transactions = list(log.transactions())
+    transactions = log.transactions
     try:
         dump_chain(transactions, args.chain)
     except OSError as exc:
         print(f"error: cannot write chain: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    total_cost = sum(block.cost_used for block in log.blocks)
     print(f"transactions: {len(transactions)}")
-    print(f"blocks: {len(log.blocks)}")
-    print(f"total cost: {total_cost}")
+    print(f"blocks: {log.blocks}")
+    print(f"total cost: {log.total_cost}")
     print(f"utxo size: {len(utxo)}")
     print(f"utxo digest: {utxo_digest(utxo).hex()}")
     if args.render is not None:

@@ -35,61 +35,39 @@ RESERVED_FIELD_NAMES = frozenset({"size", "script"})
 # ---------------------------------------------------------------------------
 # Records
 
-_FRESH = object()  # stands for a list default not passed to __init__
-
-
-def record(cls=None, *, frozen=True, order=False):
-    """Class decorator: a plain record of the class's own annotated fields.
+def record(cls):
+    """Class decorator: a frozen record of the class's own annotated fields.
 
     Fields keep the order they are written in, and a class-level value is
-    that field's default; a list default is copied for each instance.
-    ``__init__`` takes the fields positionally or by keyword and then
-    calls ``__post_init__`` when the class has one.  Records are equal
-    when they have the same class and equal field tuples.  A frozen
-    record hashes its field tuple and raises ``AttributeError`` on
-    assignment and deletion; a mutable one is unhashable.  ``order`` adds
-    ``<``, ``<=``, ``>``, ``>=`` over the field tuples.  The field-wise
+    that field's default.  ``__init__`` takes the fields positionally or
+    by keyword.  Records are equal when they have the same class and
+    equal field tuples; a record hashes its field tuple and raises
+    ``AttributeError`` on assignment and deletion.  The field-wise
     methods are generated as source and compiled by one ``exec`` per
     class.  A method the class body defines itself is kept, as
     ``dataclasses`` keeps it.  ``__record_fields__`` holds the field names.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen, order=order)
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    env = {"_set": object.__setattr__, "_FRESH": _FRESH}
-    params, init = [], []
+    env = {"_set": object.__setattr__}
+    params = []
     for name in names:
-        if name not in cls.__dict__:
-            params.append(name)
-            continue
-        default = env["_d_" + name] = cls.__dict__[name]
-        if isinstance(default, list):
-            params.append(f"{name}=_FRESH")
-            init.append(f" if {name} is _FRESH: {name} = _d_{name}.copy()")
-        else:
+        if name in cls.__dict__:
+            env["_d_" + name] = cls.__dict__[name]
             params.append(f"{name}=_d_{name}")
-    for name in names:
-        init.append(f" _set(self, {name!r}, {name})" if frozen
-                    else f" self.{name} = {name}")
-    if hasattr(cls, "__post_init__"):
-        init.append(" self.__post_init__()")
+        else:
+            params.append(name)
     mine = "(" + "".join(f"self.{name}," for name in names) + ")"
     theirs = "(" + "".join(f"other.{name}," for name in names) + ")"
-    ops = {"__eq__": "=="}
-    if order:
-        ops.update(__lt__="<", __le__="<=", __gt__=">", __ge__=">=")
-    source = [f"def __init__(self, {', '.join(params)}):", *(init or [" pass"])]
-    for method, op in ops.items():
-        source += [f"def {method}(self, other):",
-                   " if other.__class__ is self.__class__:",
-                   f"  return {mine} {op} {theirs}",
-                   " return NotImplemented"]
-    methods = {"__repr__": _record_repr}
-    if frozen:
-        source += ["def __hash__(self):", f" return hash({mine})"]
-        methods["__setattr__"] = methods["__delattr__"] = _immutable
-    else:
-        methods["__hash__"] = None
+    init = [f" _set(self, {name!r}, {name})" for name in names] or [" pass"]
+    source = [f"def __init__(self, {', '.join(params)}):", *init,
+              "def __eq__(self, other):",
+              " if other.__class__ is self.__class__:",
+              f"  return {mine} == {theirs}",
+              " return NotImplemented",
+              "def __hash__(self):",
+              f" return hash({mine})"]
+    methods = {"__repr__": _record_repr, "__setattr__": _immutable,
+               "__delattr__": _immutable}
     exec("\n".join(source), env, methods)
     for method, function in methods.items():
         if method not in cls.__dict__:
@@ -118,7 +96,7 @@ class Bits:
     and its width, the number of bits: ``Bits.from_text("0110")`` holds
     6 and 4.  The int is below ``2 ** width``, so equal bits have equal
     ints.  Indexing, iteration, text and packing all read that int, and
-    ``to_int``/``from_int`` hand it over unconverted.
+    ``from_int`` takes one unconverted.
     """
 
     __slots__ = ("_int", "_width")
@@ -143,15 +121,10 @@ class Bits:
     def to_text(self) -> str:
         return format(self._int, "b").zfill(self._width) if self._width else ""
 
-    def to_int(self) -> int:
-        """The bits as one int, the first bit most significant; 0 when
-        there are none."""
-        return self._int
-
     @classmethod
     def from_int(cls, value: int, nbits: int) -> "Bits":
         """The ``nbits`` bits of ``0 <= value < 2 ** nbits``, the most
-        significant first: the inverse of ``to_int`` at that width."""
+        significant first."""
         if nbits < 0 or value < 0 or value >> nbits:
             raise ValueError(f"value out of range for {nbits} bits")
         bits = object.__new__(cls)

@@ -26,12 +26,15 @@ The results are merged in chain order, and a check that failed in the
 helper is run again in the parent, so the verdict, counts, total and
 reason text are those of a one-pass replay.
 
-The chain log groups applied transactions into blocks greedily by cost
-budget.  Blocks are a budgeting device only; the grouping is a pure
-function of the transaction sequence and the budget.
-``apply_transaction`` packs them as it goes; ``verify_chain`` packs them
-once every cost is known.  ``utxo_digest`` hashes an unspent set, so
-``run`` and ``verify`` can show that they hold the same state.
+The chain log keeps the applied transactions and their total cost, and
+counts the blocks they pack into greedily by cost budget.  Blocks are a
+budgeting device only: the count is a pure function of the transaction
+sequence and the budget, so the log keeps no block, only the room left
+in the last one.  ``apply_transaction`` packs as it goes;
+``verify_chain`` packs once every cost is known, and takes its
+transaction count and total cost from the same log.  ``utxo_digest``
+hashes an unspent set, so ``run`` and ``verify`` can show that they hold
+the same state.
 """
 
 from __future__ import annotations
@@ -322,35 +325,27 @@ def _spend_and_add(tx: Transaction, utxo: UtxoSet) -> None:
 # ---------------------------------------------------------------------------
 # Chain log
 
-@record(frozen=False)
-class Block:
-    budget: int
-    cost_used: int = 0
-    transactions: list = []
-
-
 class ChainLog:
-    """Append-only list of applied transactions, packed into blocks greedily."""
+    """Applied transactions in order, packed greedily into blocks of
+    ``block_budget`` cost: a transaction that does not fit in the room
+    left in the last block opens the next one."""
 
     def __init__(self, block_budget: int):
         self.block_budget = block_budget
-        self.blocks: list[Block] = []
+        self.transactions: list[Transaction] = []
+        self.total_cost = 0
+        self.blocks = 0
+        self.room = 0  # left in the last block
 
     def append(self, tx: Transaction, cost: int) -> None:
         if cost > self.block_budget:
             raise ValueError("transaction cost exceeds the whole block budget")
-        if not self.blocks or self.blocks[-1].cost_used + cost > self.block_budget:
-            self.blocks.append(Block(self.block_budget))
-        block = self.blocks[-1]
-        block.transactions.append(tx)
-        block.cost_used += cost
-
-    def transactions(self):
-        for block in self.blocks:
-            yield from block.transactions
-
-    def __len__(self):
-        return sum(len(b.transactions) for b in self.blocks)
+        if not self.blocks or cost > self.room:
+            self.blocks += 1
+            self.room = self.block_budget
+        self.room -= cost
+        self.total_cost += cost
+        self.transactions.append(tx)
 
 
 class TransactionRejected(Exception):
@@ -367,7 +362,7 @@ def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
     since only this function fills the log, that keeps every genesis
     before the first regular transaction.
     """
-    previous = log.blocks[-1].transactions[-1] if log.blocks else None
+    previous = log.transactions[-1] if log.transactions else None
     result = check_order(tx, previous) or validate_transaction(tx, utxo, params)
     if isinstance(result, Invalid):
         raise TransactionRejected(result.reason)
@@ -420,7 +415,6 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
     queue = []
     failure = None
     previous = None
-    count = 0
     for i, tx in enumerate(transactions):
         if stored_ids is not None:
             computed = tx.tx_id()
@@ -435,7 +429,6 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
         if not tx.is_genesis:
             queue.append((i, tx, resolved))
         previous = tx
-        count += 1
     script_failure, costs = _run_checks(queue, params)
     if script_failure or failure:
         return script_failure or failure
@@ -443,8 +436,8 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
     regular = iter(costs)  # one per regular transaction, in chain order
     for tx in transactions:
         log.append(tx, 0 if tx.is_genesis else next(regular))
-    return VerifyOk(transactions=count, total_cost=sum(costs),
-                    blocks=len(log.blocks), utxo_size=len(utxo),
+    return VerifyOk(transactions=len(log.transactions), total_cost=log.total_cost,
+                    blocks=log.blocks, utxo_size=len(utxo),
                     utxo_digest=utxo_digest(utxo))
 
 

@@ -55,9 +55,6 @@ class Payload:
     def __contains__(self, name):
         return name in self._map
 
-    def items(self):
-        return tuple(self._map.items())
-
     def names(self):
         return tuple(self._map)
 
@@ -111,10 +108,6 @@ class Output:
         object.__setattr__(self, "payload", payload)
 
     @property
-    def script(self) -> Expr:
-        return self.script_ref.expr
-
-    @property
     def script_bytes(self) -> bytes:
         return self.script_ref.canonical
 
@@ -137,12 +130,18 @@ class Output:
         return f"Output(payload={self.payload!r}, script={len(self.script_bytes)}B)"
 
 
-@record(order=True)
+@record
 class OutputRef:
-    """Reference to an output of a prior transaction."""
+    """Reference to an output of a prior transaction.  References sort by
+    transaction id, then index."""
 
     tx_id: bytes
     index: int
+
+    def __lt__(self, other):
+        if other.__class__ is not OutputRef:
+            return NotImplemented
+        return (self.tx_id, self.index) < (other.tx_id, other.index)
 
     def __str__(self):
         return f"{self.tx_id.hex()}:{self.index}"

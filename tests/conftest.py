@@ -1,10 +1,11 @@
 import pytest
 
+from rule110_oracle import evolve_cyclic
 from utxo110.builder import sweep
 from utxo110.lang import Bits, Lit, children
 from utxo110.ledger import ChainLog, UtxoSet, apply_transaction
 from utxo110.model import ChainParams, Output, Payload, Transaction
-from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
+from utxo110.rule110 import genesis_grid, genesis_layer
 
 # Canonical-looking script bytes that decode but re-encode differently:
 # an int with a leading zero byte, and a Bits value with a padding bit set.
@@ -50,7 +51,7 @@ def drive_layer(bits, steps, params=ChainParams()):
     for _ in range(steps):
         built = sweep(utxo, log, params)
         assert len(built) == 1, f"layer sweep built {len(built)} transactions"
-    return list(log.transactions()), utxo
+    return log.transactions, utxo
 
 
 def drive_grid(bits, rows, params=ChainParams(), per_row=None):
@@ -61,22 +62,21 @@ def drive_grid(bits, rows, params=ChainParams(), per_row=None):
     """
     utxo = UtxoSet()
     log = ChainLog(params.block_budget)
-    apply_transaction(genesis_grid(GridRow.from_bits(bits), params),
-                      utxo, log, params)
-    retired = set()
+    apply_transaction(genesis_grid(bits, params), utxo, log, params)
+    seed_failures = {}
     for row in range(1, rows + 1):
-        built = sweep(utxo, log, params, retired)
+        built = sweep(utxo, log, params, seed_failures)
         assert built, f"grid sweep {row} built nothing"
         if per_row is not None:
             per_row(row, built, utxo)
-    return list(log.transactions()), utxo
+    return log.transactions, utxo
 
 
 def step_transaction(genesis, params=ChainParams()):
     """Hand-built layer step spending the genesis state."""
     src = genesis.outputs[0].payload.get("layer")
     nxt = evolve_cyclic(src, 1)[0]
-    out = Output(genesis.outputs[0].script, Payload((("layer", nxt),)))
+    out = Output(genesis.outputs[0].script_ref, Payload((("layer", nxt),)))
     return Transaction(inputs=(genesis.ref(0),), outputs=(out,))
 
 

@@ -6,7 +6,10 @@ Each rewrite here walks the let-inlined script as a tree, so a let value
 used at k sites is copied and rewritten k times.  ``utxo110.canonical``
 memoizes the same rewrites per node; tests require equal expressions,
 equal ``Refs``, or the same ``AnalysisError`` or ``DeadCase``.  These
-functions are ``utxo110.canonical``'s from before that change, unedited.
+functions are ``utxo110.canonical``'s from before that change, unedited
+but for ``scan_refs``, which collects its fields in locals and builds
+one ``Refs`` at the end now that ``Refs`` is frozen; its walk is the
+same.
 """
 
 from __future__ import annotations
@@ -20,17 +23,19 @@ from utxo110.lang import (
 
 
 def scan_refs(expr: Expr) -> Refs:
-    refs = Refs()
+    uses_out = uses_self = bare_in = in_size = False
+    max_in_index = -1
     free = set()
 
     def walk(e, bound):
+        nonlocal uses_out, uses_self, bare_in, in_size, max_in_index
         if isinstance(e, CtxRef):
             if e.kind == "out":
-                refs.uses_out = True
+                uses_out = True
             elif e.kind == "self":
-                refs.uses_self = True
+                uses_self = True
             else:
-                refs.bare_in = True
+                bare_in = True
             return
         if isinstance(e, Var):
             if e.name not in bound:
@@ -39,11 +44,11 @@ def scan_refs(expr: Expr) -> Refs:
         if isinstance(e, Index) and isinstance(e.obj, CtxRef) and e.obj.kind == "in" \
                 and isinstance(e.index, Lit) and isinstance(e.index.value, int) \
                 and not isinstance(e.index.value, bool):
-            refs.max_in_index = max(refs.max_in_index, e.index.value)
+            max_in_index = max(max_in_index, e.index.value)
             walk(e.index, bound)
             return
         if isinstance(e, Size) and isinstance(e.obj, CtxRef) and e.obj.kind == "in":
-            refs.in_size = True
+            in_size = True
             return
         if isinstance(e, MapIndices):
             walk(e.length, bound)
@@ -57,8 +62,7 @@ def scan_refs(expr: Expr) -> Refs:
             walk(c, bound)
 
     walk(expr, frozenset())
-    refs.free_vars = frozenset(free)
-    return refs
+    return Refs(uses_out, uses_self, bare_in, in_size, max_in_index, frozenset(free))
 
 
 def free_vars(expr: Expr) -> frozenset:

@@ -8,6 +8,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import drive_grid, drive_layer
+from rule110_oracle import GridRow, calc_bit, evolve_cyclic, evolve_grid
 from utxo110.builder import (
     BuildRules, NotBuildable, build_next, derive_build_rules, sweep,
 )
@@ -20,10 +21,7 @@ from utxo110.ledger import (
 from utxo110.model import ChainParams, Output, Payload, Transaction
 from utxo110.parser import parse
 from utxo110.render import grid_rows
-from utxo110.rule110 import (
-    GridRow, build_bit_script, build_layer_script, calc_bit, evolve_cyclic,
-    evolve_grid, genesis_grid,
-)
+from utxo110.rule110 import build_bit_script, build_layer_script, genesis_grid
 
 PARAMS = ChainParams()
 
@@ -128,7 +126,7 @@ def test_criterion_3_grid_chains_match_oracle():
 def test_criterion_4_script_self_reproduction():
     with criterion(4, "one byte-identical script along every layer chain"):
         for _, txs in layer_suite()["chains"]:
-            blobs = {serialize_script(t.outputs[0].script) for t in txs}
+            blobs = {serialize_script(t.outputs[0].script_ref.expr) for t in txs}
             assert len(blobs) == 1
 
 
@@ -156,7 +154,7 @@ def _per_input_costs(txs):
             for inp in resolved:
                 ctx = EvalContext(self_input=inp, inputs=resolved,
                                   outputs=tx.outputs)
-                value, receipt = evaluate(inp.script, ctx,
+                value, receipt = evaluate(inp.script_ref.expr, ctx,
                                           PARAMS.cost_limit_per_input,
                                           max_width=PARAMS.max_width)
                 assert value is True
@@ -219,7 +217,7 @@ def _interior_all_ones_fixture():
     input bit flips the transition output, so it exercises every
     mutation in the tamper suite.
     """
-    genesis = genesis_grid(GridRow.from_bits([0, 1, 1, 1, 0]), PARAMS)
+    genesis = genesis_grid([0, 1, 1, 1, 0], PARAMS)
     utxo = UtxoSet()
     apply_transaction(genesis, utxo, ChainLog(PARAMS.block_budget), PARAMS)
     (seed,) = [r for r in utxo.lookup([("x", -3), ("mid", False)])][:1]
@@ -248,7 +246,7 @@ def test_criterion_6_tamper_suite():
                 for other_ref, output in utxo.items():
                     tampered.add(other_ref, output)
                 tampered.spend(ref)
-                mutated = Output(original.script,
+                mutated = Output(original.script_ref,
                                  original.payload.replace(
                                      field, _mutations(original.payload.get(field))))
                 tampered.add(ref, mutated)
@@ -258,7 +256,7 @@ def test_criterion_6_tamper_suite():
                 rejected += 1
         for j, out in enumerate(tx.outputs):
             for field in ("val", "x", "n", "mid"):
-                mutated = Output(out.script,
+                mutated = Output(out.script_ref,
                                  out.payload.replace(
                                      field, _mutations(out.payload.get(field))))
                 outputs = list(tx.outputs)

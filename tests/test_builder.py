@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import builder_oracle
 from conftest import OVERSIZED_LETS, drive_grid, drive_layer
+from rule110_oracle import GridRow, evolve_cyclic, evolve_grid
 from test_codegen import _untyped
 from test_lang import _exprs
 from utxo110 import builder
@@ -25,8 +26,7 @@ from utxo110.ledger import ChainLog, UtxoSet, Valid, apply_transaction, \
 from utxo110.model import ChainParams, Output, OutputRef, Payload, Transaction
 from utxo110.parser import parse
 from utxo110.rule110 import (
-    GridRow, build_bit_script, build_layer_script, evolve_cyclic, evolve_grid,
-    genesis_grid, genesis_layer,
+    build_bit_script, build_layer_script, genesis_grid, genesis_layer,
 )
 
 
@@ -112,7 +112,7 @@ class TestBuildNext:
         assert transaction_bytes(built) == transaction_bytes(by_hand)
 
     def test_grid_interior_from_two_row_fixture(self, params):
-        gen = genesis_grid(GridRow.from_bits([0, 1, 1, 1, 0]), params)
+        gen = genesis_grid([0, 1, 1, 1, 0], params)
         utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # seed: a left-neighbor copy of the cell at x = -3 (mid false)
@@ -125,7 +125,7 @@ class TestBuildNext:
         assert built.outputs[0].payload.get("x") == -2
 
     def test_lookup_miss_when_neighbor_spent(self, params):
-        gen = genesis_grid(GridRow.from_bits([0, 1, 1, 1, 0]), params)
+        gen = genesis_grid([0, 1, 1, 1, 0], params)
         utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # remove the unique mid copy the interior case must look up
@@ -137,7 +137,7 @@ class TestBuildNext:
         assert isinstance(result.reason, LookupMiss)
 
     def test_misrole_seed_fails_consistency(self, params):
-        gen = genesis_grid(GridRow.from_bits([1, 1]), params)
+        gen = genesis_grid([1, 1], params)
         utxo = UtxoSet()
         apply_transaction(gen, utxo, ChainLog(params.block_budget), params)
         # the mid copy of column 0 in a width-2 row seeds nothing
@@ -195,7 +195,7 @@ class TestSweep:
             assert len(sweep(utxo, log, params)) == 1
 
     def test_grid_full_row_builds_width_plus_one(self, params):
-        gen = genesis_grid(GridRow.from_bits([1, 0, 1]), params)
+        gen = genesis_grid([1, 0, 1], params)
         utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(gen, utxo, log, params)
@@ -218,19 +218,20 @@ class TestSweep:
         assert run() == run()
 
     def test_width_one_retires_redundant_copy(self, params):
-        gen = genesis_grid(GridRow.from_bits([1]), params)
+        gen = genesis_grid([1], params)
         utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(gen, utxo, log, params)
-        retired = set()
-        built = sweep(utxo, log, params, retired)
+        memory = {}
+        built = sweep(utxo, log, params, memory)
         assert len(built) == 2  # new left column and column 0
+        retired = [seed for seed, mask in memory.items() if mask == -1]
         assert len(retired) == 1
-        leftover = utxo.resolve(next(iter(retired)))
+        leftover = utxo.resolve(retired[0])
         assert leftover.payload.get("mid") is False
         assert leftover.payload.get("x") == 0
         # the retired copy stays inert on later sweeps
-        built = sweep(utxo, log, params, retired)
+        built = sweep(utxo, log, params, memory)
         rows = {out.payload.get("n") for t in built for out in t.outputs}
         assert rows == {-2}
 
@@ -281,7 +282,7 @@ class TestSweep:
                 assert remaining[0].payload.get("mid") is False
 
     def test_no_progress_reported_for_duplicate_seed(self, params):
-        gen = genesis_grid(GridRow.from_bits([1]), params)
+        gen = genesis_grid([1], params)
         utxo = UtxoSet()
         log = ChainLog(params.block_budget)
         apply_transaction(gen, utxo, log, params)
@@ -452,8 +453,7 @@ class TestOrderIndependence:
             for perm in range(4):
                 utxo = UtxoSet()
                 log = ChainLog(params.block_budget)
-                apply_transaction(genesis_grid(GridRow.from_bits(bits), params),
-                                  utxo, log, params)
+                apply_transaction(genesis_grid(bits, params), utxo, log, params)
                 retired = set()
                 order = utxo.refs()
                 rng.shuffle(order)
@@ -468,7 +468,7 @@ class TestOrderIndependence:
                 n_next = GridRow.from_bits(bits).n - 1
                 row = sorted(
                     {(out.payload.get("x"), out.payload.get("val"))
-                     for tx in log.transactions() for out in tx.outputs
+                     for tx in log.transactions for out in tx.outputs
                      if out.payload.get("n") == n_next})
                 if reference is None:
                     reference = row

@@ -120,7 +120,7 @@ class TestChainFiles:
         for tx, line in zip(txs, path.read_text().splitlines()):
             obj = json.loads(line)
             obj["outputs"] = [{"script": base64.b64encode(out.script_bytes).decode(),
-                               "scriptText": script_source(out.script),
+                               "scriptText": script_source(out.script_ref.expr),
                                "payload": rec["payload"]}
                               for out, rec in zip(tx.outputs, obj["outputs"])]
             old_lines.append(json.dumps(obj, separators=(",", ":")))

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     NON_CANONICAL_SCRIPTS, OVERSIZED_LETS, step_with_oversize_output,
 )
+from rule110_oracle import GridRow, evolve_cyclic, evolve_grid
 from utxo110 import builder, rule110
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
@@ -19,9 +20,7 @@ from utxo110.lang import (
 )
 from utxo110.model import Output, Payload, Transaction
 from utxo110.render import pad_rows, rows_to_ascii
-from utxo110.rule110 import (
-    GridRow, LAYER_SCRIPT_SOURCE, BIT_SCRIPT_SOURCE, evolve_grid, genesis_layer,
-)
+from utxo110.rule110 import LAYER_SCRIPT_SOURCE, BIT_SCRIPT_SOURCE, genesis_layer
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 PACKAGE = Path(rule110.__file__).resolve().parent
@@ -258,7 +257,6 @@ class TestRender:
         assert got == want
 
     def test_layer_matches_oracle_render(self, tmp_path, capsys):
-        from utxo110.rule110 import evolve_cyclic
         chain = tmp_path / "chain.jsonl"
         run_cli("run", "--mode", "layer", "--initial", "01101",
                 "--steps", "7", "--chain", chain)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import closure_oracle
 from bits_oracle import TupleBits
 from conftest import drive_grid, drive_layer, node_count
+from rule110_oracle import evolve_cyclic
 from test_lang import _extend, _leaf
 from utxo110 import interp
 from utxo110.builder import derive_build_rules
@@ -26,7 +27,7 @@ from utxo110.lang import (
 )
 from utxo110.model import Output, Payload
 from utxo110.parser import parse
-from utxo110.rule110 import build_bit_script, build_layer_script, evolve_cyclic
+from utxo110.rule110 import build_bit_script, build_layer_script
 
 FIELDS = ["val", "x", "n", "mid", "layer", "field_1"]
 ENOUGH = 10**6
@@ -368,12 +369,11 @@ _HOISTED = re.compile(r" (h\d+), (p\d+) = \((t\d+)\._width, \3\._int\) "
 
 def _assert_reads_hoisted_ints(source, loop):
     """The word form reads the int that each target's hoisted line bound
-    before its up-front test, and the source calls neither ``to_int`` nor
-    ``_of``."""
+    before its up-front test, and the source calls no ``_of``."""
     ints = {m[2] for m in _HOISTED.finditer(source)}
     words = set(re.findall(r"\w+", "\n".join(loop)))
     assert ints and ints <= words
-    assert not re.search(r"\bto_int\(|\b_of\(", source)
+    assert not re.search(r"\b_of\(", source)
 
 
 def _precharge_limit(script, n):
@@ -665,7 +665,7 @@ class TestMapResult:
                        "else false)"):
             got = interp.evaluate(parse(source), ctx, ENOUGH, 300)[0]
             assert type(got) is Bits
-            assert len(got) == len(bools) and 0 <= got.to_int() < 2 ** len(bools)
+            assert len(got) == len(bools) and 0 <= got._int < 2 ** len(bools)
             assert got == want and hash(got) == hash(want)
             assert list(got) == list(TupleBits(bools))
             assert got.to_text() == TupleBits(bools).to_text()

@@ -23,7 +23,7 @@ from utxo110.cli import main
 from utxo110.lang import Bits
 from utxo110.model import Output, OutputRef, Transaction
 from utxo110.rule110 import (
-    BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE, GridRow, genesis_grid, genesis_layer,
+    BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE, genesis_grid, genesis_layer,
 )
 
 # the fuzzed chain defines one script, so 1 is a script number past it;
@@ -196,7 +196,7 @@ def test_verify_agrees_with_oracle_on_restamped_payloads(files, data, value):
 
 @FUZZ
 @given(data=st.data(), genesis=st.sampled_from([
-    genesis_grid(GridRow.from_bits([1, 0, 1])), genesis_layer(Bits([0, 1, 1]))]),
+    genesis_grid([1, 0, 1]), genesis_layer(Bits([0, 1, 1]))]),
     value=_PAYLOAD_VALUES)
 def test_render_survives_restamped_genesis_payloads(files, data, genesis, value):
     """No script checks a genesis output, so any payload value verifies

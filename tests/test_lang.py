@@ -98,7 +98,7 @@ class TestBitsConversions:
     @example([], -1)
     def test_int_round_trip(self, values, off):
         bits, want = Bits(values), TupleBits(values)
-        value = bits.to_int()
+        value = bits._int
         assert value == want.to_int()
         assert value == sum(b << (len(values) - 1 - k) for k, b in enumerate(values))
         assert Bits.from_int(value, len(values)) == bits
@@ -145,7 +145,7 @@ class TestBitsConversions:
         assert (a != b) == (TupleBits(values) != TupleBits(other))
         if a == b:
             assert hash(a) == hash(b)
-        assert a != tuple(values) and a != a.to_int() and a != a.to_text()
+        assert a != tuple(values) and a != a._int and a != a.to_text()
 
 
 class TestSerialization:

@@ -20,7 +20,7 @@ from utxo110.ledger import (
 )
 from utxo110.model import ChainParams, Output, OutputRef, Payload, Transaction
 from utxo110.parser import parse
-from utxo110.rule110 import GridRow, evolve_cyclic, genesis_grid, genesis_layer
+from utxo110.rule110 import genesis_grid, genesis_layer
 
 
 class TestValidate:
@@ -42,7 +42,7 @@ class TestValidate:
         bits[2] ^= 1
         bad = Transaction(
             inputs=good.inputs,
-            outputs=(Output(good.outputs[0].script,
+            outputs=(Output(good.outputs[0].script_ref,
                             Payload((("layer", Bits(bits)),))),))
         result = validate_transaction(bad, utxo, params)
         assert result == Invalid(ScriptFalse(0))
@@ -214,7 +214,7 @@ class TestApply:
                           outputs=(Output(Lit(True), Payload()),))
         with pytest.raises(TransactionRejected):
             apply_transaction(bad, utxo, log, params)
-        assert len(utxo) == 1 and len(log) == 1
+        assert len(utxo) == 1 and len(log.transactions) == 1
 
     def test_output_collision_rejected_before_spending(self, params):
         genesis = genesis_layer(Bits.from_text("0011"), params)
@@ -227,7 +227,7 @@ class TestApply:
         with pytest.raises(TransactionRejected) as err:
             apply_transaction(tx, utxo, log, params)
         assert err.value.reason == OutputExists(tx.ref(0))
-        assert utxo.items() == before and len(log) == 1
+        assert utxo.items() == before and len(log.transactions) == 1
 
     def test_genesis_after_regular_rejected_and_state_unchanged(self, params):
         first = genesis_layer(Bits.from_text("0011"), params)
@@ -237,12 +237,12 @@ class TestApply:
         apply_transaction(first, utxo, log, params)
         apply_transaction(second, utxo, log, params)  # genesis after genesis
         apply_transaction(step_transaction(first), utxo, log, params)
-        before = utxo.items(), list(log.transactions())
+        before = utxo.items(), list(log.transactions)
         with pytest.raises(TransactionRejected) as err:
             apply_transaction(genesis_layer(Bits.from_text("10"), params),
                               utxo, log, params)
         assert err.value.reason == MisplacedGenesis()
-        assert (utxo.items(), list(log.transactions())) == before
+        assert (utxo.items(), log.transactions) == before
 
     def test_grid_interior_spends_three_makes_three(self, params):
         txs, _ = drive_grid([1, 0, 1, 1], 2, params)
@@ -255,7 +255,7 @@ class TestLookup:
     def _row_utxo(self, params):
         utxo = UtxoSet()
         log = ChainLog(params.block_budget)
-        gen = genesis_grid(GridRow.from_bits([1, 0, 1]), params)
+        gen = genesis_grid([1, 0, 1], params)
         apply_transaction(gen, utxo, log, params)
         return gen, utxo
 
@@ -344,7 +344,7 @@ def _kind_tag(value) -> str:
 def _key(payload):
     """Identity as one (name, kind, value) triple per field, in order:
     the oracle that identity by canonical bytes must agree with."""
-    return tuple((n, _kind_tag(v), v) for n, v in payload.items())
+    return tuple((n, _kind_tag(v), v) for n, v in payload._map.items())
 
 
 _SCRIPTS = (ScriptRef(Lit(True)), ScriptRef(parse("1 + 1 = 2")))
@@ -374,7 +374,7 @@ def test_payloads_equal_exactly_when_encodings_equal(pairs, data):
         assert hash(a) == hash(b)
     # fields keep the order they were given in, and replacing one keeps
     # its position and leaves every other field as it was
-    assert a.items() == tuple(pairs)
+    assert tuple(a._map.items()) == tuple(pairs)
     assert a.names() == tuple(name for name, _ in pairs)
     if pairs:
         k = data.draw(st.integers(0, len(pairs) - 1))
@@ -382,7 +382,7 @@ def test_payloads_equal_exactly_when_encodings_equal(pairs, data):
         expected = list(pairs)
         expected[k] = (pairs[k][0], value)
         replaced = a.replace(pairs[k][0], value)
-        assert replaced.items() == tuple(expected)
+        assert tuple(replaced._map.items()) == tuple(expected)
         assert replaced == Payload(expected)
 
 
@@ -412,7 +412,8 @@ def _replace_outcome(build):
         payload = build()
     except (KeyError, TypeError) as exc:
         return type(exc), str(exc)
-    return payload.encoded, payload.items(), payload.names(), hash(payload), payload
+    return (payload.encoded, tuple(payload._map.items()), payload.names(),
+            hash(payload), payload)
 
 
 @settings(max_examples=300, deadline=None)
@@ -460,7 +461,7 @@ def test_verify_encodes_each_payload_once_and_builds_no_index(tmp_path, monkeypa
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        fields.append(len(self.items()))
+        fields.append(len(self._map))
 
     def counted_replace(self, name, value):
         replaced.append(name)
@@ -516,7 +517,7 @@ class TestVerify:
         bits[0] ^= 1
         edited = Transaction(
             inputs=victim.inputs,
-            outputs=(Output(victim.outputs[0].script,
+            outputs=(Output(victim.outputs[0].script_ref,
                             Payload((("layer", Bits(bits)),))),))
         stored = [t.tx_id() for t in txs]  # ids as originally written
         tampered = list(txs)
@@ -532,7 +533,7 @@ class TestVerify:
         bits[0] ^= 1
         edited = Transaction(
             inputs=victim.inputs,
-            outputs=(Output(victim.outputs[0].script,
+            outputs=(Output(victim.outputs[0].script_ref,
                             Payload((("layer", Bits(bits)),))),))
         tampered = list(txs)
         tampered[3] = edited
@@ -561,10 +562,16 @@ class TestVerify:
         txs, _ = drive_layer(Bits.from_text("0110"), 6, params)
         log = ChainLog(params.block_budget)
         utxo = UtxoSet()
-        for tx in txs:
-            apply_transaction(tx, utxo, log, params)
-        assert len(log.blocks) > 1
-        assert all(b.cost_used <= b.budget for b in log.blocks)
+        costs = [apply_transaction(tx, utxo, log, params).total_cost for tx in txs]
+        blocks = [[]]  # greedy: a cost that does not fit opens the next block
+        for cost in costs:
+            if sum(blocks[-1]) + cost > params.block_budget:
+                blocks.append([])
+            blocks[-1].append(cost)
+        assert len(blocks) > 1
+        assert all(sum(block) <= params.block_budget for block in blocks)
+        assert (log.blocks, log.total_cost, log.transactions) \
+            == (len(blocks), sum(costs), list(txs))
 
     def test_transaction_over_block_budget_rejected(self):
         params = ChainParams(block_budget=10)
@@ -593,7 +600,7 @@ class TestConservation:
 
     def test_self_reproduction_along_layer_chain(self, params):
         txs, _ = drive_layer(Bits.from_text("0100110"), 30, params)
-        blobs = {serialize_script(t.outputs[0].script) for t in txs}
+        blobs = {serialize_script(t.outputs[0].script_ref.expr) for t in txs}
         assert len(blobs) == 1
 
 
@@ -689,7 +696,7 @@ def tampered(txs, stored, how, j):
     if how == "flip":
         tx = txs[j]
         out = tx.outputs[0]
-        flipped = Output(out.script, Payload(v=out.payload.get("v") ^ 1))
+        flipped = Output(out.script_ref, Payload(v=out.payload.get("v") ^ 1))
         txs[j] = Transaction(tx.inputs, (flipped,) + tx.outputs[1:], tx.is_genesis)
     elif how == "id":
         stored[j] = bytes(32)
@@ -757,8 +764,7 @@ def replayed(txs, params=ChainParams()) -> VerifyOk:
     utxo, log = UtxoSet(), ChainLog(params.block_budget)
     for tx in txs:
         apply_transaction(tx, utxo, log, params)
-    return VerifyOk(len(txs), sum(block.cost_used for block in log.blocks),
-                    blocks=len(log.blocks), utxo_size=len(utxo),
+    return VerifyOk(len(txs), log.total_cost, blocks=log.blocks, utxo_size=len(utxo),
                     utxo_digest=digest_of(utxo.items()))
 
 

@@ -1,4 +1,5 @@
-"""``lang.record`` semantics, checked on every record class in the package.
+"""``lang.record`` semantics, checked on every record class in the package
+and on the Rule 110 oracle's ``GridRow``.
 
 The classes are found through ``__record_fields__``, so a record added
 anywhere in ``utxo110`` is covered without being listed here.
@@ -10,13 +11,12 @@ import pkgutil
 import pytest
 
 import utxo110
+from rule110_oracle import GridRow
 from utxo110.builder import CannotBuild, NoProgress
 from utxo110.canonical import Refs
 from utxo110.interp import CostReceipt
 from utxo110.lang import CtxRef, Lit, Not, Size, Var, record
-from utxo110.ledger import Block
 from utxo110.model import ChainParams, OutputRef
-from utxo110.rule110 import GridRow
 
 
 def _record_classes():
@@ -31,8 +31,9 @@ def _record_classes():
     return sorted(found, key=lambda cls: cls.__qualname__)
 
 
-RECORDS = _record_classes()
-# Field values for the records whose __post_init__ checks them.
+PACKAGE_RECORDS = _record_classes()
+# GridRow defines its own __init__, which checks the fields.
+RECORDS = sorted(PACKAGE_RECORDS + [GridRow], key=lambda cls: cls.__qualname__)
 VALID_ARGS = {GridRow: (-1, (1, 0))}
 
 
@@ -47,15 +48,11 @@ def other_args_for(cls) -> tuple:
     return args[:-1] + (args[-1] + 100,)
 
 
-def frozen(cls) -> bool:
-    return cls.__hash__ is not None
-
-
 def test_every_record_module_is_found():
-    assert {Lit, OutputRef, Block, GridRow, CostReceipt, CannotBuild} <= set(RECORDS)
-    assert {cls.__module__ for cls in RECORDS} == {
+    assert {Lit, OutputRef, Refs, CostReceipt, CannotBuild} <= set(PACKAGE_RECORDS)
+    assert {cls.__module__ for cls in PACKAGE_RECORDS} == {
         f"utxo110.{m}" for m in ("builder", "canonical", "chainio", "interp",
-                                 "lang", "ledger", "model", "rule110")}
+                                 "lang", "ledger", "model")}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -70,12 +67,8 @@ class TestEveryRecord:
             if other is not cls and args_for(other) == args_for(cls):
                 assert a != other(*args_for(other))
                 assert other(*args_for(other)) != a
-        if frozen(cls):
-            assert hash(a) == hash(b)
-            assert len({a, b}) == 1
-        else:
-            with pytest.raises(TypeError):
-                hash(a)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
     def test_construction(self, cls):
         args = args_for(cls)
@@ -99,14 +92,13 @@ class TestEveryRecord:
     def test_only_ordered_records_compare_by_size(self, cls):
         a = cls(*args_for(cls))
         if cls is OutputRef:
-            assert a <= a and not a < a
+            assert not a < a
         else:
             with pytest.raises(TypeError):
                 a < a
 
 
-@pytest.mark.parametrize("cls", [c for c in RECORDS if frozen(c)],
-                         ids=lambda cls: cls.__qualname__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
 def test_frozen_records_refuse_assignment_and_deletion(cls):
     a = cls(*args_for(cls))
     for name in cls.__record_fields__ + ("not_a_field",):
@@ -118,8 +110,12 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
     assert a == cls(*args_for(cls))
 
 
-def test_only_block_and_refs_are_mutable():
-    assert [cls for cls in RECORDS if not frozen(cls)] == [Block, Refs]
+def test_every_record_is_frozen():
+    # each is hashable, and refuses assignment and deletion (tested above)
+    assert [cls for cls in RECORDS if cls.__hash__ is None] == []
+    for option in ("frozen", "order"):
+        with pytest.raises(TypeError):
+            record(**{option: False})  # record takes no options
 
 
 def test_different_classes_over_the_same_value_differ():
@@ -137,37 +133,12 @@ def test_defaults_fill_missing_fields():
     assert NoProgress() == NoProgress()
 
 
-def test_blocks_do_not_share_a_transactions_list():
-    a, b = Block(10), Block(10)
-    a.transactions.append("tx")
-    assert b.transactions == []
-    assert Block(10).transactions == []
-    a.cost_used = 3
-    assert a == Block(10, 3, ["tx"])
-
-
 def test_output_refs_sort_by_tx_id_then_index():
     refs = [OutputRef(bytes([t]) * 32, i) for t in (3, 1, 2) for i in (2, 0, 1)]
     assert sorted(refs) == sorted(refs, key=lambda r: (r.tx_id, r.index))
     assert max(refs) == OutputRef(bytes([3]) * 32, 2)
-
-
-def test_post_init_runs_after_the_fields_are_set():
-    assert GridRow(n=-1, bits=[1, 0]).bits == (1, 0)
-    with pytest.raises(ValueError):
-        GridRow(0, (1, 1))
-
-
-def test_a_list_default_is_copied_for_each_instance():
-    @record(frozen=False)
-    class Bag:
-        items: list = [1]
-        name: str = "bag"
-
-    a, b = Bag(), Bag()
-    a.items.append(2)
-    assert (a.items, b.items, Bag.items) == ([1, 2], [1], [1])
-    assert Bag(name="x") == Bag([1], "x")
+    assert OutputRef(bytes(32), 1) > OutputRef(bytes(32), 0)
+    assert OutputRef(bytes(32), 0).__lt__((bytes(32), 1)) is NotImplemented
 
 
 def test_methods_the_class_defines_are_kept():

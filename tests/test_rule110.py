@@ -2,13 +2,13 @@ import hashlib
 
 import pytest
 
+from rule110_oracle import GridRow, calc_bit, evolve_cyclic, evolve_grid
 from utxo110.interp import EvalContext, WidthExceeded, evaluate
 from utxo110.lang import Bits, serialize_script
 from utxo110.model import Output, Payload
 from utxo110.parser import parse
 from utxo110.rule110 import (
-    GridRow, build_bit_script, build_layer_script, calc_bit, cell_output,
-    evolve_cyclic, evolve_grid, genesis_grid, genesis_layer,
+    build_bit_script, build_layer_script, cell_output, genesis_grid, genesis_layer,
 )
 
 
@@ -146,13 +146,13 @@ class TestGenesis:
             genesis_layer(Bits([0] * (params.max_width + 1)), params)
 
     def test_grid_single_cell(self):
-        tx = genesis_grid(GridRow.from_bits([1]))
+        tx = genesis_grid([1])
         assert len(tx.outputs) == 3
         mids = [out.payload.get("mid") for out in tx.outputs]
         assert mids.count(True) == 1
 
     def test_grid_width_three(self):
-        tx = genesis_grid(GridRow.from_bits([1, 0, 1]))
+        tx = genesis_grid([1, 0, 1])
         assert len(tx.outputs) == 9
         script_bytes = {out.script_bytes for out in tx.outputs}
         assert script_bytes == {serialize_script(build_bit_script())}
