@@ -122,6 +122,8 @@ def cmd_run(args) -> int:
         dump_chain(transactions, args.chain)
     except OSError as exc:
         print(f"error: cannot write chain: {exc}", file=sys.stderr)
+        for path in created:
+            os.remove(path)
         return EXIT_USAGE
     print(f"transactions: {len(transactions)}")
     print(f"blocks: {log.blocks}")

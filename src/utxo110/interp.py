@@ -9,6 +9,9 @@ evaluation time is bounded a priori:
 * plain nodes cost 1, charged before their children run,
 * ``pow .. mod`` costs 1 plus the bit length of the exponent, charged
   after its operands and before the power is taken,
+* ``++`` also costs 1 per entry of the list it builds past the first
+  ``FREE_ENTRIES``, charged after its operands and before the list is
+  built, so that no list outgrows the limit,
 * ``map`` runs its body once per index, each run metered normally.  A
   body made only of bool literals, ``!``, ``&``, ``|``, ``^``, ``=``,
   ``let`` and reads of a value bound before the map at ``i + c`` or
@@ -41,6 +44,11 @@ from .lang import (
     Size, SyntheticOutput, Var, record,
 )
 from .model import ChainParams, Output, Payload
+
+
+# Entries a list built by '++' holds for its one unit, far more than
+# the shipped validators' lists hold.
+FREE_ENTRIES = 64
 
 
 class EvalError(Exception):
@@ -751,7 +759,11 @@ class _Generator:
                 v = self.assign(f"{v} if type({v}) is tuple else ({v},) "
                                 f"if type({v}) is Output else _outputs({v})")
             parts.append(v)
-        return self.assign(f"{parts[0]} + {parts[1]}"), "output list"
+        a, b = parts
+        # charged before the list is built, so that none outgrows the limit
+        self.fn.op(f"if len({a}) + len({b}) > {FREE_ENTRIES} and "
+                   f"(s := s + len({a}) + len({b}) - {FREE_ENTRIES}) > L: _over(L)")
+        return self.assign(f"{a} + {b}"), "output list"
 
     def synthetic_output(self, e, scope):
         values = []

@@ -3,8 +3,10 @@
 A guarding script is a loop-free expression tree evaluated against a
 spending transaction.  This module defines the value types, the AST, the
 canonical byte serialization (the authoritative notion of script
-equality), and a source printer.  One table, ``_WIRE``, gives each node
-class's tag and field layout; encoding, decoding and the AST walks all
+equality), and the concrete syntax's tables and source printer.  One
+table, ``_WIRE``, gives each node class's tag and field layout; encoding,
+decoding and the AST walks all read it.  Another, ``BINARY_OPS``, gives
+each binary operator's level and node; the parser and the printer both
 read it.  AST equality is byte equality: a literal's value type counts,
 so ``Lit(True) != Lit(1)``.  Parsing lives in ``parser``; evaluation in
 ``interp``.
@@ -26,11 +28,6 @@ FORMAT_VERSION = 1
 # reject deeper scripts, which bounds the recursion of every tree walk
 # after them.  The grid validator is 24 deep.
 MAX_DEPTH = 64
-
-# Field names that collide with postfix syntax and are therefore banned
-# in payloads.
-RESERVED_FIELD_NAMES = frozenset({"size", "script"})
-
 
 # ---------------------------------------------------------------------------
 # Records
@@ -587,19 +584,25 @@ def deserialize_script(data: bytes, depth: int = 0) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Source printer. parse(script_source(e)) == e for any well-formed AST whose
-# field names avoid the reserved postfix words.
+# Concrete syntax.  The parser and the source printer both read these
+# tables, so that parse(script_source(e)) == e for any well-formed AST
+# whose field names avoid the postfix words.
 
-# Precedence levels, loosest first; unary and postfix are tighter than all.
-_PREC_OR = 1
-_PREC_XOR = 2
-_PREC_AND = 3
-_PREC_CMP = 4
-_PREC_CONCAT = 5
-_PREC_ADD = 6
-_PREC_MOD = 7
+# The binary operators, each with the level it binds at, loosest first,
+# and the node it builds: node(op, left, right), or node(left, right) for
+# '++'.  Unary operators bind tighter than all of them, postfix tighter still.
+BINARY_OPS = {
+    "|": (1, BoolOp), "^": (2, BoolOp), "&": (3, BoolOp),
+    "=": (4, Cmp), "<": (4, Cmp), "++": (5, ListConcat),
+    "+": (6, Arith), "-": (6, Arith), "mod": (7, Arith),
+}
 _PREC_UNARY = 8
 _PREC_POSTFIX = 9
+
+# The postfix words and the nodes they build; no payload field takes their names.
+POSTFIX_WORDS = {"size": Size, "script": ScriptOf}
+RESERVED_FIELD_NAMES = frozenset(POSTFIX_WORDS)
+_POSTFIX_WORD = {node: word for word, node in POSTFIX_WORDS.items()}
 
 
 def _src_value(v) -> str:
@@ -624,33 +627,26 @@ def _src(e: Expr, parent_prec: int) -> str:
         return e.name
     if isinstance(e, CtxRef):
         return e.kind
-    if isinstance(e, FieldAccess):
-        return f"{_src(e.obj, _PREC_POSTFIX)}.{e.field}"
-    if isinstance(e, ScriptOf):
-        return f"{_src(e.obj, _PREC_POSTFIX)}.script"
-    if isinstance(e, Size):
-        return f"{_src(e.obj, _PREC_POSTFIX)}.size"
+    if isinstance(e, (FieldAccess, ScriptOf, Size)):
+        name = e.field if isinstance(e, FieldAccess) else _POSTFIX_WORD[type(e)]
+        return f"{_src(e.obj, _PREC_POSTFIX)}.{name}"
     if isinstance(e, Index):
         return f"{_src(e.obj, _PREC_POSTFIX)}[{_src(e.index, 0)}]"
-    if isinstance(e, Arith):
-        if e.op == "mod":
-            # 'a pow b mod c mod d' does not parse: a pow on the left is bracketed
-            left = _src(e.left, _PREC_UNARY if isinstance(e.left, PowMod) else _PREC_MOD)
-            return wrap(f"{left} mod {_src(e.right, _PREC_UNARY)}", _PREC_MOD)
-        return wrap(f"{_src(e.left, _PREC_ADD)} {e.op} {_src(e.right, _PREC_MOD)}", _PREC_ADD)
+    if isinstance(e, (BoolOp, Cmp, Arith, ListConcat)):
+        op = getattr(e, "op", "++")
+        level = BINARY_OPS[op][0]
+        # The right operand binds a level tighter, and so does the left one
+        # where a chain does not parse: a comparison does not associate,
+        # and 'a pow b mod c mod d' is an error.
+        tighter = op in ("=", "<") or op == "mod" and isinstance(e.left, PowMod)
+        return wrap(f"{_src(e.left, level + tighter)} {op} {_src(e.right, level + 1)}",
+                    level)
     if isinstance(e, PowMod):
         text = (f"{_src(e.base, _PREC_UNARY)} pow {_src(e.exponent, _PREC_UNARY)}"
                 f" mod {_src(e.modulus, _PREC_UNARY)}")
-        return wrap(text, _PREC_MOD)
-    if isinstance(e, Cmp):
-        return wrap(f"{_src(e.left, _PREC_CONCAT)} {e.op} {_src(e.right, _PREC_CONCAT)}", _PREC_CMP)
-    if isinstance(e, BoolOp):
-        prec = {"|": _PREC_OR, "^": _PREC_XOR, "&": _PREC_AND}[e.op]
-        return wrap(f"{_src(e.left, prec)} {e.op} {_src(e.right, prec + 1)}", prec)
+        return wrap(text, BINARY_OPS["mod"][0])
     if isinstance(e, Not):
         return wrap(f"!{_src(e.operand, _PREC_UNARY)}", _PREC_UNARY)
-    if isinstance(e, ListConcat):
-        return wrap(f"{_src(e.left, _PREC_CONCAT)} ++ {_src(e.right, _PREC_ADD)}", _PREC_CONCAT)
     if isinstance(e, MapIndices):
         return f"map({_src(e.length, 0)}, {e.var} -> {_src(e.body, 0)})"
     if isinstance(e, Let):

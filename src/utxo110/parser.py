@@ -1,30 +1,10 @@
 """Text parser for the guarding-script DSL.
 
-Grammar, loosest binding first::
-
-    expr    := or
-    or      := xor ('|' xor)*
-    xor     := and ('^' and)*
-    and     := cmp ('&' cmp)*
-    cmp     := concat (('=' | '<') concat)?          -- non-associative
-    concat  := add ('++' add)*
-    add     := mod (('+' | '-') mod)*
-    mod     := unary 'pow' unary 'mod' unary         -- modular exponentiation
-             | unary ('mod' unary)*
-    unary   := '!' unary | '-' unary | postfix
-    postfix := atom ('.' NAME | '.size' | '.script' | '[' expr ']')*
-    atom    := INT | BITS | 'true' | 'false' | 'self' | 'in' | 'out' | NAME
-             | '(' expr ')'
-             | 'map' '(' expr ',' NAME '->' expr ')'
-             | 'let' NAME '=' expr 'in' expr
-             | 'if' expr 'then' expr ('elif' expr 'then' expr)* 'else' expr
-             | 'copyEq' '(' expr ',' expr (',' NAME '<-' expr)* ')'
-             | 'output' '(' key '<-' expr (',' key '<-' expr)* ')'
-
-INT is a decimal literal, BITS is ``0b`` followed by binary digits (``0b_``
-for the empty bit string), and ``#`` starts a comment to end of line.  In
-``output(...)`` the ``script`` key supplies the guarding script and is
-required; the remaining keys become payload fields in written order.
+The grammar is in README.md, "The script language".  The binary
+operators and the levels they bind at come from ``lang.BINARY_OPS``, and
+the postfix words from ``lang.POSTFIX_WORDS``, the tables the printer
+reads too.  ``binary`` climbs every level but ``mod``, the tightest;
+``mod_expr`` parses ``mod`` chains and ``pow .. mod``.
 
 Identifiers must be bound by an enclosing ``let`` or ``map``; anything
 else is rejected at parse time, and so is a script whose expressions,
@@ -36,9 +16,9 @@ from __future__ import annotations
 import re
 
 from .lang import (
-    MAX_DEPTH, Arith, Bits, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess,
-    If, Index, Let, ListConcat, Lit, MapIndices, Not, PowMod, ScriptOf, Size,
-    SyntheticOutput, Var, children,
+    BINARY_OPS, MAX_DEPTH, POSTFIX_WORDS, RESERVED_FIELD_NAMES, Arith, Bits,
+    Cmp, CopyEq, CtxRef, Expr, FieldAccess, If, Index, Let, ListConcat, Lit,
+    MapIndices, Not, PowMod, SyntheticOutput, Var, children,
 )
 
 
@@ -64,8 +44,8 @@ _KEYWORDS = {
     "if", "then", "elif", "else", "copyEq", "output",
 }
 
-# Binding strength of the boolean operators, loosest first.
-_BOOL_PREC = {"|": 1, "^": 2, "&": 3}
+# The levels ``binary`` climbs: all but 'mod', which ends 'pow .. mod' too.
+_CLIMBED = {op: level for op, (level, _) in BINARY_OPS.items() if op != "mod"}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -161,40 +141,21 @@ class _Parser:
 
     def expr(self):
         self.deeper()
-        node = self.bool_expr(1)
+        node = self.binary(1)
         self.depth -= 1
         return node
 
-    def bool_expr(self, min_prec):
-        # precedence climbing: one call covers all three boolean levels
-        left = self.cmp_expr()
-        while _BOOL_PREC.get(self.cur.kind, 0) >= min_prec:
-            op = self.accept(self.cur.kind).kind
-            left = BoolOp(op, left, self.bool_expr(_BOOL_PREC[op] + 1))
-        return left
-
-    def cmp_expr(self):
-        left = self.concat_expr()
-        if self.cur.kind in ("=", "<"):
-            op = self.accept(self.cur.kind).kind
-            right = self.concat_expr()
-            if self.cur.kind in ("=", "<"):
-                self.error("comparison is not associative; parenthesize")
-            return Cmp(op, left, right)
-        return left
-
-    def concat_expr(self):
-        left = self.add_expr()
-        while self.at("++"):
-            self.accept("++")
-            left = ListConcat(left, self.add_expr())
-        return left
-
-    def add_expr(self):
+    def binary(self, min_level):
+        """Precedence climbing: the operators of ``_CLIMBED`` that bind at
+        ``min_level`` or tighter, each operand a ``mod_expr``."""
         left = self.mod_expr()
-        while self.cur.kind in ("+", "-"):
+        while _CLIMBED.get(self.cur.kind, 0) >= min_level:
             op = self.accept(self.cur.kind).kind
-            left = Arith(op, left, self.mod_expr())
+            level, node = BINARY_OPS[op]
+            right = self.binary(level + 1)
+            if node is Cmp and self.cur.kind in ("=", "<"):
+                self.error("comparison is not associative; parenthesize")
+            left = ListConcat(left, right) if node is ListConcat else node(op, left, right)
         return left
 
     def mod_expr(self):
@@ -229,12 +190,8 @@ class _Parser:
         while True:
             if self.accept("."):
                 name_tok = self.expect("name", "field name")
-                if name_tok.text == "size":
-                    node = Size(node)
-                elif name_tok.text == "script":
-                    node = ScriptOf(node)
-                else:
-                    node = FieldAccess(node, name_tok.text)
+                word = POSTFIX_WORDS.get(name_tok.text)
+                node = word(node) if word else FieldAccess(node, name_tok.text)
             elif self.accept("["):
                 index = self.expr()
                 self.expect("]")
@@ -329,7 +286,7 @@ class _Parser:
         seen = set()
         while self.accept(","):
             name_tok = self.expect("name", "override field")
-            if name_tok.text in ("size", "script"):
+            if name_tok.text in RESERVED_FIELD_NAMES:
                 raise ArityError(f"{name_tok.text!r} cannot be overridden",
                                  name_tok.line, name_tok.col)
             if name_tok.text in seen:

@@ -301,7 +301,11 @@ def _compile(e: Expr):
 
         def run(rt):
             rt.charge(1)
-            return coerce(left(rt)) + coerce(right(rt))
+            a = coerce(left(rt))
+            b = coerce(right(rt))
+            if len(a) + len(b) > 64:
+                rt.charge(len(a) + len(b) - 64)
+            return a + b
         return run
 
     if isinstance(e, SyntheticOutput):

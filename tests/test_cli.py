@@ -12,7 +12,7 @@ from conftest import (
     NON_CANONICAL_SCRIPTS, OVERSIZED_LETS, step_with_oversize_output,
 )
 from rule110_oracle import GridRow, evolve_cyclic, evolve_grid
-from utxo110 import builder, rule110
+from utxo110 import builder, cli, rule110
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
 from utxo110.lang import (
@@ -128,6 +128,27 @@ class TestRun:
                        "--block-budget", "5") == 1
         assert chain.read_text() == "kept\n"
         assert not render.exists()
+
+    @pytest.mark.parametrize("render_existed", [False, True])
+    def test_failed_chain_write_leaves_no_created_file(self, tmp_path, monkeypatch,
+                                                       capsys, render_existed):
+        chain, render = tmp_path / "chain.jsonl", tmp_path / "rows.txt"
+        if render_existed:
+            render.write_text("kept\n")
+
+        def dump_chain(transactions, path):
+            Path(path).write_text('{"partial')
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "dump_chain", dump_chain)
+        assert run_cli("run", "--mode", "layer", "--initial", "0110", "--steps", "1",
+                       "--chain", chain, "--render", render) == 2
+        assert capsys.readouterr() \
+            == ("", "error: cannot write chain: [Errno 28] No space left on device\n")
+        assert not chain.exists()
+        if render_existed:
+            assert render.read_text() == "kept\n"
+        else:
+            assert not render.exists()
 
     def test_block_budget_below_one_step_cost(self, tmp_path, capsys):
         assert run_cli("run", "--mode", "layer", "--initial", "0110",
@@ -410,6 +431,18 @@ class TestAnalyze:
                         if not line.startswith("  out["))
         assert hashlib.sha256(cases.encode()).hexdigest() \
             == "5514d287a9e470fbce79b1d0363204d4461ef0faae736f5a65d84ec952086085"
+
+    # the cli-smoke job checks the same digests on the oldest and newest Python
+    @pytest.mark.parametrize("path, digest", [
+        (PACKAGE / "layer_step.script",
+         "e0229f8d241ebebfadac6554f5b9409130d3af00d89e385bc55e018e868f81f0"),
+        (SAMPLES / "discrete_log.script",
+         "ddf0f257b26ffb29ea03846b5d22a4d630353faa8df3cb938eaaa8981d2ad031"),
+    ], ids=["layer_step", "discrete_log"])
+    def test_shipped_script_prints_as_before(self, capsys, path, digest):
+        assert run_cli("analyze", "--script", path) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_limit_flags_not_accepted(self):
         with pytest.raises(SystemExit) as err:

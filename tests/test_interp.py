@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 
+import closure_oracle
 from utxo110.interp import (
-    ArithmeticDomainError, CostLimitExceeded, EvalContext, EvalTypeError,
-    IndexOutOfBounds, MissingField, WidthExceeded, evaluate,
+    FREE_ENTRIES, ArithmeticDomainError, CostLimitExceeded, EvalContext,
+    EvalTypeError, IndexOutOfBounds, MissingField, WidthExceeded, evaluate,
 )
 from utxo110.lang import Bits, Lit
 from utxo110.model import Output, Payload
@@ -193,3 +196,37 @@ class TestOutputValues:
         b = Output(Lit(True), Payload((("y", 2), ("x", 1))))
         ctx = EvalContext(self_input=a, inputs=(a,), outputs=(a, b))
         assert run("copyEq(out[1], out[0])", ctx)[0] is False
+
+
+def _doublings(count):
+    """``in`` doubled ``count`` times by ``++``, then its size: a list of
+    ``2 ** count`` entries for 4 × count + 4 nodes."""
+    return "let a = in in " + "let a = a ++ a in " * count + "a.size"
+
+
+@pytest.mark.parametrize("evaluator", [evaluate, closure_oracle.evaluate],
+                         ids=["generated", "closure"])
+class TestConcatCost:
+    def test_short_lists_cost_one_per_concat(self, evaluator):
+        assert 2 ** 6 == FREE_ENTRIES
+        value, receipt = evaluator(parse(_doublings(6)), ctx_with(), 10_000)
+        assert (value, receipt.total_cost) == (64, 6 * 4 + 4)
+
+    def test_entries_past_the_free_ones_cost_one_each(self, evaluator):
+        value, receipt = evaluator(parse(_doublings(8)), ctx_with(), 10_000)
+        assert (value, receipt.total_cost) == (256, 8 * 4 + 4 + (128 - 64) + (256 - 64))
+        with pytest.raises(CostLimitExceeded):
+            evaluator(parse(_doublings(8)), ctx_with(), 8 * 4 + 4 + 64 + 191)
+
+    def test_doubling_runs_out_of_cost_before_memory(self, evaluator):
+        # 22 doublings would build 4,194,304 entries, about 32 MB, for
+        # 92 units; the charge stops them at 2 ** 14 entries
+        script = parse(_doublings(22))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CostLimitExceeded):
+                evaluator(script, ctx_with(), 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -327,6 +327,7 @@ def _extend(expr):
           .map(lambda t: Cmp(t[0], t[1], t[2])),
         st.tuples(st.sampled_from(["&", "|", "^"]), expr, expr)
           .map(lambda t: BoolOp(t[0], t[1], t[2])),
+        st.tuples(expr, expr).map(lambda t: ListConcat(t[0], t[1])),
         st.tuples(expr, expr, expr).map(lambda t: If(*t)),
         st.tuples(expr, expr).map(lambda t: CopyEq(t[0], t[1], ())),
         st.tuples(_names, expr, expr)

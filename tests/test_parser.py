@@ -145,3 +145,84 @@ def test_nesting_limit(nested):
         parse(nested(MAX_DEPTH + 1))
     with pytest.raises(ParseError, match="nests deeper than"):
         parse(nested(5_000))
+
+
+# Binds a, b, c and d on line 1, so that each malformed text sits on line 2
+# and its column is the one an error reports.
+_BOUND = "let a = 1 in let b = 2 in let c = 3 in let d = 4 in\n"
+_EMPTY = "expected an expression, found 'end of input'"
+_NOT_ASSOCIATIVE = "comparison is not associative; parenthesize"
+_POW = "'pow' must be followed by 'mod'"
+
+
+@pytest.mark.parametrize("source, error, message, line, col", [
+    # a comparison takes no second comparison, at either level of nesting
+    (_BOUND + "a = b = c", ParseError, _NOT_ASSOCIATIVE, 2, 7),
+    (_BOUND + "a < b = c", ParseError, _NOT_ASSOCIATIVE, 2, 7),
+    (_BOUND + "a = b < c", ParseError, _NOT_ASSOCIATIVE, 2, 7),
+    (_BOUND + "a = b & c = d = a", ParseError, _NOT_ASSOCIATIVE, 2, 15),
+    ("1 = (2 = 3) = 4", ParseError, _NOT_ASSOCIATIVE, 1, 13),
+    # 'pow' needs its 'mod', and a 'mod' after 'pow .. mod ..' is left to
+    # whatever encloses it
+    (_BOUND + "a pow b", ParseError, _POW, 2, 3),
+    (_BOUND + "a pow b = c", ParseError, _POW, 2, 3),
+    ("2 pow 3 mod 5 mod 7", ParseError,
+     "unexpected 'mod' after expression", 1, 15),
+    ("1 + 2 pow 3 mod 5 mod 7", ParseError,
+     "unexpected 'mod' after expression", 1, 19),
+    ("(2 pow 3 mod 5 mod 7)", ParseError, "expected ')', found 'mod'", 1, 16),
+    ("map(2 pow 3 mod 5 mod 7, i -> true)", ParseError,
+     "expected ',', found 'mod'", 1, 19),
+    # ... which a 'let' body returns to the 'mod' loop the 'let' is an operand of
+    (_BOUND + "a pow b mod c mod d", UnknownNameError, "unbound name 'd'", 2, 19),
+    ("2 mod 3 pow 4 mod 5", ParseError, "unexpected 'pow' after expression", 1, 9),
+    # a missing operand
+    ("true |", ParseError, _EMPTY, 1, 7),
+    ("true ^", ParseError, _EMPTY, 1, 7),
+    ("true &", ParseError, _EMPTY, 1, 7),
+    ("1 =", ParseError, _EMPTY, 1, 4),
+    ("1 <", ParseError, _EMPTY, 1, 4),
+    ("in ++", ParseError, _EMPTY, 1, 6),
+    ("1 +", ParseError, _EMPTY, 1, 4),
+    ("1 -", ParseError, _EMPTY, 1, 4),
+    ("1 mod", ParseError, _EMPTY, 1, 6),
+    ("2 pow", ParseError, _EMPTY, 1, 6),
+    ("2 pow 3 mod", ParseError, _EMPTY, 1, 12),
+    ("!", ParseError, _EMPTY, 1, 2),
+    ("-", ParseError, _EMPTY, 1, 2),
+    ("1 + !", ParseError, _EMPTY, 1, 6),
+    ("true | | false", ParseError, "expected an expression, found '|'", 1, 8),
+    ("1 + + 2", ParseError, "expected an expression, found '+'", 1, 5),
+    ("1 = = 2", ParseError, "expected an expression, found '='", 1, 5),
+    ("1 +\n  mod 2", ParseError, "expected an expression, found 'mod'", 2, 3),
+    # a leading binary operator
+    ("| true", ParseError, "expected an expression, found '|'", 1, 1),
+    ("^ true", ParseError, "expected an expression, found '^'", 1, 1),
+    ("& true", ParseError, "expected an expression, found '&'", 1, 1),
+    ("= 1", ParseError, "expected an expression, found '='", 1, 1),
+    ("< 1", ParseError, "expected an expression, found '<'", 1, 1),
+    ("++ in", ParseError, "expected an expression, found '++'", 1, 1),
+    ("+ 1", ParseError, "expected an expression, found '+'", 1, 1),
+    ("mod 1", ParseError, "expected an expression, found 'mod'", 1, 1),
+    ("pow 1", ParseError, "expected an expression, found 'pow'", 1, 1),
+    # the nesting limit: the parser's own at the token past it, the tree's
+    # at the first token
+    ("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH, ParseError,
+     f"expression nests deeper than {MAX_DEPTH} levels", 1, MAX_DEPTH + 1),
+    ("!" * MAX_DEPTH + "true", ParseError,
+     f"expression nests deeper than {MAX_DEPTH} levels", 1, MAX_DEPTH + 1),
+    ("-" * MAX_DEPTH + "1", ParseError,
+     f"expression nests deeper than {MAX_DEPTH} levels", 1, MAX_DEPTH + 1),
+    (" + ".join(["1"] * (MAX_DEPTH + 1)), ParseError,
+     f"script nests deeper than {MAX_DEPTH} nodes", 1, 1),
+    (" ++ ".join(["in"] * (MAX_DEPTH + 1)), ParseError,
+     f"script nests deeper than {MAX_DEPTH} nodes", 1, 1),
+    ("in" + "[0]" * MAX_DEPTH, ParseError,
+     f"script nests deeper than {MAX_DEPTH} nodes", 1, 1),
+])
+def test_malformed_text(source, error, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
