@@ -9,32 +9,32 @@ for the output limits and collisions only.  Inputs that all carry one
 script which never reads ``self`` would each get the same outcome, so
 that script runs once and its cost counts once per input.  The one rule
 that depends on history, that genesis transactions come before the
-first regular one, is ``check_order``; ``apply_transaction`` checks it
-against the chain log and ``verify_chain`` against the transaction
-before.
+first regular one, is ``check_order``; ``apply_transaction`` and
+``verify_chain`` check it against the end of their chain log.
 
-``verify_chain`` replays a chain in two passes.  The first applies each
-transaction in order under every rule that the UTXO set decides, and
-queues the script checks of each regular one.  Once the UTXO set before
-a transaction is fixed, its script checks depend on nothing else, so the
-second pass may run them in any process.  Where ``_may_fork`` allows
-it, a forked helper takes every other remaining check once they have
-used 0.1 s of CPU time (``FORK_AFTER_S``), or before the first check
-whose script holds a ``pow`` that its charge does not price
-(``interp.unpriced_pow``), as no cost tells how long it will take.
-The results are merged in chain order, and a check that failed in the
-helper is run again in the parent, so the verdict, counts, total and
-reason text are those of a one-pass replay.
+``verify_chain`` replays a chain in one pass, in ``apply_transaction``'s
+order: for each transaction the stored id, genesis order and the rules
+the UTXO set decides, then the spends and new outputs, then its script
+checks, then the chain log.  Once the UTXO set before a transaction is
+fixed, its script checks depend on nothing else, so another process
+may run them.  Where ``_may_fork`` allows it, a helper is forked once
+the checks have used 0.1 s of CPU time (``FORK_AFTER_S``), or before
+the first check whose script holds a ``pow`` that its charge does not
+price (``interp.unpriced_pow``), as no cost tells how long it will
+take.  The helper replays the ledger rules of the rest of the chain on
+its own copy of the UTXO set and runs every other script check.  The
+parent takes the helper's costs in chain order, and runs again a check
+that failed in the helper, so the verdict, counts, total and reason
+text are those of a replay in one process.
 
 The chain log keeps the applied transactions and their total cost, and
 counts the blocks they pack into greedily by cost budget.  Blocks are a
 budgeting device only: the count is a pure function of the transaction
 sequence and the budget, so the log keeps no block, only the room left
-in the last one.  ``apply_transaction`` packs as it goes;
-``verify_chain`` packs once every cost is known, and takes its
-transaction count and total cost from the same log.  ``utxo_digest``
-hashes an unspent set, so ``run`` and ``verify`` can show that they hold
-the same state.
+in the last one.  ``apply_transaction`` and ``verify_chain`` both pack
+as they go, and ``verify_chain`` takes its transaction count and total
+cost from the same log.  ``utxo_digest`` hashes an unspent set, so
+``run`` and ``verify`` can show that they hold the same state.
 """
 
 from __future__ import annotations
@@ -236,11 +236,11 @@ class MisplacedGenesis:
         return "genesis transaction after the first regular transaction"
 
 
-def check_order(tx: Transaction, previous: Transaction | None):
+def check_order(tx: Transaction, log: ChainLog):
     """The one rule that depends on history: every genesis transaction
-    comes before the first regular one.  ``previous`` is the transaction
-    applied last, None at the start of a chain.  None or Invalid."""
-    if tx.is_genesis and previous is not None and not previous.is_genesis:
+    comes before the first regular one, so a genesis may follow only a
+    genesis, the last transaction in ``log``.  None or Invalid."""
+    if tx.is_genesis and log.transactions and not log.transactions[-1].is_genesis:
         return Invalid(MisplacedGenesis())
     return None
 
@@ -359,11 +359,10 @@ def apply_transaction(tx: Transaction, utxo: UtxoSet, log: ChainLog,
     """Validate, then spend inputs and insert outputs. Atomic on failure.
 
     Genesis order is checked against the last transaction in the log;
-    since only this function fills the log, that keeps every genesis
-    before the first regular transaction.
+    since the log holds every transaction applied before, that keeps
+    every genesis before the first regular transaction.
     """
-    previous = log.transactions[-1] if log.transactions else None
-    result = check_order(tx, previous) or validate_transaction(tx, utxo, params)
+    result = check_order(tx, log) or validate_transaction(tx, utxo, params)
     if isinstance(result, Invalid):
         raise TransactionRejected(result.reason)
     _spend_and_add(tx, utxo)
@@ -401,77 +400,53 @@ FORK_AFTER_S = 0.1
 
 def verify_chain(transactions, params: ChainParams = ChainParams(),
                  stored_ids=None):
-    """Replay a transaction sequence from scratch.
+    """Replay a transaction sequence from scratch, in the order
+    ``apply_transaction`` checks and applies one: the first failure is
+    the first a replay meets.
 
     ``stored_ids`` (when given) are checked against recomputed ids, so a
     tampered payload is caught at the transaction that carries it.
 
-    The first pass stops at the first id, order or ledger failure.  A
-    queued script check that fails comes first only when its transaction
-    does; a transaction's ledger rules come before its scripts, so this
-    is the failure a one-pass replay reports.
+    Script checks run here, or come from a helper forked where the
+    system allows it, once they have used ``FORK_AFTER_S`` of CPU time
+    or before the first whose script takes a ``pow`` that no charge
+    prices, while two transactions remain.  A check the helper reports
+    failed, or whose result never arrives, runs here.
     """
     utxo = UtxoSet()
-    queue = []
-    failure = None
-    previous = None
-    for i, tx in enumerate(transactions):
-        if stored_ids is not None:
-            computed = tx.tx_id()
-            if stored_ids[i] != computed:
-                failure = FirstFailure(i, TxIdMismatch(stored_ids[i], computed))
-                break
-        resolved = check_order(tx, previous) or check_ledger(tx, utxo, params)
-        if isinstance(resolved, Invalid):
-            failure = FirstFailure(i, resolved.reason)
-            break
-        _spend_and_add(tx, utxo)
-        if not tx.is_genesis:
-            queue.append((i, tx, resolved))
-        previous = tx
-    script_failure, costs = _run_checks(queue, params)
-    if script_failure or failure:
-        return script_failure or failure
     log = ChainLog(params.block_budget)
-    regular = iter(costs)  # one per regular transaction, in chain order
-    for tx in transactions:
-        log.append(tx, 0 if tx.is_genesis else next(regular))
-    return VerifyOk(transactions=len(log.transactions), total_cost=log.total_cost,
-                    blocks=log.blocks, utxo_size=len(utxo),
-                    utxo_digest=utxo_digest(utxo))
-
-
-def _run_checks(queue, params: ChainParams):
-    """Run queued ``(index, tx, resolved)`` script checks in chain order:
-    the FirstFailure of the first that fails, or None, and the costs of
-    the checks before it.  Once they have used ``FORK_AFTER_S``
-    of CPU time, or before the first whose script takes a ``pow`` that no
-    charge prices, and two remain, a helper forked where the system
-    allows takes every other remaining check.  A check it reports
-    failed, or whose result never arrives, runs here."""
-    costs = []
     spent = 0.0
     helper = None
     try:
-        for k, (i, tx, resolved) in enumerate(queue):
-            cost = helper.cost(k) if helper else None
+        for i, tx in enumerate(transactions):
+            if stored_ids is not None:
+                computed = tx.tx_id()
+                if stored_ids[i] != computed:
+                    return FirstFailure(i, TxIdMismatch(stored_ids[i], computed))
+            resolved = check_order(tx, log) or check_ledger(tx, utxo, params)
+            if isinstance(resolved, Invalid):
+                return FirstFailure(i, resolved.reason)
+            _spend_and_add(tx, utxo)
+            cost = 0 if tx.is_genesis else helper.cost(i) if helper else None
             if cost is None:
-                start = time.process_time()  # compiling for the test counts
-                if helper is None and len(queue) - k >= 2 and (
+                start = time.process_time()  # compiling for the check counts
+                if helper is None and len(transactions) - i >= 2 and (
                         spent >= FORK_AFTER_S
                         or any(unpriced_pow(o.script_ref) for o in resolved)) \
                         and _may_fork():
-                    helper = _Helper(queue, k + 1, params)
+                    helper = _Helper(transactions, i + 1, utxo, params)
                 result = check_scripts(tx, resolved, params)
                 spent += time.process_time() - start
                 if isinstance(result, Invalid):
-                    return FirstFailure(i, result.reason), costs
+                    return FirstFailure(i, result.reason)
                 cost = result.total_cost
-            costs.append(cost)
-        return None, costs
+            log.append(tx, cost)
     finally:
         if helper is not None:
             helper.close()
+    return VerifyOk(transactions=len(log.transactions), total_cost=log.total_cost,
+                    blocks=log.blocks, utxo_size=len(utxo),
+                    utxo_digest=utxo_digest(utxo))
 
 
 def _may_fork() -> bool:
@@ -485,11 +460,13 @@ def _may_fork() -> bool:
 
 
 class _Helper:
-    """A forked process that runs the checks ``start``, ``start + 2``, …
-    of a queue (see ``_serve``).  When the pipe or the fork cannot be
-    made, there is no helper and the parent runs every check."""
+    """A forked process that replays the transactions from ``start`` on
+    against its copy of the parent's unspent set and runs the script
+    checks of ``start``, ``start + 2``, … (see ``_serve``).  When the
+    pipe or the fork cannot be made, there is no helper and the parent
+    runs every check."""
 
-    def __init__(self, queue, start, params):
+    def __init__(self, transactions, start, utxo, params):
         self.start = start
         self.pid = None
         self.reader = None
@@ -510,18 +487,19 @@ class _Helper:
             code = 1
             try:
                 os.close(read)
-                _serve(queue, start, params, write)
+                _serve(transactions, start, utxo, params, write)
                 code = 0
             finally:
                 os._exit(code)
         os.close(write)
         self.reader = open(read, "rb")
 
-    def cost(self, k):
-        """The cost of check ``k`` as the helper found it.  None when the
-        check is not the helper's, failed there, or its result never
-        arrives because the helper is gone; the parent then runs it."""
-        if self.reader is None or (k - self.start) % 2:
+    def cost(self, i):
+        """The cost of the script check of transaction ``i`` as the
+        helper found it.  None when the check is not the helper's, failed
+        there, or its result never arrives because the helper is gone;
+        the parent then runs it."""
+        if self.reader is None or (i - self.start) % 2:
             return None
         line = self.reader.readline()
         if line[:1].isdigit():
@@ -544,18 +522,27 @@ class _Helper:
             self.pid = None
 
 
-def _serve(queue, start, params, fd):
-    """The helper's work: run the checks ``start``, ``start + 2``, … of a
-    queue in order, writing each one's cost on a line of its own, or
-    ``!`` and the check's number at the first that fails, then stop.  It
-    also stops when its parent is gone."""
+def _serve(transactions, start, utxo, params, fd):
+    """The helper's work: replay the transactions from ``start`` on,
+    applying each to ``utxo``, the parent's unspent set as it was at the
+    fork, and run the script checks of ``start``, ``start + 2``, … in
+    order, writing each one's cost on a line of its own, or ``!`` and the
+    transaction's position at the first that fails, then stop.  It also
+    stops at a genesis or a transaction the ledger rules reject, where
+    the parent's replay ends too, and when its parent is gone."""
     parent = os.getppid()
-    for k in range(start, len(queue), 2):
-        if os.getppid() != parent:
+    for i in range(start, len(transactions)):
+        tx = transactions[i]
+        if tx.is_genesis or os.getppid() != parent:
             return
-        _, tx, resolved = queue[k]
+        resolved = check_ledger(tx, utxo, params)
+        if isinstance(resolved, Invalid):
+            return
+        _spend_and_add(tx, utxo)
+        if (i - start) % 2:
+            continue
         result = check_scripts(tx, resolved, params)
         if isinstance(result, Invalid):
-            os.write(fd, b"!%d\n" % k)
+            os.write(fd, b"!%d\n" % i)
             return
         os.write(fd, b"%d\n" % result.total_cost)

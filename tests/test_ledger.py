@@ -2,6 +2,7 @@ import hashlib
 import os
 import random
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from conftest import drive_grid, drive_layer, step_transaction, \
     step_with_oversize_output
 from utxo110 import cli, ledger, model
 from utxo110.chainio import dump_chain, load_chain
-from utxo110.interp import EvalContext, evaluate, unpriced_pow
+from utxo110.interp import EvalContext, compiled, evaluate, unpriced_pow
 from utxo110.lang import Bits, Lit, ScriptRef, serialize_script
 from utxo110.ledger import (
     BudgetExceeded, ChainLog, CostExceeded, DuplicateInput, FirstFailure, Invalid,
@@ -573,6 +574,26 @@ class TestVerify:
         assert (log.blocks, log.total_cost, log.transactions) \
             == (len(blocks), sum(costs), list(txs))
 
+    def test_replay_holds_little_per_transaction(self, monkeypatch):
+        # a width-4 layer chain keeps one unspent output, so what the
+        # replay's peak gains from 201 to 1,001 transactions is what it
+        # holds for each transaction it has checked
+        txs, _ = drive_layer(Bits.from_text("0110"), 1000)
+        for tx in txs:
+            tx.tx_id()
+        compiled(txs[0].outputs[0].script_ref)
+        monkeypatch.setattr(ledger, "_may_fork", lambda: False)
+        peaks = []
+        for n in (201, 1001):
+            chain = txs[:n]
+            tracemalloc.start()
+            try:
+                assert isinstance(verify_chain(chain), VerifyOk)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 800 < 64
+
     def test_transaction_over_block_budget_rejected(self):
         params = ChainParams(block_budget=10)
         genesis = genesis_layer(Bits.from_text("01101"), params)
@@ -800,9 +821,9 @@ def modexp_sample():
 
 
 class TestSplitChecks:
-    """Forked at the first check, the parent runs checks 0, 2, 4, … of
-    the queue and the helper 1, 3, 5, …; transaction k + 1 holds check k
-    in a chain from ``spends``."""
+    """Forked at the first check, the parent runs the checks of
+    transactions 1, 3, 5, … and the helper those of 2, 4, 6, …;
+    transaction k + 1 spends guard k in a chain from ``spends``."""
 
     @pytest.mark.parametrize("guards, tamper, index, reason", [
         ("ok error ok ok ok", None, 2, ScriptError),  # in the helper's share
@@ -819,7 +840,7 @@ class TestSplitChecks:
         if tamper:
             txs, stored = tampered(txs, stored, *tamper)
         got = verify_both_ways(txs, SPLIT, stored)
-        assert len(helpers) == 1 and helpers[0].start == 1
+        assert len(helpers) == 1 and helpers[0].start == 2
         assert got.tx_index == index and type(got.reason) is reason
 
     def test_valid_chain_with_a_helper(self, helpers):
@@ -901,7 +922,7 @@ class TestSplitChecks:
                             lambda *args: seen.append(len(helpers)) or check(*args))
         got = verify_chain(txs, SPLIT, stored)
         assert seen == helpers_at_each_check
-        assert helpers[0].start == guards.index("wide") + 1
+        assert helpers[0].start == guards.index("wide") + 2
         assert_no_child_left()
         assert got == verify_both_ways(txs, SPLIT, stored)
 
@@ -920,5 +941,5 @@ class TestSplitChecks:
             "blocks: 1\n"
             "utxo size: 3\n"
             "utxo digest: 51d402ecade108bab1582643c91e0f9c8c5a6891d1ec25128d9baa39eb7a7af3\n")
-        assert len(helpers) == 1 and helpers[0].start == 1
+        assert len(helpers) == 1 and helpers[0].start == 2
         assert_no_child_left()
