@@ -98,7 +98,6 @@ def _per_node(step):
 @record
 class Refs:
     uses_out: bool = False
-    uses_self: bool = False
     bare_in: bool = False
     in_size: bool = False
     max_in_index: int = -1
@@ -111,8 +110,7 @@ def _ref_scanner():
 
     def step(e):
         if isinstance(e, CtxRef):
-            return Refs(uses_out=e.kind == "out", uses_self=e.kind == "self",
-                        bare_in=e.kind not in ("out", "self"))
+            return Refs(uses_out=e.kind == "out", bare_in=e.kind not in ("out", "self"))
         if isinstance(e, Var):
             return Refs(free_vars=frozenset((e.name,)))
         if isinstance(e, Index) and isinstance(e.obj, CtxRef) and e.obj.kind == "in" \
@@ -136,9 +134,8 @@ def _ref_scanner():
 
 def _merge_refs(a: Refs, b: Refs, bound=None) -> Refs:
     """What reading both ``a`` and ``b`` reads, with ``bound`` bound in b."""
-    return Refs(a.uses_out or b.uses_out, a.uses_self or b.uses_self,
-                a.bare_in or b.bare_in, a.in_size or b.in_size,
-                max(a.max_in_index, b.max_in_index),
+    return Refs(a.uses_out or b.uses_out, a.bare_in or b.bare_in,
+                a.in_size or b.in_size, max(a.max_in_index, b.max_in_index),
                 a.free_vars | (b.free_vars - {bound}))
 
 

@@ -17,15 +17,15 @@ order: for each transaction the stored id, genesis order and the rules
 the UTXO set decides, then the spends and new outputs, then its script
 checks, then the chain log.  Once the UTXO set before a transaction is
 fixed, its script checks depend on nothing else, so another process
-may run them.  Where ``_may_fork`` allows it, a helper is forked once
-the checks have used 0.1 s of CPU time (``FORK_AFTER_S``), or before
-the first check whose script holds a ``pow`` that its charge does not
-price (``interp.unpriced_pow``), as no cost tells how long it will
-take.  The helper replays the ledger rules of the rest of the chain on
-its own copy of the UTXO set and runs every other script check.  The
-parent takes the helper's costs in chain order, and runs again a check
-that failed in the helper, so the verdict, counts, total and reason
-text are those of a replay in one process.
+may run them.  Where ``_may_fork`` allows it, a helper is forked
+before the first check whose script holds a ``pow`` that its charge
+does not price (``interp.unpriced_pow``), as no cost tells how long it
+will take; a chain without one never forks.  The helper replays the
+ledger rules of the rest of the chain on its own copy of the UTXO set
+and runs every other script check.  The parent takes the helper's
+costs in chain order, and runs again a check that failed in the
+helper, so the verdict, counts, total and reason text are those of a
+replay in one process.
 
 The chain log keeps the applied transactions and their total cost, and
 counts the blocks they pack into greedily by cost budget.  Blocks are a
@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-import time
 
 from .interp import (
     CostLimitExceeded, EvalContext, EvalError, evaluate, reads_self, unpriced_pow,
@@ -391,13 +390,6 @@ class FirstFailure:
         return f"transaction {self.tx_index}: {self.reason}"
 
 
-# How much of the process's CPU time the script checks of one chain use
-# before a helper is forked to share the rest.  A fork round trip of a
-# 20 MB process took 2-3 ms on a 2-vCPU host, so a needless fork wastes
-# at most a few percent of the work already done.
-FORK_AFTER_S = 0.1
-
-
 def verify_chain(transactions, params: ChainParams = ChainParams(),
                  stored_ids=None):
     """Replay a transaction sequence from scratch, in the order
@@ -408,14 +400,12 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
     tampered payload is caught at the transaction that carries it.
 
     Script checks run here, or come from a helper forked where the
-    system allows it, once they have used ``FORK_AFTER_S`` of CPU time
-    or before the first whose script takes a ``pow`` that no charge
-    prices, while two transactions remain.  A check the helper reports
-    failed, or whose result never arrives, runs here.
+    system allows it before the first whose script takes a ``pow`` that
+    no charge prices, while two transactions remain.  A check the helper
+    reports failed, or whose result never arrives, runs here.
     """
     utxo = UtxoSet()
     log = ChainLog(params.block_budget)
-    spent = 0.0
     helper = None
     try:
         for i, tx in enumerate(transactions):
@@ -429,14 +419,11 @@ def verify_chain(transactions, params: ChainParams = ChainParams(),
             _spend_and_add(tx, utxo)
             cost = 0 if tx.is_genesis else helper.cost(i) if helper else None
             if cost is None:
-                start = time.process_time()  # compiling for the check counts
-                if helper is None and len(transactions) - i >= 2 and (
-                        spent >= FORK_AFTER_S
-                        or any(unpriced_pow(o.script_ref) for o in resolved)) \
+                if helper is None and len(transactions) - i >= 2 \
+                        and any(unpriced_pow(o.script_ref) for o in resolved) \
                         and _may_fork():
                     helper = _Helper(transactions, i + 1, utxo, params)
                 result = check_scripts(tx, resolved, params)
-                spent += time.process_time() - start
                 if isinstance(result, Invalid):
                     return FirstFailure(i, result.reason)
                 cost = result.total_cost

@@ -8,7 +8,8 @@ memoizes the same rewrites per node; tests require equal expressions,
 equal ``Refs``, or the same ``AnalysisError`` or ``DeadCase``.  These
 functions are ``utxo110.canonical``'s from before that change, unedited
 but for ``scan_refs``, which collects its fields in locals and builds
-one ``Refs`` at the end now that ``Refs`` is frozen; its walk is the
+one ``Refs`` at the end now that ``Refs`` is frozen, and no longer
+records ``self`` reads, a field that ``Refs`` lost; its walk is the
 same.
 """
 
@@ -23,18 +24,16 @@ from utxo110.lang import (
 
 
 def scan_refs(expr: Expr) -> Refs:
-    uses_out = uses_self = bare_in = in_size = False
+    uses_out = bare_in = in_size = False
     max_in_index = -1
     free = set()
 
     def walk(e, bound):
-        nonlocal uses_out, uses_self, bare_in, in_size, max_in_index
+        nonlocal uses_out, bare_in, in_size, max_in_index
         if isinstance(e, CtxRef):
             if e.kind == "out":
                 uses_out = True
-            elif e.kind == "self":
-                uses_self = True
-            else:
+            elif e.kind != "self":
                 bare_in = True
             return
         if isinstance(e, Var):
@@ -62,7 +61,7 @@ def scan_refs(expr: Expr) -> Refs:
             walk(c, bound)
 
     walk(expr, frozenset())
-    return Refs(uses_out, uses_self, bare_in, in_size, max_in_index, frozenset(free))
+    return Refs(uses_out, bare_in, in_size, max_in_index, frozenset(free))
 
 
 def free_vars(expr: Expr) -> frozenset:

@@ -97,15 +97,25 @@ def test_run_and_verify_load_neither_dataclasses_nor_inspect(tmp_path):
 def test_verify_and_render_load_no_process_or_thread_module(tmp_path):
     # A helper that shares the script checks needs only os.fork and a
     # pipe; these modules would cost every verify their import time.
-    # The child forks one at the first check.
+    # The child forks one at the first check, and counts the helpers.
     chain = tmp_path / "chain.jsonl"
     assert main(["run", "--mode", "grid", "--initial", "1", "--steps", "2",
                  "--chain", str(chain)]) == 0
     bare = set(modules_after("pass")[1])
-    fork_at_once = "import utxo110.ledger\nutxo110.ledger.FORK_AFTER_S = 0\n"
+    fork_at_once = """
+from utxo110 import ledger
+ledger.unpriced_pow = lambda ref: True
+made = []
+class Counted(ledger._Helper):
+    def __init__(self, *args):
+        super().__init__(*args)
+        made.append(self)
+ledger._Helper = Counted
+"""
     for argv in (["verify", "--chain", chain], ["render", "--chain", chain]):
-        printed, modules = modules_after(fork_at_once + cli_in_child(*argv))
-        assert printed[-1] == "exit 0"
+        printed, modules = modules_after(
+            fork_at_once + cli_in_child(*argv) + 'print("helpers", len(made))\n')
+        assert printed[-2:] == ["exit 0", "helpers 1"]
         loaded = {name.split(".")[0] for name in set(modules) - bare}
         assert not {"multiprocessing", "concurrent", "pickle", "subprocess",
                     "threading"} & loaded

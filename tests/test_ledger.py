@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import os
 import random
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -750,15 +752,14 @@ def helpers(monkeypatch):
 def verify_both_ways(txs, params, stored=None):
     """verify_chain with a helper forked before the first check, and
     with none; both verdicts must agree in every part."""
-    results = []
-    saved = ledger.FORK_AFTER_S, ledger._may_fork
+    saved = ledger.unpriced_pow, ledger._may_fork
     try:
-        for after, may_fork in ((0.0, saved[1]), (float("inf"), lambda: False)):
-            ledger.FORK_AFTER_S, ledger._may_fork = after, may_fork
-            results.append(verify_chain(txs, params, stored_ids=stored))
+        ledger.unpriced_pow = lambda ref: True
+        forked = verify_chain(txs, params, stored_ids=stored)
+        ledger._may_fork = lambda: False
+        alone = verify_chain(txs, params, stored_ids=stored)
     finally:
-        ledger.FORK_AFTER_S, ledger._may_fork = saved
-    forked, alone = results
+        ledger.unpriced_pow, ledger._may_fork = saved
     assert type(forked) is type(alone)
     if isinstance(alone, FirstFailure):
         assert forked.tx_index == alone.tx_index
@@ -831,7 +832,8 @@ class TestSplitChecks:
         # in both shares, the helper's first, then the parent's
         ("ok over dear ok", None, 2, CostExceeded),
         ("ok ok dear over", None, 3, BudgetExceeded),
-        # the first pass fails before a script check fails, and after
+        # the ledger rules reject a transaction before a script check
+        # fails, and after
         ("ok ok ok ok error", ("repeat", 2), 3, MissingInput),
         ("ok error ok ok ok", ("genesis", 4), 2, ScriptError),
     ])
@@ -868,7 +870,7 @@ class TestSplitChecks:
         check = ledger.check_scripts
         monkeypatch.setattr(ledger, "check_scripts",
                             lambda tx, *args: ran.append(txs.index(tx)) or check(tx, *args))
-        monkeypatch.setattr(ledger, "FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(ledger, "unpriced_pow", lambda ref: True)
         assert verify_chain(txs, SPLIT, stored) == want
         assert len(helpers) == 1 and ran == [1, 3, 5]  # the parent's share
         assert_no_child_left()
@@ -886,7 +888,7 @@ class TestSplitChecks:
     def test_no_fork_on_one_core_without_fork_or_with_threads(self, helpers, monkeypatch):
         txs, stored = spends(["ok", "ok", "error", "ok"])
         want = verify_chain(txs, SPLIT, stored)
-        monkeypatch.setattr(ledger, "FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(ledger, "unpriced_pow", lambda ref: True)
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             assert verify_chain(txs, SPLIT, stored) == want
@@ -898,13 +900,17 @@ class TestSplitChecks:
             assert verify_chain(txs, SPLIT, stored) == want
         assert helpers == []
 
-    def test_reference_chains_fork_only_when_checks_are_slow(self, helpers):
-        txs, _ = drive_grid([1], 4)
-        assert isinstance(verify_chain(txs), VerifyOk)
-        # a seeded 256-cell row x 100 layer steps: no pow, cheap checks
+    def test_chains_without_an_unpriced_pow_never_fork(self, helpers, monkeypatch):
+        grid, _ = drive_grid([1], 4)
+        # a seeded 256-cell row x 100 layer steps: no pow
         row = Bits.from_text(format(random.Random(110).getrandbits(256), "0256b"))
-        txs, _ = drive_layer(row, 100)
-        assert isinstance(verify_chain(txs), VerifyOk)
+        layer, _ = drive_layer(row, 100)
+        # however slow the checks seem, on however many cores
+        clock = itertools.count()
+        monkeypatch.setattr(time, "process_time", lambda: float(next(clock)))
+        monkeypatch.setattr(ledger, "_may_fork", lambda: True)
+        for txs in (grid, layer):
+            assert isinstance(verify_chain(txs), VerifyOk)
         assert helpers == []
 
     @pytest.mark.parametrize("guards, helpers_at_each_check", [
@@ -913,8 +919,8 @@ class TestSplitChecks:
     ])
     def test_forks_before_a_check_with_a_wide_pow(
             self, helpers, monkeypatch, guards, helpers_at_each_check):
-        # under the default FORK_AFTER_S: the parent has a helper by the
-        # time it runs the first check whose script holds a wide pow
+        # the parent has a helper by the time it runs the first check
+        # whose script holds a wide pow
         txs, stored = spends(guards)
         seen = []
         check = ledger.check_scripts

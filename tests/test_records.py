@@ -128,7 +128,7 @@ def test_different_classes_over_the_same_value_differ():
 def test_defaults_fill_missing_fields():
     assert ChainParams() == ChainParams(256, 10_000, 1_000_000, 16_384, 1_024)
     assert ChainParams(max_width=8) == ChainParams(8)
-    assert Refs() == Refs(False, False, False, False, -1, frozenset())
+    assert Refs() == Refs(False, False, False, -1, frozenset())
     assert CostReceipt(total_cost=1, limit=2) == CostReceipt(1, 2)
     assert NoProgress() == NoProgress()
 
