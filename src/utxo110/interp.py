@@ -159,6 +159,14 @@ def _payload_value(v, what):
     return v
 
 
+def _copy_eq(a, b, overrides):
+    """copyEq once each override names a field of ``b``: the same script,
+    the same field names in the same order, and each field of ``a`` of
+    the same kind and value as ``b``'s or as its override."""
+    mine, theirs = a.payload._map, {**b.payload._map, **overrides}
+    return (a.script_ref is b.script_ref and list(mine) == list(theirs)
+            and all(type(x) is type(y) and x == y
+                    for x, y in zip(mine.values(), theirs.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +256,8 @@ def _copy_eq_operands(a, b):
         raise EvalTypeError("copyEq compares outputs")
 
 
-def _replace(payload, name, value):
-    try:
-        return payload.replace(name, value)
-    except KeyError:
-        raise MissingField(f"override of missing field {name!r}") from None
+def _missing_override(name):
+    raise MissingField(f"override of missing field {name!r}")
 
 
 def _outputs(v):
@@ -275,8 +280,9 @@ def _output(ref, names, values):
 # The names generated code may use besides its own and the builtins.
 _RUNTIME = {f.__name__: f for f in (
     _over, _unbound, _field, _script_of, _index, _size, _modulus,
-    _pow_domain, _compare, _cycle, _map_length, _copy_eq_operands, _replace,
-    _outputs, _output, _as_bool, _as_int, _payload_value, _values_equal)}
+    _pow_domain, _compare, _cycle, _map_length, _copy_eq_operands,
+    _missing_override, _outputs, _output, _as_bool, _as_int, _payload_value,
+    _values_equal, _copy_eq)}
 _RUNTIME.update(Bits=Bits, Output=Output)
 
 # The context slots, bound once per call to a name the generator owns.
@@ -735,16 +741,17 @@ class _Generator:
         if not ka == kb == "output":
             self.fn.op(f"if type({a}) is not Output or type({b}) is not Output: "
                        f"_copy_eq_operands({a}, {b})")
-        payload = f"{b}.payload"
+        overrides = {}  # the last value of a repeated name wins
         for name, x in e.overrides:
             value = self.expr(x, scope)
             if value is None:
                 return None
             self.payload_value(*value, f"override {name!r}")
-            payload = self.assign(
-                f"_replace({payload}, {self.constant(name)}, {value[0]})")
-        return self.assign(f"{a}.payload == {payload} and "
-                           f"{a}.script_ref is {b}.script_ref", False), "bool"
+            k = self.constant(name)
+            self.fn.op(f"if {k} not in {b}.payload._map: _missing_override({k})")
+            overrides[k] = value[0]
+        pairs = ", ".join(f"{k}: {v}" for k, v in overrides.items())
+        return self.assign(f"_copy_eq({a}, {b}, {{{pairs}}})", False), "bool"
 
     def list_concat(self, e, scope):
         parts = []

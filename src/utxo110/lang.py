@@ -448,15 +448,6 @@ def _enc_value(v) -> bytes:
     raise TypeError(f"cannot serialize value of type {type(v).__name__}")
 
 
-def _value_end(data: bytes, pos: int) -> int:
-    """Where the value encoding that ``_enc_value`` wrote at ``pos`` ends."""
-    tag = data[pos]
-    if tag == 0x20:
-        return pos + 2
-    n = int.from_bytes(data[pos + 1:pos + 5], "big")
-    return pos + 5 + ((n + 7) // 8 if tag == 0x22 else n)
-
-
 def _encode(e: Expr, out: bytearray) -> None:
     wire = _WIRE.get(type(e))
     if wire is None:

@@ -15,7 +15,7 @@ import hashlib
 import re
 
 from .lang import (
-    Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value, _u32, _value_end, record,
+    Expr, RESERVED_FIELD_NAMES, ScriptRef, _enc_value, _u32, record,
 )
 
 _FIELD_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -58,29 +58,11 @@ class Payload:
     def names(self):
         return tuple(self._map)
 
-    @classmethod
-    def _of(cls, fields: dict, encoded: bytes) -> "Payload":
-        """A payload from fields whose names are already checked and the
-        encoding they have, without the public constructor's work."""
-        payload = object.__new__(cls)
-        object.__setattr__(payload, "_map", fields)
-        object.__setattr__(payload, "encoded", encoded)
-        return payload
-
     def replace(self, name, value) -> "Payload":
-        """Copy with one existing field replaced, order preserved.  Only
-        the new value is encoded: it is spliced in over the old one."""
+        """Copy with one existing field replaced, order preserved."""
         if name not in self._map:
             raise KeyError(name)
-        data = self.encoded
-        pos = 4
-        for field in self._map:
-            pos += 4 + int.from_bytes(data[pos:pos + 4], "big")
-            if field == name:
-                break
-            pos = _value_end(data, pos)
-        return Payload._of({**self._map, name: value},
-                           data[:pos] + _enc_value(value) + data[_value_end(data, pos):])
+        return Payload({**self._map, name: value}.items())
 
     def __eq__(self, other):
         if not isinstance(other, Payload):

@@ -4,7 +4,8 @@ The grammar is in README.md, "The script language".  The binary
 operators and the levels they bind at come from ``lang.BINARY_OPS``, and
 the postfix words from ``lang.POSTFIX_WORDS``, the tables the printer
 reads too.  ``binary`` climbs every level but ``mod``, the tightest;
-``mod_expr`` parses ``mod`` chains and ``pow .. mod``.
+``mod_expr`` parses ``mod`` chains and ``pow .. mod``, which no ``mod``
+may follow.
 
 Identifiers must be bound by an enclosing ``let`` or ``map``; anything
 else is rejected at parse time, and so is a script whose expressions,
@@ -165,7 +166,10 @@ class _Parser:
             exponent = self.unary_expr()
             if not self.accept("mod"):
                 self.error("'pow' must be followed by 'mod'", tok)
-            return PowMod(left, exponent, self.unary_expr())
+            left = PowMod(left, exponent, self.unary_expr())
+            if self.at("mod"):
+                self.error("'mod' cannot follow 'pow .. mod ..'; parenthesize")
+            return left
         while self.at("mod"):
             self.accept("mod")
             left = Arith("mod", left, self.unary_expr())

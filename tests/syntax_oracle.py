@@ -6,8 +6,10 @@ reference for differential tests.
 constants and a bracket rule per node.  ``parse`` is ``parser.parse``
 run by a parser whose expression methods are the old ladder, one method
 per binary level, and whose postfix method names ``size`` and ``script``
-itself; the tokenizer and the atoms are the module's own.  Tests require
-the same text, the same AST, or the same ``ParseError`` text and position.
+itself; the tokenizer and the atoms are the module's own.  The one change
+to the grammar since, moved here with the parser's, is that no ``mod``
+may follow ``pow .. mod ..``.  Tests require the same text, the same
+AST, or the same ``ParseError`` text and position.
 """
 
 from __future__ import annotations
@@ -143,7 +145,10 @@ class _LadderParser(_Parser):
             exponent = self.unary_expr()
             if not self.accept("mod"):
                 self.error("'pow' must be followed by 'mod'", tok)
-            return PowMod(left, exponent, self.unary_expr())
+            left = PowMod(left, exponent, self.unary_expr())
+            if self.at("mod"):
+                self.error("'mod' cannot follow 'pow .. mod ..'; parenthesize")
+            return left
         while self.at("mod"):
             self.accept("mod")
             left = Arith("mod", left, self.unary_expr())

@@ -201,6 +201,69 @@ class TestDifferential:
         assert checked
 
 
+# copyEq's operands: values whose kinds differ where Python's == does not
+# (True and 1) or whose ints do not (Bits at two widths), over few field
+# names, so that the source often matches the target once its overrides
+# apply, or matches it but for the kind of one value.
+_COPY_VALUES = st.sampled_from([
+    True, False, 1, 0, Bits.from_int(1, 1), Bits.from_int(1, 3), Bits(),
+    ScriptRef(Lit(True)), ScriptRef(Lit(1))])
+_COPY_NAMES = ("x", "y", "z", "w")
+
+
+def _twin(v):
+    """Another kind of ``v``: the int of a bool, the bool of an int, the
+    same int at a wider width, or the other script."""
+    if isinstance(v, Bits):
+        return Bits.from_int(v._int, len(v) + 2)
+    if isinstance(v, ScriptRef):
+        return ScriptRef(Lit(1)) if v is ScriptRef(Lit(True)) else ScriptRef(Lit(True))
+    return int(v) if type(v) is bool else bool(v)
+
+
+def _near(value):
+    return st.one_of(st.just(value), st.just(value), st.just(_twin(value)),
+                     _COPY_VALUES)
+
+
+@st.composite
+def _copy_eq_cases(draw):
+    names = draw(st.lists(st.sampled_from(_COPY_NAMES), max_size=4, unique=True))
+    mine = {name: draw(_COPY_VALUES) for name in names}
+    order = draw(st.sampled_from([names, draw(st.permutations(names))]))
+    theirs = [(name, draw(_near(mine[name]))) for name in order]
+    scripts = draw(st.sampled_from([(Lit(True),) * 2, (Lit(True),) * 2,
+                                    (Lit(True), Lit(1))]))
+    a = Output(scripts[0], Payload(mine.items()))
+    b = Output(scripts[1], Payload(theirs))
+    # an override names a field of the target or one of neither, and
+    # gives a value near the target's or no payload value at all
+    overrides = draw(st.lists(st.sampled_from(_COPY_NAMES + ("q",)).flatmap(
+        lambda name: st.tuples(st.just(name), st.one_of(
+            _near(mine.get(name, 0)).map(Lit),
+            st.sampled_from([CtxRef("in"), CtxRef("self")])))), max_size=3))
+    target = draw(st.sampled_from([CtxRef("self"), Index(CtxRef("in"), Lit(0))]))
+    return CopyEq(target, Index(CtxRef("in"), Lit(1)), tuple(overrides)), \
+        EvalContext(a, (a, b), ())
+
+
+class TestCopyEq:
+    @settings(max_examples=400, deadline=None)
+    @given(_copy_eq_cases(), st.data())
+    def test_same_outcome_as_building_the_copy(self, case, data):
+        """The generated copyEq compares fields; the oracle builds the
+        overridden payload and compares its bytes."""
+        script, ctx = case
+        full = assert_same(script, ctx)
+        top = full[3].total_cost if full[0] == "value" else node_count(script)
+        assert_same(script, ctx, data.draw(st.integers(1, top), label="limit"))
+
+    def test_generated_code_builds_no_payload(self):
+        source = interp._Generator().generate(build_bit_script())
+        assert "_copy_eq(" in source
+        assert "replace(" not in source and "Payload(" not in source
+
+
 # Every node kind over operands of every kind, including ones that raise,
 # so that each check, its order against its operands and each operator
 # is compared with the oracle under every limit up to the full cost.

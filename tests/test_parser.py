@@ -153,6 +153,7 @@ _BOUND = "let a = 1 in let b = 2 in let c = 3 in let d = 4 in\n"
 _EMPTY = "expected an expression, found 'end of input'"
 _NOT_ASSOCIATIVE = "comparison is not associative; parenthesize"
 _POW = "'pow' must be followed by 'mod'"
+_POW_MOD = "'mod' cannot follow 'pow .. mod ..'; parenthesize"
 
 
 @pytest.mark.parametrize("source, error, message, line, col", [
@@ -162,19 +163,17 @@ _POW = "'pow' must be followed by 'mod'"
     (_BOUND + "a = b < c", ParseError, _NOT_ASSOCIATIVE, 2, 7),
     (_BOUND + "a = b & c = d = a", ParseError, _NOT_ASSOCIATIVE, 2, 15),
     ("1 = (2 = 3) = 4", ParseError, _NOT_ASSOCIATIVE, 1, 13),
-    # 'pow' needs its 'mod', and a 'mod' after 'pow .. mod ..' is left to
-    # whatever encloses it
+    # 'pow' needs its 'mod', and no 'mod' may follow 'pow .. mod ..'
     (_BOUND + "a pow b", ParseError, _POW, 2, 3),
     (_BOUND + "a pow b = c", ParseError, _POW, 2, 3),
-    ("2 pow 3 mod 5 mod 7", ParseError,
-     "unexpected 'mod' after expression", 1, 15),
-    ("1 + 2 pow 3 mod 5 mod 7", ParseError,
-     "unexpected 'mod' after expression", 1, 19),
-    ("(2 pow 3 mod 5 mod 7)", ParseError, "expected ')', found 'mod'", 1, 16),
-    ("map(2 pow 3 mod 5 mod 7, i -> true)", ParseError,
-     "expected ',', found 'mod'", 1, 19),
-    # ... which a 'let' body returns to the 'mod' loop the 'let' is an operand of
-    (_BOUND + "a pow b mod c mod d", UnknownNameError, "unbound name 'd'", 2, 19),
+    ("2 pow 3 mod 5 mod 7", ParseError, _POW_MOD, 1, 15),
+    ("1 + 2 pow 3 mod 5 mod 7", ParseError, _POW_MOD, 1, 19),
+    ("(2 pow 3 mod 5 mod 7)", ParseError, _POW_MOD, 1, 16),
+    ("map(2 pow 3 mod 5 mod 7, i -> true)", ParseError, _POW_MOD, 1, 19),
+    # ... also where a 'let' body or an 'else' branch would end before it
+    (_BOUND + "a pow b mod c mod d", ParseError, _POW_MOD, 2, 15),
+    ("let d = 4 in 2 pow 3 mod 5 mod 7", ParseError, _POW_MOD, 1, 28),
+    ("if true then 1 else 2 pow 3 mod 5 mod 7", ParseError, _POW_MOD, 1, 35),
     ("2 mod 3 pow 4 mod 5", ParseError, "unexpected 'pow' after expression", 1, 9),
     # a missing operand
     ("true |", ParseError, _EMPTY, 1, 7),

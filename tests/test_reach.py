@@ -49,6 +49,7 @@ NOT_ENTERED = {
     "interp._index": UNSHIPPED,
     "interp._int_text": FAILURE,
     "interp._map_length": FAILURE,
+    "interp._missing_override": FAILURE,
     "interp._modulus": FAILURE,
     "interp._outputs": FAILURE,
     "interp._over": FAILURE,
