@@ -4,7 +4,7 @@ Chain file: one JSON object per line::
 
     {"txId": hex,
      "inputs":  [[k, index] or {"txId": hex, "index": int}, ...],
-     "outputs": [{"script": base64 canonical bytes or int,
+     "outputs": [{"script": base64 canonical bytes or int (or no key),
                   "payload": {field: value record, ...}}, ...]}
 
 A transaction with no inputs is a genesis transaction.  A value record
@@ -16,14 +16,18 @@ writes as strings.
 The base64 script bytes are the script: they must be its canonical
 encoding, and bytes that do not re-encode to themselves are rejected.
 
-Each distinct output script is written in full once, by the first output
-in the file that carries it.  Every later output with that script holds
-its number instead: the distinct scripts are numbered from 0 in the order
-in which they first appear.  A coin re-states its script in every output
-it creates, so a grid chain, whose outputs all carry one script, shrinks
-about tenfold.  The numbers live only in the file: tx ids hash the
-script bytes as before.  Any prefix of a file is a valid chain, and a
-reference must name a script defined on an earlier output.
+An output whose script is the one carried by the output written just
+before it in the file (the one before it on its line, or the last output
+of an earlier line) has no ``"script"`` key.  Where the script changes,
+its record states it: in full on the script's first appearance in the
+file, and after that by its number, the distinct scripts being numbered
+from 0 in the order in which they first appear.  A coin re-states its
+script in every output it creates, so a grid or layer chain, whose
+outputs all carry one script, names it exactly once.  Omitted scripts and
+numbers live only in the file: tx ids hash the script bytes as before.
+Any prefix of a file is a valid chain: a number must name a script
+defined on an earlier output, and the first output of the file must
+state its script.
 
 An input that spends an output of an earlier transaction in the same
 file is written ``[k, index]``: ``k`` is that transaction's 0-based
@@ -35,13 +39,14 @@ naming any other transaction keeps the ``{"txId", "index"}`` form.  A
 back-reference must name an earlier transaction, so any prefix of a file
 is still a valid chain.
 
-Files from earlier versions wrote every script in full, every input as
-a ``{"txId", "index"}`` object, every bool and int with a ``"t"`` tag
-and every line with an ``isGenesis`` bool, or also held each script's
-printed source under a key that is now ignored.  They still load, with
+Files from earlier versions stated a script on every output, or wrote
+every script in full, every input as a ``{"txId", "index"}`` object,
+every bool and int with a ``"t"`` tag and every line with an
+``isGenesis`` bool, or also held each script's printed source under a
+key that is now ignored.  They still load, with
 the same tx ids; a stated ``isGenesis`` that contradicts the inputs is
-rejected.  Files written now do not load in versions before untagged
-values.
+rejected.  Files written now do not load in versions that require a
+``"script"`` key on every output.
 """
 
 from __future__ import annotations
@@ -105,25 +110,41 @@ def _script_from_json(raw) -> ScriptRef:
 
 class _ScriptTable:
     """The distinct output scripts of one chain file so far, numbered from 0
-    in the order in which they first appear."""
+    in the order in which they first appear, and the script of the last
+    output written or read."""
 
     def __init__(self):
         self.numbers: dict[ScriptRef, int] = {}
         self.scripts: list[ScriptRef] = []
+        self.last: ScriptRef | None = None
 
     def _add(self, ref: ScriptRef) -> None:
         self.numbers[ref] = len(self.scripts)
         self.scripts.append(ref)
 
     def to_json(self, ref: ScriptRef):
-        """The script's base64 bytes on its first appearance, its number after."""
+        """None when the output before carries the same script, else the
+        script's base64 bytes on its first appearance and its number after."""
+        if ref is self.last:
+            return None
+        self.last = ref
         number = self.numbers.get(ref)
         if number is not None:
             return number
         self._add(ref)
         return base64.b64encode(ref.canonical).decode("ascii")
 
-    def from_json(self, raw) -> ScriptRef:
+    def from_json(self, obj: dict) -> ScriptRef:
+        """The script of output record ``obj``: the one its ``"script"``
+        states, or the last output's when it has no such key."""
+        if "script" in obj:
+            self.last = self._stated(obj["script"])
+        elif self.last is None:
+            raise ChainFormatError(
+                "the first output of the file must state its script")
+        return self.last
+
+    def _stated(self, raw) -> ScriptRef:
         if type(raw) is int:  # not bool, which JSON true would give
             if not 0 <= raw < len(self.scripts):
                 raise ChainFormatError(
@@ -140,16 +161,19 @@ class _ScriptTable:
 
 
 def output_to_json(output: Output, scripts: _ScriptTable) -> dict:
-    return {
-        "script": scripts.to_json(output.script_ref),
-        "payload": {name: value_to_json(v) for name, v in output.payload._map.items()},
-    }
+    record = {}
+    script = scripts.to_json(output.script_ref)
+    if script is not None:
+        record["script"] = script
+    record["payload"] = {name: value_to_json(v)
+                         for name, v in output.payload._map.items()}
+    return record
 
 
 def output_from_json(obj, scripts: _ScriptTable) -> Output:
-    if not isinstance(obj, dict) or "script" not in obj or "payload" not in obj:
+    if not isinstance(obj, dict) or "payload" not in obj:
         raise ChainFormatError(f"malformed output record: {obj!r}")
-    script = scripts.from_json(obj["script"])
+    script = scripts.from_json(obj)
     payload_obj = obj["payload"]
     if not isinstance(payload_obj, dict):
         raise ChainFormatError("payload must be an object")

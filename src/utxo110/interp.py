@@ -319,9 +319,10 @@ class _Function:
         self.guards = []
         self.cycles = {}  # (int, m) -> the names of its first m bits repeated
         # What the code so far has established on every path to the next
-        # line: the temporary holding each operation's result, and the
-        # kind each checked value passed as.  Both are pure facts, so
-        # reusing them skips a repeat that could not fail.
+        # line: the temporary holding each operation's result (None for a
+        # check, which has none), and the kind each checked value passed
+        # as.  Both are pure facts, so reusing them skips a repeat that
+        # could not fail.
         self.values = {}
         self.kinds = {}
 
@@ -341,6 +342,12 @@ class _Function:
         """A line that may raise: the cost charged before it goes first."""
         self.flush()
         self.line(text)
+
+    def check_once(self, text):
+        """A check line, unless this path has passed the same one."""
+        if text not in self.values:
+            self.values[text] = None
+            self.op(text)
 
     def source(self):
         head = f"def {self.name}({', '.join(self.params + self.free)}):"
@@ -748,7 +755,8 @@ class _Generator:
                 return None
             self.payload_value(*value, f"override {name!r}")
             k = self.constant(name)
-            self.fn.op(f"if {k} not in {b}.payload._map: _missing_override({k})")
+            self.fn.check_once(
+                f"if {k} not in {b}.payload._map: _missing_override({k})")
             overrides[k] = value[0]
         pairs = ", ".join(f"{k}: {v}" for k, v in overrides.items())
         return self.assign(f"_copy_eq({a}, {b}, {{{pairs}}})", False), "bool"

@@ -1,9 +1,13 @@
 import base64
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import NON_CANONICAL_SCRIPTS, drive_grid, drive_layer
+from test_fuzz import verify_printed
 from utxo110 import lang
 from utxo110.cli import main
 from utxo110.chainio import (
@@ -103,12 +107,15 @@ class TestChainFiles:
         assert records[0].stored_id == records[0].tx.tx_id()
 
     def test_output_records_hold_only_script_and_payload(self, tmp_path, params):
+        """A grid chain's outputs all carry one script, which only the
+        first output states."""
         txs, _ = drive_grid([1, 0, 1], 3, params)
         dump_chain(txs, tmp_path / "chain.jsonl")
         lines = (tmp_path / "chain.jsonl").read_text().splitlines()
         records = [out for line in lines for out in json.loads(line)["outputs"]]
         assert len(records) > len(txs)
-        assert all(list(out) == ["script", "payload"] for out in records)
+        assert [list(out) for out in records] \
+            == [["script", "payload"]] + [["payload"]] * (len(records) - 1)
 
     def test_chain_with_script_text_loads_and_verifies(self, tmp_path, params):
         """Files written with the old informative ``scriptText`` key still
@@ -245,19 +252,21 @@ class TestChainFiles:
         assert all(out.script_ref is outputs[0].script_ref for out in outputs)
 
 
-def _expand_script_numbers(lines):
-    """The chain lines with every script number replaced by the base64
-    bytes it stands for, as files were written before scripts were
-    numbered."""
+def _inline_scripts(lines):
+    """The chain lines with every output's script written in full, as
+    files were written before scripts were numbered or left out."""
     defined = []
+    last = None
     out = []
     for line in lines:
         obj = json.loads(line)
         for rec in obj["outputs"]:
-            if isinstance(rec["script"], int):
-                rec["script"] = defined[rec["script"]]
-            elif rec["script"] not in defined:
-                defined.append(rec["script"])
+            script = rec.get("script", last)
+            if isinstance(script, int):
+                script = defined[script]
+            elif script not in defined:
+                defined.append(script)
+            rec["script"] = last = script
         out.append(json.dumps(obj, separators=(",", ":")))
     return out
 
@@ -269,18 +278,19 @@ def _printed(command, path, capsys):
 
 
 class TestScriptNumbers:
-    """Each distinct output script is written once; later outputs hold its
+    """Each distinct output script is written once; where a later output's
+    script differs from the output's before it, the output holds its
     number in the order in which the file first defines it."""
 
-    def test_grid_chain_numbers_its_one_script(self, tmp_path, params):
+    def test_grid_chain_states_its_one_script_once(self, tmp_path, params):
         txs, _ = drive_grid([1, 0, 1], 3, params)
         path = tmp_path / "chain.jsonl"
         dump_chain(txs, path)
-        scripts = [out["script"] for line in path.read_text().splitlines()
+        scripts = [out.get("script") for line in path.read_text().splitlines()
                    for out in json.loads(line)["outputs"]]
         assert scripts[0] == base64.b64encode(
             serialize_script(build_bit_script())).decode()
-        assert scripts[1:] == [0] * (len(scripts) - 1)
+        assert scripts[1:] == [None] * (len(scripts) - 1)
 
     def test_distinct_scripts_are_all_written_in_full(self, tmp_path):
         genesis = Transaction(
@@ -299,32 +309,35 @@ class TestScriptNumbers:
 
     def test_inline_scripts_load_to_the_same_chain(self, tmp_path, params, capsys):
         txs, _ = drive_grid([0, 1, 1], 4, params)
-        numbered = tmp_path / "numbered.jsonl"
-        dump_chain(txs, numbered)
-        lines = numbered.read_text().splitlines()
+        compact = tmp_path / "compact.jsonl"
+        dump_chain(txs, compact)
+        lines = compact.read_text().splitlines()
         inline = tmp_path / "inline.jsonl"
-        inline.write_text("\n".join(_expand_script_numbers(lines)) + "\n")
-        assert '"script":0' in numbered.read_text()
-        assert '"script":0' not in inline.read_text()
-        assert inline.stat().st_size > 5 * numbered.stat().st_size
-        records = load_chain(numbered)
+        inline.write_text("\n".join(_inline_scripts(lines)) + "\n")
+        outputs = sum(len(tx.outputs) for tx in txs)
+        assert compact.read_text().count('"script"') == 1
+        assert inline.read_text().count('"script":"') == outputs
+        assert inline.stat().st_size > 5 * compact.stat().st_size
+        records = load_chain(compact)
         assert load_chain(inline) == records
         assert [r.stored_id for r in records] == [t.tx_id() for t in txs]
-        ok = _printed("verify", numbered, capsys)
+        ok = _printed("verify", compact, capsys)
         assert ok[0] == 0 and ok[1].startswith("ok: ")
         assert _printed("verify", inline, capsys) == ok
 
     def test_inline_repeat_takes_no_number(self, tmp_path):
-        a, b = parse("1 = 1"), parse("2 = 2")
+        """The third script keeps number 2 after the first script is
+        written in full a second time."""
+        a, b, c = parse("1 = 1"), parse("2 = 2"), parse("3 = 3")
         genesis = Transaction(inputs=(), is_genesis=True, outputs=[
-            Output(s, Payload(v=i)) for i, s in enumerate([a, a, b, b])])
+            Output(s, Payload(v=i)) for i, s in enumerate([a, b, a, c, b, c])])
         path = tmp_path / "chain.jsonl"
         dump_chain([genesis], path)
         obj = json.loads(path.read_text())
         scripts = [out["script"] for out in obj["outputs"]]
-        assert [type(s) for s in scripts] == [str, int, str, int]
-        assert scripts[1::2] == [0, 1]
-        obj["outputs"][1]["script"] = obj["outputs"][0]["script"]
+        assert [type(s) for s in scripts] == [str, str, int, str, int, int]
+        assert (scripts[2], scripts[4:]) == (0, [1, 2])
+        obj["outputs"][2]["script"] = obj["outputs"][0]["script"]
         path.write_text(json.dumps(obj) + "\n")
         (record,) = load_chain(path)
         assert record.tx == genesis
@@ -346,6 +359,83 @@ class TestScriptNumbers:
         code, out, err = _printed("verify", path, capsys)
         assert (code, out) == (2, "")
         assert f"line {line}: script" in err and "Traceback" not in err
+
+
+# three scripts that any spend satisfies
+_POOL = tuple(ScriptRef(parse(f"{i} = {i}")) for i in range(3))
+
+
+def _pool_chain(lines):
+    """A chain with one line per list in ``lines``, whose outputs carry
+    the pool scripts it names: a genesis, then a spend of output 0 of
+    the line before on each later line."""
+    txs = []
+    for k, picks in enumerate(lines):
+        outputs = [Output(_POOL[p], Payload(v=10 * k + j)) for j, p in enumerate(picks)]
+        inputs = [txs[-1].ref(0)] if txs else ()
+        txs.append(Transaction(inputs=inputs, outputs=outputs, is_genesis=not txs))
+    return txs
+
+
+class TestOmittedScripts:
+    """An output whose script is the one of the output written just before
+    it, on its line or the line before, has no ``"script"`` key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                    min_size=1, max_size=5))
+    # adjacent and non-adjacent repeats, changes and a repeat across lines
+    @example([[0, 0, 1], [1, 2], [0], [0, 2]])
+    def test_round_trip_states_each_change(self, lines):
+        txs = _pool_chain(lines)
+        picks = [p for line in lines for p in line]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp, "chain.jsonl"), Path(tmp, "again.jsonl")
+            dump_chain(txs, path)
+            records = load_chain(path)
+            assert [r.tx for r in records] == txs
+            assert [r.stored_id for r in records] == [t.tx_id() for t in txs]
+            dump_chain([r.tx for r in records], again)
+            assert again.read_bytes() == path.read_bytes()
+
+            # where the script changes: its bytes first, its number after
+            objs = [json.loads(line) for line in path.read_text().splitlines()]
+            stated = [out.get("script") for obj in objs for out in obj["outputs"]]
+            first = list(dict.fromkeys(picks))
+            expected = [None if i and p == picks[i - 1] else
+                        first.index(p) if p in picks[:i] else
+                        base64.b64encode(_POOL[p].canonical).decode()
+                        for i, p in enumerate(picks)]
+            assert stated == expected
+            assert verify_printed(path)[0] == 0
+
+            # a first output that states no script
+            first_line = dict(objs[0], outputs=[
+                {"payload": objs[0]["outputs"][0]["payload"]}, *objs[0]["outputs"][1:]])
+            _write_lines(path, [json.dumps(o) for o in [first_line, *objs[1:]]])
+            with pytest.raises(ChainFormatError, match="^line 1: the first output"):
+                load_chain(path)
+            assert verify_printed(path) == (2, "")
+
+            # a change of script left unstated: the output takes the one
+            # before it, so the line's stored id no longer matches; unless
+            # the record defined the script that a later number names
+            where = [(k, j) for k, obj in enumerate(objs)
+                     for j in range(len(obj["outputs"]))]
+            for i in range(1, len(picks)):
+                if stated[i] is None:
+                    continue
+                k, j = where[i]
+                edited = json.loads(json.dumps(objs))
+                del edited[k]["outputs"][j]["script"]
+                _write_lines(path, [json.dumps(o) for o in edited])
+                code, out = verify_printed(path)
+                if code == 2 and isinstance(stated[i], str):
+                    continue
+                assert code == 1
+                assert out.startswith(f"verification failed at transaction {k}: "
+                                      f"stored id {txs[k].tx_id().hex()[:16]}... "
+                                      f"does not match")
 
 
 def _expand_back_refs(lines):

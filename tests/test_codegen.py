@@ -263,6 +263,43 @@ class TestCopyEq:
         assert "_copy_eq(" in source
         assert "replace(" not in source and "Payload(" not in source
 
+    def test_grid_checks_its_override_field_once(self):
+        """Both of the grid's copyEqs override ``mid`` of ``out[0]``; the
+        second cannot find it missing once the first has not."""
+        source = interp._Generator().generate(build_bit_script())
+        assert source.count("_missing_override(") == 1
+
+    @pytest.mark.parametrize("fields", [
+        (("val", True), ("mid", False)), (("val", True),)], ids=["present", "missing"])
+    def test_two_copy_eqs_over_one_source(self, fields):
+        """At every limit, as the oracle does: with ``mid`` missing from
+        the source, the first copyEq raises MissingField."""
+        source = Output(Lit(True), Payload(fields))
+        copies = [Output(Lit(True), Payload(fields[:1] + (("mid", m),)))
+                  for m in (True, False)]
+        ctx = EvalContext(source, (source,), (source, *copies))
+        script = parse("copyEq(out[1], out[0], mid <- true) "
+                       "& copyEq(out[2], out[0], mid <- false)")
+        full = assert_same(script, ctx)
+        if len(fields) == 1:
+            assert full[1] is interp.MissingField
+        else:
+            assert full[2] is True
+        top = full[3].total_cost if full[0] == "value" else node_count(script)
+        for limit in range(1, top + 1):
+            assert_same(script, ctx, limit)
+
+    def test_check_in_a_branch_does_not_hold_after_it(self):
+        """The check the 'then' branch passes is made again after the
+        'if', where the 'else' branch may have led."""
+        script = parse("(if self.val then copyEq(self, out[0], mid <- true) "
+                       "else true) & copyEq(self, out[0], mid <- true)")
+        source = interp._Generator().generate(script)
+        assert source.count("_missing_override(") == 2
+        me = Output(Lit(True), Payload((("val", False),)))
+        ctx = EvalContext(me, (me,), (me,))
+        assert assert_same(script, ctx)[1] is interp.MissingField
+
 
 # Every node kind over operands of every kind, including ones that raise,
 # so that each check, its order against its operands and each operator

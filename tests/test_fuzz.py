@@ -20,16 +20,16 @@ from conftest import drive_grid
 from utxo110 import interp, ledger
 from utxo110.chainio import dump_chain, load_chain
 from utxo110.cli import main
-from utxo110.lang import Bits
+from utxo110.lang import Bits, Lit
 from utxo110.model import Output, OutputRef, Transaction
 from utxo110.rule110 import (
     BIT_SCRIPT_SOURCE, LAYER_SCRIPT_SOURCE, genesis_grid, genesis_layer,
 )
 
-# the fuzzed chain defines one script, so 1 is a script number past it;
+# the fuzzed chain defines two scripts, so 2 is a script number past them;
 # the ints, bools, floats and lists also stand in for an input's [k, index]
 # pair or one of its two numbers
-HOSTILE_VALUES = (0, 1, -1, 2**32, 2**64, 0.0, 0.5, True, False, None, "",
+HOSTILE_VALUES = (0, 1, 2, -1, 2**32, 2**64, 0.0, 0.5, True, False, None, "",
                   [], [0], [0, 0], [1, 0], [0, 0, 0], {})
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -83,10 +83,14 @@ def replace_at(obj, path, value):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A small grid chain, as bytes."""
+    """A small grid chain, as bytes, with a second genesis after its own:
+    a copy of one genesis cell under another script.  So the file states
+    two scripts in full and numbers the grid's on the line after, and
+    most outputs state none."""
     base = tmp_path_factory.mktemp("fuzz")
     txs, _ = drive_grid([1, 0, 1], 2)
-    dump_chain(txs, base / "chain.jsonl")
+    twin = Transaction((), [Output(Lit(True), txs[0].outputs[0].payload)], True)
+    dump_chain([txs[0], twin, *txs[1:]], base / "chain.jsonl")
     return base, (base / "chain.jsonl").read_bytes()
 
 
@@ -124,9 +128,11 @@ def verify_both_ways(path) -> int:
 
 def test_unmutated_files_are_accepted(files):
     base, chain = files
-    assert b'"script":0,' in chain  # the mutations also hit script numbers
+    # the mutations hit script numbers, outputs that state no script
+    assert b'"script":0,' in chain and b'{"payload":' in chain
     assert b'"inputs":[[0,' in chain  # and input back-references
     assert verify_exit(base / "chain.jsonl") == 0
+    assert render_exit(base / "chain.jsonl") == 0
 
 
 @FUZZ

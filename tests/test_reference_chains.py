@@ -9,8 +9,8 @@ distinct script once and then each input as a back-reference.  A builder
 change that alters seed order, case choice, lookup choice or block
 packing changes both pins.  The first pin is the sha256 of the file
 bytes, so it also moves with the file format; it was last recorded when
-boolean and integer values lost their kind tags and transactions their
-``isGenesis`` key.
+outputs began to leave out a script that repeats the one of the output
+before them.
 """
 
 import base64
@@ -26,23 +26,23 @@ from utxo110.cli import main
 # grid rows x 10 sweeps: the three reference rows plus one row of each
 # width 1-8 ("1" serves width 1, "1011" width 4)
 GRID_SHA256 = {
-    "1": ("9c1b1c196ea73f7e7b26f26ee915a83faf5b97542504f75bd1653b78871bbd75",
+    "1": ("c6bebb5f78b06eb7b108743d4027823a7e48417d005eb8df09f27a1d788ee33b",
           "4adf4106f73a662e79d6ff957d8850441e8897a3ca74579f7a2a4ff1d221a5ed"),
-    "1011": ("a153e1dcaf37605b3090cb66a1f08194e43e5e15c4bf176c9da2990c7a74fe74",
+    "1011": ("2b0bcc723a60d927b4790a9d5444478962595f54e73268cb5ef6eab389c2391c",
              "960e1e77cfdfbe10711726c5e8bec5f556ed5078a79b5cbed28fa37de39a9c21"),
-    "0110101": ("4ca8029ac8bcd1d701279a086fb929b52dfceab315140cbafa36cfaf0d3607f0",
+    "0110101": ("d50b41e88b2f14a02ab3f33aac13e200ee56ea1b442cf29f1b7bbcdbccbdef51",
                 "b6a6445e2e65f6d99f007ec5c5f7644a865c29dcfadd31ad072c2d540ebef6c6"),
-    "10": ("75f325d574eafbb1813170fe96c3a1eb7ae78642c0c7bad05b53fc602ed34510",
+    "10": ("a40518482afdd6511ac6b21fe52aa1c700cf2a38ffebe95c766fad9fbba8d2e2",
            "70507529d02209e7f7b1cf607befe4168db16c2fc1cc23e2af0a98a227f6f8f6"),
-    "011": ("2493d5a07db46339c1aeb9e2a2e90f30ae34dc8446f2fa58cc1255dfc7693b01",
+    "011": ("28c27b2e3b123f57035815eba4d95a580c2d2c3e4f7ae765531fe65408c1b98d",
             "0dbe4fa72b72fbed435127be4b6d43e3ef8baa791e501ff0e7b468a63480aa26"),
-    "01001": ("d0668785b9d4e0e034f7804901d3a8f9bf019385a97eba847315eab87649e38f",
+    "01001": ("cdec4179e74384b2b6456a6d7f01254f14dbafbfd0ca96c53cd85d39a64f117d",
               "ad796b01707cdd9842384caf76f5e69e65d5a38347ff34c7a6f92d2a00853fa1"),
-    "110110": ("708d8d0e2d4ff4a906121fbe23075ab3c1864feb15646a066467d6026aa41ea2",
+    "110110": ("820105ecced9ef5d52672d2d99af3bffa1a1952d75fb0a444e4b2efd34b4f0e2",
                "7cb87fe5586025bc1a54d7f87a1fdf05e2cc27ace55a0da112595d90b1dd9908"),
-    "0100111": ("0ba25ff08ee976ce156fcea2d099fc825b561b5ad19223e5fa85f1bc1b824bd6",
+    "0100111": ("11dfa303930e23d227f9a941d38a2d7ed7963eb3d6289d73d5f4ceb933815398",
                 "ed0997f878f772290f457a4f55a09efb8de85d4388ab3302f7db3dfd5cb5be05"),
-    "10110001": ("a9baaa28dc4bdcc0e9a5c4c6b22592a7bd228202e33975a606f787669ca36fa0",
+    "10110001": ("0e32daf4b3d09a8ff2572a7d81acc4d9677fee4b76745b95bd89b5bad7ae1b7f",
                  "46855ca514621be1a3f932f509a265a9624a6a87275adb0586f7cc534656a793"),
 }
 
@@ -53,7 +53,7 @@ OBJECT_FORM_SAMPLE = (Path(__file__).resolve().parent.parent
 
 # a seeded 256-cell row x 100 layer steps
 LAYER_ROW = format(random.Random(110).getrandbits(256), "0256b")
-LAYER_SHA256 = ("d99762f7e4ab6d73b05e47224b2004952743f692ce46344ceebb316c5406acc9",
+LAYER_SHA256 = ("8d9ab036d79d62963a95e4c96b0a4b3568146e3a3c17b56f01075048550f3bcb",
                 "e9cf5bb3a4e90772a42148927933857295a1f5a084fd175e5e5274dd90845049")
 
 
@@ -66,8 +66,9 @@ def state_lines(printed: str) -> list:
 
 def _run_pins(tmp_path, capsys, mode, initial, steps):
     """(file sha256, tx-id list sha256) of a ``run`` chain, after checking
-    that the file spells out each distinct script's bytes exactly once
-    and that ``verify`` rebuilds the state ``run`` printed."""
+    that the file spells out each distinct script's bytes exactly once,
+    that its one script is named by one output only, and that ``verify``
+    rebuilds the state ``run`` printed."""
     chain = tmp_path / "chain.jsonl"
     code = main(["run", "--mode", mode, "--initial", initial,
                  "--steps", str(steps), "--chain", str(chain)])
@@ -80,6 +81,7 @@ def _run_pins(tmp_path, capsys, mode, initial, steps):
     scripts = {out.script_bytes for r in records for out in r.tx.outputs}
     for script in scripts:
         assert data.count(base64.b64encode(script)) == 1
+    assert len(scripts) == data.count(b'"script"') == 1
     ids = "".join(r.tx.tx_id().hex() + "\n" for r in records)
     return (hashlib.sha256(data).hexdigest(),
             hashlib.sha256(ids.encode()).hexdigest())
@@ -96,6 +98,19 @@ def test_layer_chain_bytes_are_pinned(tmp_path, capsys):
     file_pin, ids_pin = _run_pins(tmp_path, capsys, "layer", LAYER_ROW, 100)
     assert ids_pin == LAYER_SHA256[1]
     assert file_pin == LAYER_SHA256[0]
+
+
+def test_grid_chain_of_the_benchmark_shape_states_its_script_once(tmp_path, capsys):
+    """A 4-bit row over 12 sweeps, the grid-r12 workload's shape: the one
+    script is stated once, which keeps the file at most 372 bytes per
+    transaction (about 403 when every output named it)."""
+    chain = tmp_path / "chain.jsonl"
+    assert main(["run", "--mode", "grid", "--initial", "0110", "--steps", "12",
+                 "--chain", str(chain)]) == 0
+    capsys.readouterr()
+    data = chain.read_bytes()
+    assert data.count(b'"script"') == 1
+    assert len(data) / data.count(b"\n") <= 372
 
 
 def test_object_form_sample_loads_to_the_run_chain(tmp_path, capsys):
