@@ -14,12 +14,8 @@ import importlib
 
 _EXPORTS = {
     "builder": (
-        "BuildRules", "CannotBuild", "NotBuildable", "build_next",
-        "derive_build_rules", "sweep",
-    ),
-    "canonical": (
-        "CanonicalForm", "CopyRule", "FieldRule", "LookupRule", "NotCanonical",
-        "analyze_canonical",
+        "BuildRules", "CannotBuild", "NotBuildable", "analyze_canonical",
+        "build_next", "derive_build_rules", "sweep",
     ),
     "chainio": ("ChainFormatError", "ChainRecord", "dump_chain", "load_chain"),
     "interp": (

@@ -1,10 +1,22 @@
 """Transaction synthesis from canonical-form guarding scripts.
 
-``derive_build_rules`` turns a script into executable per-branch rules:
-which constraints the seed input must satisfy, how to look up every
-further input, and how to compute each output.  ``build_next`` drives
-those rules for one seed; ``sweep`` runs every unspent output as a seed
-once, applying successes immediately so later lookups see fresh state.
+``derive_build_rules`` turns a script into executable per-branch rules.
+The let-inlined script is split at its ``if``s, and each branch must be
+a conjunction of assignments and lookups, even where the script as a
+whole is not.  One pass over a branch's conjuncts, in script order,
+sorts each into the rules of its ``BuildCase``:
+
+* ``seed_checks``: conjuncts that read only the seed, ``in[0]``, each
+  kept once;
+* ``lookups[j]``: the ``(field, rule)`` keys that locate ``in[j + 1]``
+  among the unspent outputs;
+* ``outputs[i]``: an ``Assign`` that computes ``out[i]`` field by field,
+  or a ``CopyOf`` an earlier output with some fields replaced.
+
+Any other conjunct over the inputs is left to the validation of the
+built transaction.  ``build_next`` drives those rules for one seed;
+``sweep`` runs every unspent output as a seed once, applying successes
+immediately so later lookups see fresh state.
 
 Two policies matter beyond the raw rules:
 
@@ -18,10 +30,6 @@ Two policies matter beyond the raw rules:
   permanently retires such seeds.  Without this, the redundant third
   copy of a one-cell row would re-derive old rows forever.  The guard
   finds the copies of each output through the UTXO set's payload index.
-
-Rules are derived per branch: the let-inlined script is split at its
-``if``s, and each branch must be a conjunction of assignments and
-lookups, even where the script as a whole is not.
 """
 
 from __future__ import annotations
@@ -29,13 +37,14 @@ from __future__ import annotations
 import functools
 
 from .canonical import (
-    AnalysisError, CopyRule, DeadCase, FieldRule,
-    NotCanonical, SCRIPT_FIELD, classify_conjuncts,
-    flatten_and, inline_lets, normalize_conjunct, reduce_case, scan_refs,
-    shared_ref_scan, split_cases,
+    AnalysisError, DeadCase, flatten_and, inline_lets, normalize_conjunct,
+    reduce_case, scan_refs, shared_ref_scan, split_cases,
 )
 from .interp import EvalContext, EvalError, _payload_value, compiled
-from .lang import Cmp, CtxRef, Expr, Lit, ScriptRef, Size, record
+from .lang import (
+    Cmp, CopyEq, CtxRef, Expr, FieldAccess, Index, Lit, ScriptOf, ScriptRef,
+    Size, record, script_source,
+)
 from .ledger import (
     ChainLog, UtxoSet, Valid, apply_transaction, validate_transaction,
 )
@@ -93,13 +102,32 @@ class CannotBuild:
 
 
 @record
+class Assign:
+    """An output computed field by field: its payload fields' rules in
+    script order, then the rule for its script."""
+    fields: tuple  # of (field, ScriptRef)
+    script: ScriptRef
+
+
+@record
+class CopyOf:
+    """An output equal to the earlier ``out[source]`` but for the payload
+    fields that ``overrides`` sets."""
+    source: int
+    overrides: tuple  # of (field, ScriptRef)
+
+
+@record
 class BuildCase:
     """One branch of a script, compiled to generation rules."""
 
-    input_count: int
     seed_checks: tuple  # of ScriptRef: conjuncts decidable from in[0] alone
-    lookups: tuple      # of (input index, tuple of (field, ScriptRef))
-    out_rules: tuple    # of (out index, 'fields'|'copy', rule data with ScriptRefs)
+    lookups: tuple      # lookups[j]: the (field, ScriptRef) keys of in[j + 1]
+    outputs: tuple      # outputs[i]: the Assign or CopyOf that computes out[i]
+
+    @property
+    def input_count(self) -> int:
+        return len(self.lookups) + 1
 
 
 @record
@@ -117,114 +145,166 @@ def _size_equality(e: Expr):
     return None
 
 
-def _max_in_ref(exprs) -> int:
-    top = -1
-    for e in exprs:
-        top = max(top, scan_refs(e).max_in_index)
-    return top
-
-
-def _is_seed_check(e: Expr) -> bool:
-    refs = scan_refs(e)
+def _is_seed_check(refs) -> bool:
     return (not refs.uses_out and not refs.bare_in and not refs.in_size
             and not refs.free_vars and refs.max_in_index <= 0)
 
 
+def _slot_index(e: Expr, kind: str):
+    """i when e is out[i] or in[i] (per ``kind``) with a literal index i >= 0."""
+    if isinstance(e, Index) and isinstance(e.obj, CtxRef) and e.obj.kind == kind \
+            and isinstance(e.index, Lit) and isinstance(e.index.value, int) \
+            and not isinstance(e.index.value, bool) and e.index.value >= 0:
+        return e.index.value
+    return None
+
+
+def _out_slot(e: Expr):
+    """(index, field) when e is out[i].field, out[i].script -> (i, 'script')."""
+    if isinstance(e, FieldAccess):
+        target, field = e.obj, e.field
+    elif isinstance(e, ScriptOf):
+        target, field = e.obj, "script"
+    else:
+        return None
+    index = _slot_index(target, "out")
+    return None if index is None else (index, field)
+
+
+def _lookup_key(conj: Expr):
+    """(k, (field, ScriptRef)) when ``conj`` is ``in[k].field = g`` with
+    k >= 1 and g reading only in[0..k-1], either way round, else None."""
+    if not (isinstance(conj, Cmp) and conj.op == "="):
+        return None
+    for lhs, rhs in ((conj.left, conj.right), (conj.right, conj.left)):
+        k = _slot_index(lhs.obj, "in") if isinstance(lhs, FieldAccess) else None
+        if k is None or k < 1:
+            continue
+        refs = scan_refs(rhs)
+        if refs.uses_out or refs.bare_in or refs.in_size or refs.free_vars \
+                or refs.max_in_index >= k:
+            continue
+        return k, (lhs.field, ScriptRef(rhs))
+    return None
+
+
+def _output_rule(conj: Expr):
+    """(i, rule) for a conjunct that mentions outputs: ``(field,
+    ScriptRef)`` when it assigns out[i].field, a CopyOf when it copies
+    into out[i].  None for a check on ``out.size``; AnalysisError for
+    anything else."""
+    if isinstance(conj, Cmp) and conj.op == "=":
+        sides = ((conj.left, conj.right), (conj.right, conj.left))
+        for lhs, rhs in sides:
+            slot = _out_slot(lhs)
+            if slot is not None and not scan_refs(rhs).uses_out:
+                return slot[0], (slot[1], ScriptRef(rhs))
+        # out.size = <input-only expr> is a size check, not an assignment
+        for lhs, rhs in sides:
+            if isinstance(lhs, Size) and isinstance(lhs.obj, CtxRef) \
+                    and lhs.obj.kind == "out" and not scan_refs(rhs).uses_out:
+                return None
+        raise AnalysisError("output field is not isolated on one side of "
+                            "the equality: " + script_source(conj))
+    if isinstance(conj, CopyEq):
+        target = _slot_index(conj.target, "out")
+        source = _slot_index(conj.source, "out")
+        if target is None or source is None:
+            raise AnalysisError("copyEq over outputs must use literal indices: "
+                                + script_source(conj))
+        if any(scan_refs(x).uses_out for _, x in conj.overrides):
+            raise AnalysisError("copyEq override depends on outputs: "
+                                + script_source(conj))
+        return target, CopyOf(source, tuple((name, ScriptRef(x))
+                                            for name, x in conj.overrides))
+    raise AnalysisError("conjunct mentions outputs but is not an assignment: "
+                        + script_source(conj))
+
+
+def _output(i: int, rules: list):
+    """The one record for out[i], from its rules in script order."""
+    copies = [r for r in rules if isinstance(r, CopyOf)]
+    if copies:
+        if len(copies) < len(rules):
+            raise AnalysisError(f"out[{i}] is both copied and assigned")
+        if len(copies) > 1:
+            raise AnalysisError(f"out[{i}] has several copy rules")
+        if copies[0].source >= i:
+            raise AnalysisError(
+                f"out[{i}] copies a later output out[{copies[0].source}]")
+        return copies[0]
+    fields = {}
+    for field, rule in rules:
+        if field in fields:
+            raise AnalysisError(f"out[{i}].{field} is assigned more than once")
+        fields[field] = rule
+    script = fields.pop("script", None)
+    if script is None:
+        raise AnalysisError(f"out[{i}] has no script assignment")
+    return Assign(tuple(fields.items()), script)
+
+
 def _compile_case(guards, body):
-    """BuildCase for one branch, or None when the branch can never hold."""
-    norm_guards = []
-    for g in guards:
-        norm_guards.extend(normalize_conjunct(g))
-    in_size = None
-    for g in norm_guards:
-        s = _size_equality(g)
-        if s is not None:
-            in_size = s
-            break
+    """BuildCase for one branch, or None when the branch can never hold.
+
+    One pass over the branch's conjuncts, in script order, sorts each
+    into a seed check, a lookup key of in[k], an output rule of out[i]
+    or nothing (a check the built transaction's validation makes); the
+    first conjunct of no such shape is the error.  Then the input count
+    must fit the branch, every input after the seed needs a lookup, and
+    each output must be one assignment or one copy of an earlier output.
+    A seed check that repeats an earlier one is dropped: it reads the
+    same seed under the same limit, so it cannot fail once that passed.
+    """
+    norm_guards = [n for g in guards for n in normalize_conjunct(g)]
+    in_size = next((s for s in map(_size_equality, norm_guards) if s is not None), None)
     try:
         reduced = reduce_case(body, in_size)
     except DeadCase:
         return None
 
-    conjuncts = []
-    for conj in flatten_and(reduced):
-        conjuncts.extend(normalize_conjunct(conj))
-    form = classify_conjuncts(conjuncts)
-    if isinstance(form, NotCanonical):
-        raise AnalysisError(form.reason)
+    seed_checks = []
+    max_ref = -1
+    for g in norm_guards:
+        refs = scan_refs(g)
+        max_ref = max(max_ref, refs.max_in_index)
+        if _is_seed_check(refs):
+            seed_checks.append(ScriptRef(g))
+    keys = {}   # k -> the (field, ScriptRef) keys of in[k]
+    rules = {}  # i -> the rules of out[i]: (field, ScriptRef) or CopyOf
+    size = None
+    for conj in (n for c in flatten_and(reduced) for n in normalize_conjunct(c)):
+        refs = scan_refs(conj)
+        max_ref = max(max_ref, refs.max_in_index)
+        if refs.free_vars:
+            raise AnalysisError(f"conjunct has free variables: {script_source(conj)}")
+        if refs.uses_out:
+            rule = _output_rule(conj)
+            if rule is not None:
+                rules.setdefault(rule[0], []).append(rule[1])
+            continue
+        key = _lookup_key(conj)
+        if key is not None:
+            keys.setdefault(key[0], []).append(key[1])
+        elif _is_seed_check(refs):
+            seed_checks.append(ScriptRef(conj))
+        elif size is None:
+            size = _size_equality(conj)
 
-    all_exprs = list(norm_guards) + conjuncts
     if in_size is None:
-        for conj in conjuncts:
-            s = _size_equality(conj)
-            if s is not None:
-                in_size = s
-                break
-    max_ref = _max_in_ref(all_exprs)
-    if in_size is None:
-        in_size = max(1, max_ref + 1)
+        in_size = size if size is not None else max(1, max_ref + 1)
     if in_size < 1 or max_ref >= in_size:
         return None  # branch contradicts its own input count
-
-    # group lookups per input index; every non-seed input needs a rule
-    per_index = {}
-    for rule in form.in_rules:
-        per_index.setdefault(rule.in_index, []).append(rule)
-    lookups = []
+    # max_ref counts the in[k] of every key, so no key lies past the inputs
     for k in range(1, in_size):
-        if k not in per_index:
+        if k not in keys:
             raise AnalysisError(f"in[{k}] has no lookup rule")
-        lookups.append((k, tuple((r.field, ScriptRef(r.expr)) for r in per_index[k])))
-    extra = [k for k in per_index if k >= in_size]
-    if extra:
-        return None
-
-    # group output rules; each output is either fully assigned or a copy
-    by_out = {}
-    for rule in form.out_rules:
-        by_out.setdefault(rule.out_index, []).append(rule)
-    if sorted(by_out) != list(range(len(by_out))):
+    if sorted(rules) != list(range(len(rules))):
         raise AnalysisError("output assignments are not contiguous from out[0]")
-    out_rules = []
-    for i in sorted(by_out):
-        rules = by_out[i]
-        copies = [r for r in rules if isinstance(r, CopyRule)]
-        fields = [r for r in rules if isinstance(r, FieldRule)]
-        if copies and fields:
-            raise AnalysisError(f"out[{i}] is both copied and assigned")
-        if copies:
-            if len(copies) > 1:
-                raise AnalysisError(f"out[{i}] has several copy rules")
-            if copies[0].source >= i:
-                raise AnalysisError(
-                    f"out[{i}] copies a later output out[{copies[0].source}]")
-            overrides = tuple((name, ScriptRef(x)) for name, x in copies[0].overrides)
-            out_rules.append((i, "copy", (copies[0].source, overrides)))
-        else:
-            seen = set()
-            script_rule = None
-            payload_rules = []
-            for r in fields:
-                if r.field in seen:
-                    raise AnalysisError(
-                        f"out[{i}].{r.field} is assigned more than once")
-                seen.add(r.field)
-                if r.field == SCRIPT_FIELD:
-                    script_rule = r
-                else:
-                    payload_rules.append(r)
-            if script_rule is None:
-                raise AnalysisError(f"out[{i}] has no script assignment")
-            payload = tuple((r.field, ScriptRef(r.expr)) for r in payload_rules)
-            out_rules.append((i, "fields", (payload, ScriptRef(script_rule.expr))))
-
-    seed_checks = tuple(ScriptRef(e) for e in norm_guards + list(form.residual)
-                        if _is_seed_check(e))
     return BuildCase(
-        input_count=in_size,
-        seed_checks=seed_checks,
-        lookups=tuple(lookups),
-        out_rules=tuple(out_rules),
+        seed_checks=tuple(dict.fromkeys(seed_checks)),
+        lookups=tuple(tuple(keys[k]) for k in range(1, in_size)),
+        outputs=tuple(_output(i, rules[i]) for i in range(len(rules))),
     )
 
 
@@ -250,6 +330,18 @@ def _derive(ref: ScriptRef):
         return NotBuildable("no branch admits a transaction")
     cases.sort(key=lambda c: -c.input_count)  # stable: script order on ties
     return BuildRules(cases=tuple(cases))
+
+
+def analyze_canonical(script: Expr):
+    """The whole let-inlined script compiled as one case, its branches
+    left in place: a BuildCase, None or NotBuildable.
+
+    Nothing in this package calls it; it stays while the benchmark's tracer
+    wraps it."""
+    try:
+        return _compile_case((), inline_lets(script))
+    except AnalysisError as exc:
+        return NotBuildable(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +403,7 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
                 ConsistencyCheckFailed("seed does not fit this input role"),
                 seed_stage=True)
 
-    for k, rules in case.lookups:
+    for k, rules in enumerate(case.lookups, start=1):
         constraints = []
         for field, rule in rules:
             try:
@@ -330,21 +422,19 @@ def _run_case(case: BuildCase, utxo: UtxoSet, seed: OutputRef,
         ctx = EvalContext(seed_output, resolved, ())
 
     outputs = []
-    for i, kind, data in case.out_rules:
+    for i, made in enumerate(case.outputs):
         try:
-            if kind == "copy":
-                source, overrides = data
-                base = outputs[source]
+            if isinstance(made, CopyOf):
+                base = outputs[made.source]
                 payload = base.payload
-                for name, rule in overrides:
+                for name, rule in made.overrides:
                     payload = payload.replace(name, _rule_value(rule, ctx, limit, width))
                 out = Output(base.script_ref, payload)
             else:
-                payload_rules, script_rule = data
                 pairs = []
-                for field, rule in payload_rules:
+                for field, rule in made.fields:
                     pairs.append((field, _rule_value(rule, ctx, limit, width)))
-                ref = _rule_value(script_rule, ctx, limit, width)
+                ref = _rule_value(made.script, ctx, limit, width)
                 if not isinstance(ref, ScriptRef):
                     raise _CaseFailure(ConsistencyCheckFailed(
                         f"out[{i}] script rule did not produce a script"))

@@ -1,17 +1,19 @@
-"""Canonical-form analysis of guarding scripts.
+"""The rewrites that bring a guarding script to the builder's shape.
 
-A script is in canonical form when it is a conjunction of
+A script is in canonical form when each of its branches is a conjunction
+of output assignments ``out[i].field = f(inputs)``, input lookups
+``in[k].field = g(in[0..k-1])`` and checks over the inputs.  Such a
+script doubles as a generation procedure: lookups locate the inputs,
+assignments compute the outputs, and the script itself is the final
+consistency check.
 
-* output assignments  ``out[i].field = f(inputs)``,
-* input lookups       ``in[k].field = g(in[0..k-1])``,
-* residual checks     (size checks and other input-only predicates).
-
-Such a script doubles as a generation procedure: lookups locate the
-inputs, assignments compute the outputs, and the script itself is the
-final consistency check.  The transaction builder reads that structure
-off each branch of a script: it splits the branches, reduces each one and
-sorts its conjuncts with ``classify_conjuncts``.  No command uses the
-flat form of a whole script, with its branches left in place.
+This module holds the rewrites on the way there, all over the let-DAG:
+``scan_refs`` finds what an expression reads, ``inline_lets`` removes
+the lets, ``split_cases`` splits the branches at their ``if``s,
+``reduce_case`` resolves list concatenation and synthetic outputs in one
+branch, and ``flatten_and`` with ``normalize_conjunct`` cut a branch into
+conjuncts of equality shape.  ``builder`` sorts those conjuncts into the
+rules it runs.
 """
 
 from __future__ import annotations
@@ -20,52 +22,14 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from .lang import (
-    MAX_DEPTH, NODE_FIELDS, BoolOp, Cmp, CopyEq, CtxRef, Expr, FieldAccess,
-    If, Index, Let, ListConcat, Lit, MapIndices, Not, ScriptOf, Size,
-    SyntheticOutput, Var, children, record, script_source,
+    MAX_DEPTH, NODE_FIELDS, BoolOp, Cmp, CtxRef, Expr, FieldAccess, If,
+    Index, Let, ListConcat, Lit, MapIndices, Not, ScriptOf, Size,
+    SyntheticOutput, Var, children, record,
 )
-
-SCRIPT_FIELD = "script"  # rule slot for the output's guarding script
 
 
 class AnalysisError(Exception):
     """Script shape the analyzer cannot handle (e.g. variable shadowing)."""
-
-
-@record
-class FieldRule:
-    """out[index].field is assigned the value of ``expr`` (inputs only)."""
-    out_index: int
-    field: str
-    expr: Expr
-
-
-@record
-class CopyRule:
-    """out[index] is a copy of out[source] with overridden fields."""
-    out_index: int
-    source: int
-    overrides: tuple  # of (field, Expr)
-
-
-@record
-class LookupRule:
-    """in[index].field must equal ``expr`` over earlier inputs."""
-    in_index: int
-    field: str
-    expr: Expr
-
-
-@record
-class CanonicalForm:
-    out_rules: tuple  # FieldRule | CopyRule
-    in_rules: tuple   # LookupRule
-    residual: tuple   # Expr
-
-
-@record
-class NotCanonical:
-    reason: str
 
 
 # ---------------------------------------------------------------------------
@@ -296,135 +260,8 @@ def normalize_conjunct(e: Expr) -> list:
     return [e]
 
 
-def _slot_index(e: Expr, kind: str):
-    """i when e is out[i] or in[i] (per ``kind``) with a literal index i >= 0."""
-    if isinstance(e, Index) and isinstance(e.obj, CtxRef) and e.obj.kind == kind \
-            and isinstance(e.index, Lit) and isinstance(e.index.value, int) \
-            and not isinstance(e.index.value, bool) and e.index.value >= 0:
-        return e.index.value
-    return None
-
-
-def _out_slot(e: Expr):
-    """(index, field) when e is out[i].field, out[i].script -> (i, 'script')."""
-    if isinstance(e, FieldAccess):
-        target, field = e.obj, e.field
-    elif isinstance(e, ScriptOf):
-        target, field = e.obj, SCRIPT_FIELD
-    else:
-        return None
-    index = _slot_index(target, "out")
-    return None if index is None else (index, field)
-
-
-def _in_slot(e: Expr):
-    """(index, field) when e is in[k].field with a literal index."""
-    if not isinstance(e, FieldAccess):
-        return None
-    index = _slot_index(e.obj, "in")
-    return None if index is None else (index, e.field)
-
-
-def _is_out_size(e: Expr) -> bool:
-    return isinstance(e, Size) and isinstance(e.obj, CtxRef) and e.obj.kind == "out"
-
-
-def classify_conjuncts(conjuncts):
-    """Sort conjuncts into rules; returns CanonicalForm or NotCanonical."""
-    out_rules = []
-    in_rules = []
-    residual = []
-    for conj in conjuncts:
-        result = _classify_one(conj)
-        if isinstance(result, NotCanonical):
-            return result
-        kind, rule = result
-        if kind == "out":
-            out_rules.append(rule)
-        elif kind == "in":
-            in_rules.append(rule)
-        elif kind == "residual":
-            residual.append(rule)
-    return CanonicalForm(tuple(out_rules), tuple(in_rules), tuple(residual))
-
-
-def _classify_one(conj: Expr):
-    refs = scan_refs(conj)
-    if refs.free_vars:
-        return NotCanonical(
-            f"conjunct has free variables: {script_source(conj)}")
-    if not refs.uses_out:
-        rule = _try_lookup_rule(conj)
-        if rule is not None:
-            return "in", rule
-        return "residual", conj
-
-    if isinstance(conj, Cmp) and conj.op == "=":
-        for lhs, rhs in ((conj.left, conj.right), (conj.right, conj.left)):
-            slot = _out_slot(lhs)
-            if slot is not None and not scan_refs(rhs).uses_out:
-                return "out", FieldRule(slot[0], slot[1], rhs)
-        # out.size = <input-only expr> is a size check, not an assignment
-        for lhs, rhs in ((conj.left, conj.right), (conj.right, conj.left)):
-            if _is_out_size(lhs) and not scan_refs(rhs).uses_out:
-                return "residual", conj
-        return NotCanonical(
-            "output field is not isolated on one side of the equality: "
-            + script_source(conj))
-
-    if isinstance(conj, CopyEq):
-        ti = _slot_index(conj.target, "out")
-        si = _slot_index(conj.source, "out")
-        if ti is None or si is None:
-            return NotCanonical(
-                "copyEq over outputs must use literal indices: "
-                + script_source(conj))
-        if any(scan_refs(x).uses_out for _, x in conj.overrides):
-            return NotCanonical(
-                "copyEq override depends on outputs: " + script_source(conj))
-        return "out", CopyRule(ti, si, conj.overrides)
-
-    return NotCanonical(
-        "conjunct mentions outputs but is not an assignment: "
-        + script_source(conj))
-
-
-def _try_lookup_rule(conj: Expr):
-    if not (isinstance(conj, Cmp) and conj.op == "="):
-        return None
-    for lhs, rhs in ((conj.left, conj.right), (conj.right, conj.left)):
-        slot = _in_slot(lhs)
-        if slot is None:
-            continue
-        k, field = slot
-        if k < 1:
-            continue
-        refs = scan_refs(rhs)
-        if refs.uses_out or refs.bare_in or refs.in_size or refs.free_vars:
-            continue
-        if refs.max_in_index >= k:
-            continue
-        return LookupRule(k, field, rhs)
-    return None
-
-
-def analyze_canonical(script: Expr):
-    """Extract the flat canonical form of a script, branches left in place.
-
-    Nothing in this package calls it; it stays while the benchmark's tracer
-    wraps it."""
-    try:
-        inlined = inline_lets(script)
-    except AnalysisError as exc:
-        return NotCanonical(str(exc))
-    conjuncts = []
-    for conj in flatten_and(inlined):
-        conjuncts.extend(normalize_conjunct(conj))
-    return classify_conjuncts(conjuncts)
-
-
 # ---------------------------------------------------------------------------
-# Branch splitting and structural reduction (used by the builder)
+# Branch splitting and structural reduction
 
 MAX_CASES = 64
 

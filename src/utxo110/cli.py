@@ -226,25 +226,25 @@ def cmd_render(args) -> int:
 
 
 def _print_cases(rules: BuildRules) -> None:
+    from .builder import CopyOf
+
     print(f"generation cases: {len(rules.cases)}")
     for num, case in enumerate(rules.cases, start=1):
         print(f"case {num}: {case.input_count} input(s), "
-              f"{len(case.out_rules)} output(s)")
+              f"{len(case.outputs)} output(s)")
         for check in case.seed_checks:
             print(f"  seed: {script_source(check.expr)}")
-        for k, per_input in case.lookups:
+        for k, per_input in enumerate(case.lookups, start=1):
             keys = ", ".join(f"{field} = {script_source(rule.expr)}"
                              for field, rule in per_input)
             print(f"  in[{k}] <- lookup({keys})")
-        for i, kind, data in case.out_rules:
-            if kind == "copy":
-                source, overrides = data
+        for i, made in enumerate(case.outputs):
+            if isinstance(made, CopyOf):
                 args = "".join(f", {name} <- {script_source(rule.expr)}"
-                               for name, rule in overrides)
-                print(f"  out[{i}] <- copy(out[{source}]{args})")
+                               for name, rule in made.overrides)
+                print(f"  out[{i}] <- copy(out[{made.source}]{args})")
             else:
-                payload, script = data
-                for field, rule in payload + (("script", script),):
+                for field, rule in made.fields + (("script", made.script),):
                     print(f"  out[{i}].{field} <- {script_source(rule.expr)}")
 
 

@@ -3,15 +3,16 @@
 This is ``builder._run_case`` as it was before each stage of a case ran
 its rules from their compiled code on one shared context: every rule
 went through ``interp.evaluate`` with an ``EvalContext`` of its own.
-Tests patch ``run_case`` in for ``builder._run_case`` and require the
-same ``Transaction``, or the same ``CannotBuild`` reason class and text.
+It reads a case's records as ``_run_case`` does.  Tests patch
+``run_case`` in for ``builder._run_case`` and require the same
+``Transaction``, or the same ``CannotBuild`` reason class and text.
 """
 
 from __future__ import annotations
 
 from utxo110.builder import (
-    _RULE_BUDGET_FACTOR, ConsistencyCheckFailed, LookupAmbiguous, LookupMiss,
-    NoProgress, _CaseFailure, _makes_no_progress,
+    _RULE_BUDGET_FACTOR, ConsistencyCheckFailed, CopyOf, LookupAmbiguous,
+    LookupMiss, NoProgress, _CaseFailure, _makes_no_progress,
 )
 from utxo110.interp import EvalContext, EvalError, _payload_value, evaluate
 from utxo110.lang import ScriptRef
@@ -40,7 +41,7 @@ def run_case(case, utxo, seed, seed_output, params):
 
     resolved_refs = [seed]
     resolved = [seed_output]
-    for k, rules in case.lookups:
+    for k, rules in enumerate(case.lookups, start=1):
         constraints = []
         for field, rule in rules:
             try:
@@ -58,21 +59,19 @@ def run_case(case, utxo, seed, seed_output, params):
         resolved.append(utxo.resolve(chosen))
 
     outputs = []
-    for i, kind, data in case.out_rules:
+    for i, made in enumerate(case.outputs):
         try:
-            if kind == "copy":
-                source, overrides = data
-                base = outputs[source]
+            if isinstance(made, CopyOf):
+                base = outputs[made.source]
                 payload = base.payload
-                for name, rule in overrides:
+                for name, rule in made.overrides:
                     payload = payload.replace(name, eval_rule(rule, resolved, params))
                 out = Output(base.script_ref, payload)
             else:
-                payload_rules, script_rule = data
                 pairs = []
-                for field, rule in payload_rules:
+                for field, rule in made.fields:
                     pairs.append((field, eval_rule(rule, resolved, params)))
-                ref = eval_rule(script_rule, resolved, params)
+                ref = eval_rule(made.script, resolved, params)
                 if not isinstance(ref, ScriptRef):
                     raise _CaseFailure(ConsistencyCheckFailed(
                         f"out[{i}] script rule did not produce a script"))

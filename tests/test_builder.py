@@ -11,10 +11,10 @@ from test_codegen import _untyped
 from test_lang import _exprs
 from utxo110 import builder
 from utxo110.builder import (
-    BuildRules, CannotBuild, ConsistencyCheckFailed, LookupMiss, NoProgress,
-    NotBuildable, _makes_no_progress, build_next, derive_build_rules, sweep,
+    Assign, BuildRules, CannotBuild, ConsistencyCheckFailed, LookupMiss,
+    NoProgress, NotBuildable, _makes_no_progress, analyze_canonical,
+    build_next, derive_build_rules, sweep,
 )
-from utxo110.canonical import NotCanonical, analyze_canonical
 from utxo110.chainio import load_chain
 from utxo110.cli import main
 from utxo110.interp import EvalContext
@@ -38,20 +38,19 @@ class TestDeriveRules:
         case = rules.cases[0]
         assert case.input_count == 1
         assert case.lookups == ()
-        kinds = [(i, kind) for i, kind, _ in case.out_rules]
-        assert kinds == [(0, "fields")]
+        assert [type(made) for made in case.outputs] == [Assign]
 
     def test_bit_rules_cases(self):
         rules = derive_build_rules(build_bit_script())
         assert isinstance(rules, BuildRules)
         assert [c.input_count for c in rules.cases] == [3, 2, 2, 1, 1, 1]
         normal = rules.cases[0]
-        assert [k for k, _ in normal.lookups] == [1, 2]
-        in1 = {field: ref.expr for field, ref in dict(normal.lookups)[1]}
+        assert len(normal.lookups) == 2
+        in1 = {field: ref.expr for field, ref in normal.lookups[0]}
         assert in1["x"] == parse("in[0].x + 1")
         assert in1["n"] == parse("in[0].n")
         assert in1["mid"] == parse("true")
-        in2 = {field: ref.expr for field, ref in dict(normal.lookups)[2]}
+        in2 = {field: ref.expr for field, ref in normal.lookups[1]}
         assert in2["x"] == parse("in[1].x + 1")
         assert in2["mid"] == parse("false")
 
@@ -74,7 +73,7 @@ class TestDeriveRules:
         script = parse(
             "if in[0].a then (out[0].x = 1) & (out[0].script = in[0].script) "
             "else (out[0].x = 2) & (out[0].script = in[0].script)")
-        assert isinstance(analyze_canonical(script), NotCanonical)
+        assert isinstance(analyze_canonical(script), NotBuildable)
         rules = derive_build_rules(script)
         assert isinstance(rules, BuildRules)
         assert len(rules.cases) == 2

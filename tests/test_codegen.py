@@ -592,7 +592,7 @@ class TestPrecharge:
     def test_validator_fast_loops_charge_nothing(self):
         layer = build_layer_script()
         rules = derive_build_rules(layer)
-        (rule,), = [fields for _, _, (fields, _) in rules.cases[0].out_rules]
+        (rule,), = [made.fields for made in rules.cases[0].outputs]
         for script in (layer, rule[1].expr):
             source = interp._Generator().generate(script)
             loops = _fast_loops(source)
@@ -745,7 +745,7 @@ class TestTwoPaths:
     def test_shipped_scripts(self):
         layer = build_layer_script()
         rules = derive_build_rules(layer)
-        (rule,), = [fields for _, _, (fields, _) in rules.cases[0].out_rules]
+        (rule,), = [made.fields for made in rules.cases[0].outputs]
         for script in (layer, build_bit_script(), rule[1].expr):
             _assert_two_paths(interp._Generator().generate(script))
 

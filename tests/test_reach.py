@@ -39,7 +39,7 @@ NOT_ENTERED = {
     "builder.LookupAmbiguous.__str__": FAILURE,
     "builder.LookupMiss.__str__": FAILURE,
     "builder.NoProgress.__str__": FAILURE,
-    "canonical.analyze_canonical": TRACED,
+    "builder.analyze_canonical": TRACED,
     "interp.EvalContext.__setattr__": FAILURE,
     "interp._as_bool": FAILURE,
     "interp._as_int": FAILURE,
