@@ -25,6 +25,13 @@ evaluation time is bounded a priori:
   the metered loop runs.  Nothing could then fail, so the value, cost
   or error is the one of the run-by-run walk.
 
+A ``pow`` whose modulus is an int literal of at most 64 bits runs as
+builtin ``pow``.  Any other ``pow`` calls ``_pow_mod``, which takes the
+power in OpenSSL's bignum kernel (``bignum``) once the modulus is wider
+than one 64-bit limb and the kernel can be reached, and in builtin
+``pow`` otherwise.  Both give the same value, so where the power is
+taken changes its wall time only: no charge, receipt or verdict.
+
 Boolean operators are strict (both operands always evaluated); only
 ``if`` is lazy.  Costs, receipts and errors are those of a node-by-node
 walk of the tree: the generated code adds up charges that no failing
@@ -226,6 +233,18 @@ def _pow_domain(exponent):
     _modulus()
 
 
+def _pow_mod(b, x, m):
+    """``pow(b, x, m)`` for ``x >= 0`` and ``m > 0``: in OpenSSL's bignum
+    kernel when the modulus is wider than one 64-bit limb, with builtin
+    ``pow`` where the kernel cannot be reached or fails."""
+    if m.bit_length() > 64:
+        from .bignum import mod_exp
+        result = mod_exp(b % m, x, m)
+        if result is not None:
+            return result
+    return pow(b, x, m)
+
+
 def _compare(a, b):
     return _as_int(a, "comparison operand") < _as_int(b, "comparison operand")
 
@@ -280,7 +299,7 @@ def _output(ref, names, values):
 # The names generated code may use besides its own and the builtins.
 _RUNTIME = {f.__name__: f for f in (
     _over, _unbound, _field, _script_of, _index, _size, _modulus,
-    _pow_domain, _compare, _cycle, _map_length, _copy_eq_operands,
+    _pow_domain, _pow_mod, _compare, _cycle, _map_length, _copy_eq_operands,
     _missing_override, _outputs, _output, _as_bool, _as_int, _payload_value,
     _values_equal, _copy_eq)}
 _RUNTIME.update(Bits=Bits, Output=Output)
@@ -648,7 +667,8 @@ class _Generator:
     def pow_mod(self, e, scope):
         # the one node charged after its operands, by the exponent's size
         modulus = e.modulus.value if type(e.modulus) is Lit else None
-        if not (type(modulus) is int and modulus.bit_length() <= 64):
+        narrow = type(modulus) is int and modulus.bit_length() <= 64
+        if not narrow:
             self.unpriced_pow = True
         operands = self.operands(scope, (e.base, "int", "pow base"),
                                  (e.exponent, "int", "pow exponent"),
@@ -658,7 +678,8 @@ class _Generator:
         (b, _), (x, _), (m, _) = operands
         self.fn.op(f"if {x} < 0 or {m} <= 0: _pow_domain({x})")
         self.fn.line(f"if (s := s + 1 + {x}.bit_length()) > L: _over(L)")
-        return self.assign(f"pow({b}, {x}, {m})", False), "int"
+        power = "pow" if narrow else "_pow_mod"
+        return self.assign(f"{power}({b}, {x}, {m})", False), "int"
 
     def if_(self, e, scope):
         fn = self.fn

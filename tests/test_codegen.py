@@ -16,6 +16,7 @@ import closure_oracle
 from bits_oracle import TupleBits
 from conftest import drive_grid, drive_layer, node_count
 from rule110_oracle import evolve_cyclic
+from test_bignum import unsigned, widths
 from test_lang import _extend, _leaf
 from utxo110 import interp
 from utxo110.builder import derive_build_rules
@@ -199,6 +200,65 @@ class TestDifferential:
                         is interp.CostLimitExceeded
                 checked += 1
         assert checked
+
+
+# (base pow exp mod modulus) = out[0].r, each operand a literal or a
+# field of self, of up to 8,192 bits: the generated code takes a power
+# whose modulus is not a literal of at most 64 bits in _pow_mod, and the
+# oracle always in builtin pow.  About one operand in ten is negative,
+# one in ten is not an int and one field in ten is missing, and r is the
+# power about half the time.
+def _rarely(draw):
+    return draw(st.integers(0, 9)) == 9
+
+
+@st.composite
+def _wide_pow_cases(draw):
+    fields, operands = [], []
+    for name in ("b", "e", "m"):
+        value = draw(widths(8192).flatmap(unsigned))
+        if _rarely(draw):
+            value = -value
+        if _rarely(draw):
+            value = draw(st.booleans())
+            operands.append(FieldAccess(CtxRef("self"), name))
+        elif draw(st.booleans()):
+            operands.append(Lit(value))
+        else:
+            operands.append(FieldAccess(CtxRef("self"), name))
+        if not _rarely(draw):
+            fields.append((name, value))
+    values = dict(fields)
+    b, x, m = (op.value if type(op) is Lit else values.get(name)
+               for op, name in zip(operands, "bem"))
+    r = draw(widths(8192).flatmap(unsigned))
+    if all(type(v) is int for v in (b, x, m)) and x >= 0 and m > 0 \
+            and draw(st.booleans()):
+        r = pow(b, x, m)
+    me = Output(Lit(True), Payload(fields))
+    out = Output(Lit(True), Payload(r=r))
+    script = Cmp("=", PowMod(*operands),
+                 FieldAccess(Index(CtxRef("out"), Lit(0)), "r"))
+    return script, EvalContext(me, (me,), (out,))
+
+
+class TestWidePow:
+    @settings(max_examples=100, deadline=None)
+    @given(_wide_pow_cases(), st.data())
+    def test_same_outcome_as_closure_tree(self, case, data):
+        script, ctx = case
+        full = assert_same(script, ctx)
+        top = full[3].total_cost if full[0] == "value" else 4 * node_count(script)
+        assert_same(script, ctx, data.draw(st.integers(1, top), label="limit"))
+
+    @pytest.mark.parametrize("modulus, power", [
+        ("1000003", "pow"), (str(2**64 - 1), "pow"), (str(2**64), "_pow_mod"),
+        ("self.m", "_pow_mod"), ("(2 + 3)", "_pow_mod")])
+    def test_builtin_pow_only_for_a_narrow_literal_modulus(self, modulus, power):
+        source = interp._Generator().generate(
+            parse(f"(self.b pow 65537 mod {modulus}) = out[0].r"))
+        calls = re.findall(r"(\w+)\(t\d+, k\d+, \w+\)", source)
+        assert calls == [power]
 
 
 # copyEq's operands: values whose kinds differ where Python's == does not

@@ -32,11 +32,15 @@ def modules_after(code: str, *flags) -> tuple:
     return printed, modules.split()
 
 
+def ours(modules) -> list:
+    return [n for n in modules if n.split(".")[0] == "utxo110"]
+
+
 def loaded_after(code: str) -> tuple:
     """What a fresh interpreter running ``code`` printed, and the
     ``utxo110`` modules it holds afterwards."""
     printed, modules = modules_after(code)
-    return printed, [n for n in modules if n.split(".")[0] == "utxo110"]
+    return printed, ours(modules)
 
 
 def cli_in_child(*argv) -> str:
@@ -65,12 +69,25 @@ def test_verify_loads_only_what_validation_needs(tmp_path, capsys):
     assert main(["run", "--mode", "grid", "--initial", "1", "--steps", "2",
                  "--chain", str(chain)]) == 0
     capsys.readouterr()
-    printed, modules = loaded_after(cli_in_child("verify", "--chain", chain))
+    printed, modules = modules_after(cli_in_child("verify", "--chain", chain))
     assert printed == [
         "ok: 6 transactions, total cost 1796", "blocks: 1", "utxo size: 11",
         "utxo digest: 0ebf7485f36d9a0df03e8a4e99cce49586ddca8e6ba921c5902319957a008f9c",
         "exit 0"]
-    assert modules == package(*VERIFY_MODULES)
+    assert ours(modules) == package(*VERIFY_MODULES)
+    assert "ctypes" not in modules
+
+
+def test_verify_of_wide_pow_spends_loads_the_kernel():
+    # the sample's 256-bit moduli are wider than one limb, so its checks
+    # take their powers through bignum
+    printed, modules = loaded_after(cli_in_child(
+        "verify", "--chain", SRC.parent / "samples" / "modexp-3x256.jsonl"))
+    assert printed == [
+        "ok: 4 transactions, total cost 798", "blocks: 1", "utxo size: 3",
+        "utxo digest: 51d402ecade108bab1582643c91e0f9c8c5a6891d1ec25128d9baa39eb7a7af3",
+        "exit 0"]
+    assert modules == package(*VERIFY_MODULES, "bignum")
 
 
 def test_run_without_render_leaves_render_unloaded(tmp_path):
